@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -297,11 +298,20 @@ class Scenario:
                                        count, float(s.get("interval", 0.0))))
 
         g = data.get("gossip", {})
+        if not isinstance(g, dict):
+            raise InvalidScenarioError(f"scenario.gossip: expected dict, got {type(g).__name__}")
         gossip_config = GossipConfig(
             bound=int(g.get("bound", GossipConfig.bound)),
             drop_probability=float(g.get("drop_probability", GossipConfig.drop_probability)),
             rounds_per_second=float(g.get("rounds_per_second", GossipConfig.rounds_per_second)),
         )
+        if gossip_config.bound < 1:
+            raise InvalidScenarioError("gossip.bound: must be >= 1")
+        if not 0.0 <= gossip_config.drop_probability <= 1.0:
+            raise InvalidScenarioError("gossip.drop_probability: must be in [0, 1]")
+        if not (math.isfinite(gossip_config.rounds_per_second)
+                and gossip_config.rounds_per_second > 0):
+            raise InvalidScenarioError("gossip.rounds_per_second: must be finite and > 0")
 
         model = None
         if "model" in data:

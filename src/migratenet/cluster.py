@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
 from .gossip import Bulletin
@@ -19,10 +19,10 @@ from .gossip import Bulletin
 NodeId = int
 
 
-@dataclass(frozen=True, order=True)
-class GPid:
+class GPid(NamedTuple):
     """Cluster-wide process id; `home` never changes, however often the
-    process migrates."""
+    process migrates.  A named tuple, so hashing and ordering run in C and
+    match ``(home, seq)``."""
     home: NodeId
     seq: int
 

@@ -51,3 +51,7 @@ class InvalidScenarioError(SimulatorError):
 
 class NoSolutionError(SimulatorError):
     code = "E_NO_SOLUTION"
+
+
+class NoConvergenceError(SimulatorError):
+    code = "E_NO_CONVERGENCE"

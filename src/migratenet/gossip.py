@@ -8,14 +8,20 @@ every stale copy as it spreads.
 
 Internally an entry stores the bulletin clock value at which it was born;
 its age is recomputed as ``clock - birth``, which makes the per-round ageing
-of a whole bulletin O(1).
+of a whole bulletin O(1).  A digest is a raw snapshot of such entries plus
+the sender's clock: the receiver shifts each birth onto its own clock and
+compares births, so no per-entry object is built on the hot path.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
+
+from .errors import NoConvergenceError
 
 if TYPE_CHECKING:
     from .cluster import ClusterState, GPid, NodeId
@@ -46,11 +52,24 @@ class LoadEntry:
 
 @dataclass(frozen=True)
 class GossipDigest:
-    locations: tuple[LocationEntry, ...]
-    loads: tuple[LoadEntry, ...]
+    """Snapshot of bulletin entries as stored: ``(pid, (node, birth, serial))``
+    and ``(node, (load, birth, serial))``, births on the sender's `clock`."""
+    clock: int
+    location_items: tuple[tuple["GPid", tuple["NodeId", int, int]], ...]
+    load_items: tuple[tuple["NodeId", tuple[float, int, int]], ...]
 
     def __len__(self) -> int:
-        return len(self.locations) + len(self.loads)
+        return len(self.location_items) + len(self.load_items)
+
+    @property
+    def locations(self) -> tuple[LocationEntry, ...]:
+        return tuple(LocationEntry(pid, node, self.clock - birth, serial)
+                     for pid, (node, birth, serial) in self.location_items)
+
+    @property
+    def loads(self) -> tuple[LoadEntry, ...]:
+        return tuple(LoadEntry(node, load, self.clock - birth, serial)
+                     for node, (load, birth, serial) in self.load_items)
 
 
 @dataclass(frozen=True)
@@ -129,62 +148,53 @@ def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
 
     Ties break on (age, kind, key) so the digest is deterministic; locations
     order before loads at equal age.  A bulletin with at most `bound` entries
-    is shipped whole.
+    is shipped whole, in its own order.
     """
     if bound < 1:
         raise ValueError("digest bound must be >= 1")
-    keyed: list[tuple[tuple[int, int, int, int], LocationEntry | LoadEntry]] = []
-    for e in bulletin.location_entries():
-        keyed.append(((e.age, KIND_LOCATION, e.pid.home, e.pid.seq), e))
-    for e in bulletin.load_entries():
-        keyed.append(((e.age, KIND_LOAD, e.node, 0), e))
-    keyed.sort(key=lambda pair: pair[0])
-    picked = [e for _, e in keyed[:bound]]
+    locations, loads = bulletin._locations, bulletin._loads
+    if len(locations) + len(loads) <= bound:
+        return GossipDigest(bulletin.clock, tuple(locations.items()), tuple(loads.items()))
+    # a larger birth is a younger age on the one clock, so -birth ranks as age
+    ranked = heapq.nsmallest(bound, chain(
+        ((-birth, KIND_LOCATION, pid) for pid, (_, birth, _) in locations.items()),
+        ((-birth, KIND_LOAD, node) for node, (_, birth, _) in loads.items())))
     return GossipDigest(
-        locations=tuple(e for e in picked if isinstance(e, LocationEntry)),
-        loads=tuple(e for e in picked if isinstance(e, LoadEntry)),
+        bulletin.clock,
+        tuple((key, locations[key]) for _, kind, key in ranked if kind == KIND_LOCATION),
+        tuple((key, loads[key]) for _, kind, key in ranked if kind == KIND_LOAD),
     )
 
 
-def _fresher(age: int, serial: int, resident_age: int, resident_serial: int) -> bool:
-    """Strictly-younger age wins; equal ages fall back to the publication
-    serial, which orders publications that landed in the same round window.
-    Equal on both counts keeps the resident copy."""
-    return age < resident_age or (age == resident_age and serial > resident_serial)
+def _fold(table: dict, items: tuple, shift: int, owner: Optional["NodeId"]) -> int:
+    """Merge raw `items` into `table`, skipping the key `owner`; births move
+    by `shift` onto the receiver's clock.  A larger birth (younger age) wins;
+    equal births fall back to the publication serial, which orders
+    publications that landed in the same round window; equal on both counts
+    keeps the resident copy."""
+    accepted = 0
+    for key, entry in items:
+        resident = table.get(key)
+        if (resident is entry and not shift) or key == owner:
+            continue
+        birth = entry[1] + shift
+        if (resident is None or birth > resident[1]
+                or (birth == resident[1] and entry[2] > resident[2])):
+            table[key] = (entry[0], birth, entry[2]) if shift else entry
+            accepted += 1
+    return accepted
 
 
 def merge(bulletin: Bulletin, digest: GossipDigest) -> int:
     """Fold a digest into a bulletin; returns the number of entries accepted.
 
     An incoming entry wins only if fresher than the resident copy (see
-    `_fresher`; plain copies of the same fact never displace each other).
+    `_fold`; plain copies of the same fact never displace each other).
     Facts the owner publishes about itself are never overwritten by hearsay.
     """
-    accepted = 0
-    clock = bulletin.clock
-    for loc in digest.locations:
-        resident = bulletin._locations.get(loc.pid)
-        if resident is None or _fresher(loc.age, loc.serial,
-                                        clock - resident[1], resident[2]):
-            bulletin._locations[loc.pid] = (loc.node, clock - loc.age, loc.serial)
-            accepted += 1
-    for entry in digest.loads:
-        if entry.node == bulletin.owner:
-            continue
-        resident_load = bulletin._loads.get(entry.node)
-        if resident_load is None or _fresher(entry.age, entry.serial,
-                                             clock - resident_load[1], resident_load[2]):
-            bulletin._loads[entry.node] = (entry.load, clock - entry.age, entry.serial)
-            accepted += 1
-    return accepted
-
-
-def lookup_location(bulletin: Bulletin, pid: "GPid") -> Optional[tuple["NodeId", int]]:
-    return bulletin.lookup_location(pid)
-
-
-def load_view(bulletin: Bulletin) -> dict["NodeId", tuple[float, int]]:
-    return bulletin.load_view()
+    shift = bulletin.clock - digest.clock
+    return (_fold(bulletin._locations, digest.location_items, shift, None)
+            + _fold(bulletin._loads, digest.load_items, shift, bulletin.owner))
 
 
 def gossip_round(state: "ClusterState", rng: random.Random,
@@ -243,12 +253,13 @@ def is_converged(state: "ClusterState") -> bool:
 
 def converge(state: "ClusterState", rng: random.Random,
              config: GossipConfig = GossipConfig(), max_rounds: int = 1000) -> int:
-    """Run rounds until `is_converged`; returns the number of rounds used."""
+    """Run rounds until `is_converged`; returns the number of rounds used.
+    Raises `NoConvergenceError` when `max_rounds` rounds are not enough."""
     for done in range(max_rounds + 1):
         if is_converged(state):
             return done
         gossip_round(state, rng, config)
-    raise RuntimeError(f"gossip failed to converge within {max_rounds} rounds")
+    raise NoConvergenceError(f"gossip failed to converge within {max_rounds} rounds")
 
 
 def force_convergence(state: "ClusterState") -> None:

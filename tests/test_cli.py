@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from migratenet import bench, cli
+from migratenet.errors import InvalidScenarioError
 from migratenet.simcore import load_model
 
 SCENARIO = {
@@ -57,6 +58,36 @@ def test_run_negative_home_leg_factor_exits_2(tmp_path, capsys):
     assert cli.main(["run", write_scenario(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == 2
     assert "home_leg_factor must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gossip,needle", [
+    ({"bound": 0}, "gossip.bound"), ({"bound": -3}, "gossip.bound"),
+    ({"drop_probability": -0.1}, "gossip.drop_probability"),
+    ({"drop_probability": 1.5}, "gossip.drop_probability"),
+    ({"drop_probability": float("nan")}, "gossip.drop_probability"),
+    ({"rounds_per_second": 0}, "gossip.rounds_per_second"),
+    ({"rounds_per_second": -2.0}, "gossip.rounds_per_second"),
+    ({"rounds_per_second": float("inf")}, "gossip.rounds_per_second"),
+    ({"rounds_per_second": float("nan")}, "gossip.rounds_per_second"),
+    ([], "scenario.gossip"),
+])
+def test_run_bad_gossip_block_exits_2(tmp_path, capsys, gossip, needle):
+    data = dict(SCENARIO, gossip=gossip)
+    with pytest.raises(InvalidScenarioError, match=needle):
+        bench.Scenario.from_dict(data)
+    assert cli.main(["run", write_scenario(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+
+
+def test_run_without_convergence_exits_2(tmp_path, capsys):
+    # every exchange is lost, so pre-convergence runs out of rounds
+    data = dict(SCENARIO, gossip={"drop_probability": 1.0})
+    assert cli.main(["run", write_scenario(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_NO_CONVERGENCE" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

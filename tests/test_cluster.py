@@ -22,6 +22,15 @@ def test_spawn_first_id_is_zero():
     assert pid in state.resident[0]
 
 
+def test_gpid_str_repr_order_and_hash():
+    pid = GPid(3, 7)
+    assert str(pid) == f"{pid}" == "3:7"
+    assert repr(pid) == "GPid(home=3, seq=7)"
+    assert hash(pid) == hash((3, 7))
+    assert sorted([GPid(2, 9), GPid(1, 5), GPid(2, 0)]) == [GPid(1, 5), GPid(2, 0), GPid(2, 9)]
+    assert GPid(1, 9) < GPid(2, 0)
+
+
 def test_spawn_seq_is_monotone_per_home():
     state = cluster()
     assert state.spawn(3).seq == 0

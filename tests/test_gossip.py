@@ -1,11 +1,16 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_sim
 from migratenet.cluster import ClusterState, GPid, Topology
-from migratenet.gossip import (Bulletin, GossipConfig, converge, gossip_round,
-                               informed_count, is_converged, make_digest, merge)
+from migratenet.errors import NoConvergenceError, SimulatorError
+from migratenet.gossip import (KIND_LOAD, KIND_LOCATION, Bulletin, GossipConfig,
+                               converge, gossip_round, informed_count, is_converged,
+                               make_digest, merge)
 
 P = GPid(0, 0)
 Q = GPid(1, 0)
@@ -90,6 +95,33 @@ def test_digest_tie_break_is_deterministic():
     assert len(first.locations) == 3 and not first.loads
 
 
+@settings(max_examples=200, deadline=None)
+@given(locations=st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 9)),
+                                 st.tuples(st.integers(0, 7), st.integers(0, 3),
+                                           st.integers(0, 3)), max_size=30),
+       loads=st.dictionaries(st.integers(0, 7),
+                             st.tuples(st.floats(0, 8), st.integers(0, 3),
+                                       st.integers(0, 3)), max_size=8),
+       bound=st.integers(1, 40))
+def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads, bound):
+    # births from a 4-round window, so many entries share an age
+    b = Bulletin(owner=0)
+    b.clock = 3
+    b._locations = {GPid(*key): entry for key, entry in locations.items()}
+    b._loads = dict(loads)
+    oracle = sorted([(e.age, KIND_LOCATION, e.pid, e.node, e.serial)
+                     for e in b.location_entries()] +
+                    [(e.age, KIND_LOAD, e.node, e.load, e.serial)
+                     for e in b.load_entries()])[:bound]
+    digest = make_digest(b, bound)
+    picked = sorted([(e.age, KIND_LOCATION, e.pid, e.node, e.serial)
+                     for e in digest.locations] +
+                    [(e.age, KIND_LOAD, e.node, e.load, e.serial)
+                     for e in digest.loads])
+    assert picked == oracle
+    assert len(digest) == len(oracle)
+
+
 # -- merge -----------------------------------------------------------------------
 
 def test_merge_younger_wins():
@@ -142,6 +174,32 @@ def test_self_merge_is_idempotent():
     before_load = dict(b._loads)
     assert merge(b, make_digest(b, 100)) == 0
     assert b._locations == before_loc and b._loads == before_load
+
+
+@pytest.mark.parametrize("sender_clock,receiver_clock", [(10, 4), (4, 10), (6, 6)])
+def test_merge_compares_ages_across_unequal_clocks(sender_clock, receiver_clock):
+    # pid -> (incoming age, incoming serial, resident age, resident serial, wins)
+    cases = {GPid(0, 0): (1, 0, 3, 0, True),
+             GPid(0, 1): (3, 0, 1, 0, False),
+             GPid(0, 2): (2, 5, 2, 4, True),
+             GPid(0, 3): (2, 4, 2, 5, False),
+             GPid(0, 4): (2, 4, 2, 4, False)}
+    sender, receiver = Bulletin(owner=1), Bulletin(owner=0)
+    sender.clock, receiver.clock = sender_clock, receiver_clock
+    for pid, (age, serial, resident_age, resident_serial, _) in cases.items():
+        sender._locations[pid] = (7, sender_clock - age, serial)
+        receiver._locations[pid] = (3, receiver_clock - resident_age, resident_serial)
+    sender._locations[Q] = (5, sender_clock - 2, 0)        # unknown to the receiver
+    sender._loads[2] = (4.0, sender_clock - 1, 0)
+    receiver._loads[2] = (9.0, receiver_clock - 3, 0)
+    shared = GPid(2, 0)   # one tuple held by both sides: the lower clock is the younger copy
+    sender._locations[shared] = receiver._locations[shared] = (6, 2, 0)
+    assert merge(receiver, make_digest(sender, 64)) == 4 + (receiver_clock > sender_clock)
+    for pid, (age, _, resident_age, _, wins) in cases.items():
+        assert receiver.lookup_location(pid) == ((7, age) if wins else (3, resident_age))
+    assert receiver.lookup_location(Q) == (5, 2)
+    assert receiver.lookup_location(shared) == (6, min(sender_clock, receiver_clock) - 2)
+    assert receiver.load_view()[2] == (4.0, 1)
 
 
 def test_own_load_fact_never_overwritten():
@@ -216,6 +274,47 @@ def test_convergence_survives_lossy_exchanges():
     rounds = converge(state, rng, config, max_rounds=500)
     assert rounds <= 500
     assert informed_count(state, pid) == 8
+
+
+def test_converge_raises_coded_error_when_rounds_run_out():
+    state = ClusterState(Topology.mesh(16))
+    state.spawn(0)
+    with pytest.raises(NoConvergenceError) as err:
+        converge(state, random.Random(0), max_rounds=1)
+    assert isinstance(err.value, SimulatorError)
+    assert err.value.code == "E_NO_CONVERGENCE"
+
+
+def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
+                                seed: int = 2024) -> str:
+    """SHA-256 over every round report and the sorted contents of every
+    bulletin after `rounds` seeded rounds with a migration every third round.
+    Dict order is left out: no reader of a bulletin depends on it."""
+    state = ClusterState(Topology.mesh(nodes))
+    rng = random.Random(seed)
+    pids = [state.spawn(i % nodes, work=1.0 + i % 3) for i in range(procs)]
+    reports = []
+    for r in range(rounds):
+        rep = gossip_round(state, rng)
+        reports.append((rep.index, rep.exchanges, rep.dropped, rep.frames, rep.entries_moved))
+        if r % 3 == 2:
+            state.migrate(pids[rng.randrange(procs)], rng.randrange(nodes))
+    h = hashlib.sha256(repr(reports).encode())
+    for b in state.bulletins:
+        locations = sorted((pid.home, pid.seq, node, birth, serial)
+                           for pid, (node, birth, serial) in b._locations.items())
+        h.update(repr((b.owner, b.clock, locations, sorted(b._loads.items()))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("nodes,procs,golden", [
+    # 56 facts: every digest is the whole bulletin
+    (16, 40, "68e335602b6bd920e8267e37eea32347ce267a1fd583f269250202ab49efcb9f"),
+    # 128 facts: most digests are cut to the 64 youngest
+    (32, 96, "4b33299b0df79b871f51dde8633a48bebdee7717e0c33cf5192c26ec328b3743"),
+])
+def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
+    assert seeded_bulletin_fingerprint(nodes, procs) == golden
 
 
 def test_lookup_age_equals_rounds_since_publication_on_arrival():
