@@ -21,8 +21,8 @@ Scenario file schema (version 1)::
                     "size": 1024, "count": 1, "interval": 0.0}, ...],
       "gossip": {"bound": 64, "drop_probability": 0.0, "rounds_per_second": 10.0},
       "pre_converge": true,
-      "model": {"alpha_net": ...},                # optional overrides
-      "caps": {"relay_max": ..., "direct_max": ...}  # optional
+      "model": {"alpha_net": ...},                # optional overrides of the base model
+      "caps": {"relay_max": ..., "direct_max": ..., "control_size": ...}  # optional
     }
 """
 
@@ -32,7 +32,8 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -108,39 +109,25 @@ class Report:
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
 
-        path = outdir / f"{self.name}_latency.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["size", "latency", "series"])
-            for size, latency, series in self.latency_rows:
-                w.writerow([size, repr(latency), series])
-        written.append(path)
+        def table(suffix, header, rows):
+            path = outdir / f"{self.name}_{suffix}.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
+            written.append(path)
 
-        path = outdir / f"{self.name}_metrics.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["scenario", "seed", "metric", "key", "value"])
-            for metric, key, value in self.metrics.rows():
-                w.writerow([self.name, self.seed, metric, key, value])
-        written.append(path)
-
+        table("latency", ["size", "latency", "series"],
+              ([size, repr(latency), series] for size, latency, series in self.latency_rows))
+        table("metrics", ["scenario", "seed", "metric", "key", "value"],
+              ([self.name, self.seed, metric, key, value]
+               for metric, key, value in self.metrics.rows()))
         if self.gossip_rows:
-            path = outdir / f"{self.name}_gossip.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["round", "informed_count", "frames", "entries_moved"])
-                for row in self.gossip_rows:
-                    w.writerow(row)
-            written.append(path)
-
+            table("gossip", ["round", "informed_count", "frames", "entries_moved"],
+                  self.gossip_rows)
         if self.trace is not None:
-            path = outdir / f"{self.name}_trace.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["time", "kind", "src", "dst", "from_node", "to_node", "size"])
-                for t, kind, src, dst, frm, to, size in self.trace:
-                    w.writerow([repr(t), kind, src, dst, frm, to, size])
-            written.append(path)
+            table("trace", ["time", "kind", "src", "dst", "from_node", "to_node", "size"],
+                  ([repr(t), *rest] for t, *rest in self.trace))
 
         path = outdir / f"{self.name}_summary.txt"
         lines = [f"scenario: {self.name}", f"seed: {self.seed}"]
@@ -203,34 +190,26 @@ class Scenario:
     caps: TransportConfig = TransportConfig()
 
     @classmethod
-    def load(cls, path) -> "Scenario":
+    def load(cls, path, base: Optional[LatencyModel] = None) -> "Scenario":
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InvalidScenarioError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(data, base)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        def need(mapping, key, kind, where):
-            if key not in mapping:
-                raise InvalidScenarioError(f"{where}.{key}: missing")
-            value = mapping[key]
-            if kind is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise InvalidScenarioError(
-                    f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-            return value
-
+    def from_dict(cls, data: dict, base: Optional[LatencyModel] = None) -> "Scenario":
+        """Validate a scenario mapping; every fault is an
+        `InvalidScenarioError` naming its field.  A `model` block overrides
+        `base` (default: the packaged defaults)."""
         if not isinstance(data, dict):
             raise InvalidScenarioError("scenario: expected a JSON object")
         version = data.get("version")
         if version != SCENARIO_VERSION:
             raise InvalidScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
         name = need(data, "name", str, "scenario")
-        seed = int(data.get("seed", 0))
+        seed = need(data, "seed", int, "scenario", 0)
 
         topo = need(data, "topology", dict, "scenario")
         kind = need(topo, "kind", str, "topology")
@@ -240,7 +219,12 @@ class Scenario:
         elif kind == "ring_with_center":
             topology = Topology.ring_with_center(nodes)
         elif kind == "explicit":
-            topology = Topology.explicit(nodes, need(topo, "edges", list, "topology"))
+            edges = need(topo, "edges", list, "topology")
+            for i, e in enumerate(edges):
+                if not (isinstance(e, list) and len(e) == 2
+                        and all(type(n) is int for n in e)):
+                    raise InvalidScenarioError(f"topology.edges[{i}]: expected [node, node]")
+            topology = Topology.explicit(nodes, edges)
         else:
             raise InvalidScenarioError(f"topology.kind: unknown kind {kind!r}")
 
@@ -255,14 +239,14 @@ class Scenario:
             home = need(p, "home", int, where)
             if not 0 <= home < nodes:
                 raise InvalidScenarioError(f"{where}.home: node {home} out of range")
-            work = float(p.get("work", 1.0))
+            work = need(p, "work", float, where, 1.0)
             if work < 0:
                 raise InvalidScenarioError(f"{where}.work: must be non-negative")
-            processes.append(ProcessSpec(pid, home, str(p.get("job", "job")), work))
+            processes.append(ProcessSpec(pid, home, need(p, "job", str, where, "job"), work))
 
         migrations = []
-        last_time = None
-        for i, m in enumerate(data.get("migrations", [])):
+        last_time = 0.0
+        for i, m in enumerate(need(data, "migrations", list, "scenario", [])):
             where = f"migrations[{i}]"
             t = need(m, "time", float, where)
             pid = need(m, "pid", str, where)
@@ -271,15 +255,18 @@ class Scenario:
                 raise InvalidScenarioError(f"{where}.pid: unknown process {pid!r}")
             if not 0 <= to < nodes:
                 raise InvalidScenarioError(f"{where}.to: node {to} out of range")
-            if last_time is not None and t < last_time:
-                raise InvalidScenarioError(f"{where}.time: times must be non-decreasing")
+            if t < last_time:
+                raise InvalidScenarioError(
+                    f"{where}.time: times must be non-negative and non-decreasing")
             last_time = t
             migrations.append(MigrationSpec(t, pid, to))
 
         traffic = []
-        for i, s in enumerate(data.get("traffic", [])):
+        for i, s in enumerate(need(data, "traffic", list, "scenario", [])):
             where = f"traffic[{i}]"
             t = need(s, "time", float, where)
+            if t < 0:
+                raise InvalidScenarioError(f"{where}.time: must be non-negative")
             src = need(s, "src", str, where)
             dst = need(s, "dst", str, where)
             for label, value in (("src", src), ("dst", dst)):
@@ -291,40 +278,82 @@ class Scenario:
             size = need(s, "size", int, where)
             if size < 0:
                 raise InvalidScenarioError(f"{where}.size: must be non-negative")
-            count = int(s.get("count", 1))
+            count = need(s, "count", int, where, 1)
             if count < 1:
                 raise InvalidScenarioError(f"{where}.count: must be >= 1")
+            interval = need(s, "interval", float, where, 0.0)
+            if interval < 0:
+                raise InvalidScenarioError(f"{where}.interval: must be non-negative")
             traffic.append(TrafficSpec(t, src, dst, _TRANSPORTS[transport], size,
-                                       count, float(s.get("interval", 0.0))))
+                                       count, interval))
 
-        g = data.get("gossip", {})
-        if not isinstance(g, dict):
-            raise InvalidScenarioError(f"scenario.gossip: expected dict, got {type(g).__name__}")
+        g = need(data, "gossip", dict, "scenario", {})
         gossip_config = GossipConfig(
-            bound=int(g.get("bound", GossipConfig.bound)),
-            drop_probability=float(g.get("drop_probability", GossipConfig.drop_probability)),
-            rounds_per_second=float(g.get("rounds_per_second", GossipConfig.rounds_per_second)),
+            bound=need(g, "bound", int, "gossip", GossipConfig.bound),
+            drop_probability=need(g, "drop_probability", float, "gossip",
+                                  GossipConfig.drop_probability),
+            rounds_per_second=need(g, "rounds_per_second", float, "gossip",
+                                   GossipConfig.rounds_per_second),
         )
         if gossip_config.bound < 1:
             raise InvalidScenarioError("gossip.bound: must be >= 1")
         if not 0.0 <= gossip_config.drop_probability <= 1.0:
             raise InvalidScenarioError("gossip.drop_probability: must be in [0, 1]")
-        if not (math.isfinite(gossip_config.rounds_per_second)
-                and gossip_config.rounds_per_second > 0):
-            raise InvalidScenarioError("gossip.rounds_per_second: must be finite and > 0")
+        if gossip_config.rounds_per_second <= 0:
+            raise InvalidScenarioError("gossip.rounds_per_second: must be > 0")
 
-        model = None
-        if "model" in data:
-            base = load_model().to_dict()
-            base.update(data["model"])
-            model = LatencyModel.from_dict(base)
+        model = base
+        params = overrides(need(data, "model", dict, "scenario", {}), LatencyModel, float, "model")
+        if params:
+            try:
+                model = replace(base if base is not None else load_model(), **params)
+            except ValueError as exc:
+                raise InvalidScenarioError(f"model: {exc}") from exc
 
-        caps = TransportConfig()
-        if "caps" in data:
-            caps = replace(caps, **{k: int(v) for k, v in data["caps"].items()})
+        caps = overrides(need(data, "caps", dict, "scenario", {}), TransportConfig, int, "caps")
+        for key, value in caps.items():
+            if value < 0:
+                raise InvalidScenarioError(f"caps.{key}: must be non-negative")
 
         return cls(name, topology, processes, migrations, traffic, gossip_config,
-                   bool(data.get("pre_converge", True)), seed, model, caps)
+                   need(data, "pre_converge", bool, "scenario", True), seed, model,
+                   replace(TransportConfig(), **caps))
+
+
+_REQUIRED = object()
+
+
+def need(mapping, key: str, kind: type, where: str, default=_REQUIRED):
+    """`mapping[key]` of type `kind`, or `default` when the key is absent
+    (an error when no default is given).  An int is accepted as a float,
+    a bool only as a bool, and a float must be finite."""
+    if not isinstance(mapping, dict):
+        raise InvalidScenarioError(f"{where}: expected an object, got {type(mapping).__name__}")
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise InvalidScenarioError(f"{where}.{key}: missing")
+        return default
+    value = mapping[key]
+    if type(value) is not kind:
+        if kind is float and type(value) is int:
+            # an integer beyond float range would make float() raise
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        elif not isinstance(value, kind) or isinstance(value, bool):
+            raise InvalidScenarioError(
+                f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise InvalidScenarioError(f"{where}.{key}: must be finite, got {value!r}")
+    return value
+
+
+def overrides(block: dict, schema: type, kind: type, where: str) -> dict:
+    """The entries of an override `block`, each naming a field of the
+    dataclass `schema` and holding a `kind`."""
+    known = {f.name for f in fields(schema)}
+    for key in block:
+        if key not in known:
+            raise InvalidScenarioError(f"{where}.{key}: unknown field")
+    return {key: need(block, key, kind, where) for key in block}
 
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None,

@@ -253,7 +253,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         seed = _resolve_seed(args)
 
         if args.command == "run":
-            scenario = bench.Scenario.load(args.scenario)
+            # the scenario's model block overrides the --config model
+            scenario = bench.Scenario.load(args.scenario, model)
             if args.seed is not None:
                 scenario.seed = args.seed
             report = bench.run_scenario(scenario, trace_enabled=args.trace)
@@ -274,10 +275,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             config = bench.GossipConfig(drop_probability=args.drop)
             report = bench.gossip_stats(args.nodes, seed, config, args.max_rounds)
         return _emit(report, args.out)
-    except SimulatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SimulatorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

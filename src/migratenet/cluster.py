@@ -100,6 +100,8 @@ class Topology:
     def _connected(self) -> bool:
         if self.nodes == 1:
             return True
+        if len(self.edges or ()) < self.nodes - 1:
+            return False    # no connected graph has fewer edges; never build a huge map
         adj: dict[NodeId, list[NodeId]] = {n: [] for n in range(self.nodes)}
         for a, b in self.edges or ():
             adj[a].append(b)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -90,14 +91,10 @@ def latency_of(path: list[int], size: int, model: LatencyModel,
     if len(path) <= 1:
         total = model.shared_memory(size)
     else:
-        total = network_hops_latency(len(path) - 1, size, model)
+        total = (len(path) - 1) * model.net_hop(size)
     if transport is TransportKind.DIRECT:
         total += model.direct_overhead
     return total
-
-
-def network_hops_latency(hops: int, size: int, model: LatencyModel) -> float:
-    return hops * model.net_hop(size)
 
 
 def relay_latency(legs: list[tuple[int, int, bool]], size: int,
@@ -144,26 +141,26 @@ class EventQueue:
         return len(self._heap)
 
     def schedule(self, t: float, action: Callable[[], None]) -> None:
-        if t < self.now:
+        if not t >= self.now:   # NaN too: it would never come due
             raise TimeTravelError(f"schedule at {t} before now={self.now}")
         heapq.heappush(self._heap, (t, self._seq, action))
         self._seq += 1
 
     def run_until(self, t_end: float) -> int:
         """Execute all events with time <= t_end; the clock ends at t_end."""
-        count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            t, _, action = heapq.heappop(self._heap)
-            self.now = t
-            action()
-            count += 1
+        count = self._dispatch(t_end)
         self.now = max(self.now, t_end)
         return count
 
     def run(self) -> int:
         """Drain the queue completely."""
+        return self._dispatch(math.inf)
+
+    def _dispatch(self, t_end: float) -> int:
+        """Execute events in order while the earliest is due by `t_end`;
+        returns how many ran."""
         count = 0
-        while self._heap:
+        while self._heap and self._heap[0][0] <= t_end:
             t, _, action = heapq.heappop(self._heap)
             self.now = t
             action()

@@ -190,7 +190,8 @@ class SocketStack:
 
     def recv(self, h: SocketHandle, max_bytes: int) -> Optional[int]:
         """Dequeue up to `max_bytes` of arrived data; 0 when nothing is ready
-        yet, None once the peer has closed and the stream is drained."""
+        yet, None once the peer has closed and nothing is left in flight or
+        queued (the rule `select` applies)."""
         if h.state is not SocketState.ESTABLISHED:
             raise BadStateError(f"recv in state {h.state.value}")
         got = 0
@@ -203,7 +204,7 @@ class SocketStack:
             chunk.size -= take
             if chunk.size == 0:
                 h.recv_queue.pop(0)
-        if got == 0 and h.peer_closed and not self._has_ready(h):
+        if got == 0 and h.peer_closed and not h.recv_queue:
             return None
         return got
 
@@ -224,9 +225,6 @@ class SocketStack:
         return ready
 
     # -- internals -----------------------------------------------------------
-
-    def _has_ready(self, h: SocketHandle) -> bool:
-        return any(c.ready_at <= self.now for c in h.recv_queue)
 
     def _find_listener(self, owner: GPid, port: int) -> Optional[SocketHandle]:
         handle_id = self._bound.get(owner, {}).get(port)

@@ -18,9 +18,7 @@ receiver's home node, which always knows the true location:
 
 The per-hop mechanics live in :meth:`Router.handle_incoming`, which the send
 loop drives frame by frame, so protocol traces match the hop accounting
-exactly.  LOC_REQ is piggybacked on DATA frames (the `loc_req` flag) rather
-than sent standalone, and ACK handling is internal to delivery; both kinds
-remain in the frame vocabulary.
+exactly.  A location request rides on a DATA frame as its `loc_req` flag.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from typing import Optional
 
 from .cluster import ClusterState, GPid, NodeId, relay_legs
 from .errors import MessageTooLargeError
-from .simcore import (EventQueue, LatencyModel, Metrics, TransportKind, latency_of,
-                      relay_latency)
+from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, relay_latency
 
 DEFAULT_RELAY_MAX = 2 ** 30
 DEFAULT_DIRECT_MAX = 2 ** 31
@@ -42,15 +39,12 @@ DEFAULT_CONTROL_SIZE = 64
 
 class FrameKind(Enum):
     DATA = "DATA"
-    LOC_REQ = "LOC_REQ"
     LOC_REPLY = "LOC_REPLY"
     NACK_UNKNOWN = "NACK_UNKNOWN"
-    ACK = "ACK"
 
 
 class Outcome(Enum):
     DELIVERED = "delivered"
-    FAILED = "failed"
 
 
 @dataclass
@@ -149,29 +143,22 @@ class Router:
         """Node-to-node send using the sender's bulletin, home fallback on
         miss or stale entries.  At most three DATA link traversals."""
         sender = self.cluster.residency(src)
-        true_node = self.cluster.residency(dst)
+        target, via_home = self._first_target(sender, dst)
         if size > self.config.direct_max:
             raise MessageTooLargeError(f"{size} > direct cap {self.config.direct_max}")
 
-        if true_node == sender:
+        if target == sender and not via_home:
             # the hosting node sees its own residents; no lookup, no network
-            latency = latency_of([sender], size, self.model, TransportKind.DIRECT)
+            latency = self.model.shared_memory(size) + self.model.direct_overhead
             self.metrics.deliver(sender, size)
             self.metrics.sample(TransportKind.DIRECT.value, size, latency)
             return DeliveryReport(Outcome.DELIVERED, TransportKind.DIRECT,
                                   0, latency, 0, ())
 
-        bulletin = self.cluster.bulletins[sender]
-        hit = bulletin.lookup_location(dst)
-        if hit is not None and hit[0] == sender:
-            # entry claims dst is local but it is not: stale, detected for free
-            bulletin.invalidate_location(dst)
-            hit = None
-        if hit is None:
-            first = Frame(FrameKind.DATA, src, dst, size,
-                          [sender, dst.home], loc_req=True)
-        else:
-            first = Frame(FrameKind.DATA, src, dst, size, [sender, hit[0]])
+        if via_home:
+            # an entry claiming dst is local is stale, detected for free
+            self.cluster.bulletins[sender].invalidate_location(dst)
+        first = Frame(FrameKind.DATA, src, dst, size, [sender, target], loc_req=via_home)
 
         data_hops = frames = 0
         relayed: list[NodeId] = []
@@ -180,9 +167,10 @@ class Router:
         while pending:
             emit_time, frame = pending.pop(0)
             frm, to = frame.path[-2], frame.path[-1]
-            leg = self._transmit(frame, frm, to)
-            arrived = emit_time + leg
-            if frm != to:
+            arrived = emit_time
+            if frm != to:   # a collapsed leg is free
+                self._carry(frame, frm, to)
+                arrived += self.model.net_hop(frame.size)
                 frames += 1
                 if frame.kind is FrameKind.DATA:
                     data_hops += 1
@@ -195,9 +183,7 @@ class Router:
                 pending.append((arrived, emitted))
             if frame.kind is FrameKind.NACK_UNKNOWN and to == sender:
                 # fall back through the home, location request piggybacked
-                retry = Frame(FrameKind.DATA, src, dst, size,
-                              [sender, dst.home], loc_req=True)
-                pending.append((arrived, retry))
+                pending.append((arrived, replace(first, path=[sender, dst.home], loc_req=True)))
 
         assert delivery_time is not None, "direct send must terminate with a delivery"
         latency = delivery_time + self.model.direct_overhead
@@ -228,34 +214,35 @@ class Router:
     def _estimate_relay(self, src: GPid, dst: GPid, size: int) -> float:
         if size > self.config.relay_max:
             return math.inf
-        believed = self._believed_location(src, dst)
-        legs = relay_legs(self.cluster.residency(src), src.home, dst.home,
-                          believed if believed is not None else dst.home)
-        return relay_latency(legs, size, self.model)
+        sender = self.cluster.residency(src)
+        target, _ = self._first_target(sender, dst)
+        return relay_latency(relay_legs(sender, src.home, dst.home, target), size, self.model)
 
     def _estimate_direct(self, src: GPid, dst: GPid, size: int) -> float:
+        """Price the first target :meth:`send_direct` picks, assuming the
+        belief is right; without one, the miss path through the home."""
         if size > self.config.direct_max:
             return math.inf
         sender = self.cluster.residency(src)
-        believed = self._believed_location(src, dst)
-        if believed == sender:
+        target, via_home = self._first_target(sender, dst)
+        if target == sender and not via_home:
             return self.model.shared_memory(size) + self.model.direct_overhead
-        if believed is not None:
-            return self.model.net_hop(size) + self.model.direct_overhead
-        # no entry: assume the miss path, home leg collapsing when local
-        hops = (0 if sender == dst.home else 1) + 1
+        hops = 0 if target == sender else 1     # the sender may be dst's home
+        if via_home:
+            hops += 1                           # the home forwards to the true node
         return hops * self.model.net_hop(size) + self.model.direct_overhead
 
-    def _believed_location(self, src: GPid, dst: GPid) -> Optional[NodeId]:
-        """Where the sender thinks dst runs: own resident set first, then its
-        bulletin; None when it has no idea."""
-        sender = self.cluster.residency(src)
+    def _first_target(self, sender: NodeId, dst: GPid) -> tuple[NodeId, bool]:
+        """Where the node `sender` sends for dst first, for the direct send and
+        both of auto's estimates, and whether that is dst's home on a miss:
+        `sender` itself when dst is co-resident, else the bulletin's node,
+        else (no entry, or one wrongly claiming `sender`) ``(dst.home, True)``."""
         if self.cluster.residency(dst) == sender:
-            return sender
+            return sender, False
         hit = self.cluster.bulletins[sender].lookup_location(dst)
         if hit is not None and hit[0] != sender:
-            return hit[0]
-        return None
+            return hit[0], False
+        return dst.home, True
 
     # -- per-node frame mechanics ------------------------------------------
 
@@ -294,15 +281,12 @@ class Router:
                 pid, where, self.cluster.next_serial())
             return HandleResult(False)
 
-        if frame.kind is FrameKind.NACK_UNKNOWN:
-            pid, claimed = frame.info
-            bulletin = self.cluster.bulletins[node]
-            hit = bulletin.lookup_location(pid)
-            if hit is not None and hit[0] == claimed:
-                bulletin.invalidate_location(pid)
-            return HandleResult(False)
-
-        # LOC_REQ travels piggybacked on DATA; ACKs are internal to delivery
+        # NACK_UNKNOWN
+        pid, claimed = frame.info
+        bulletin = self.cluster.bulletins[node]
+        hit = bulletin.lookup_location(pid)
+        if hit is not None and hit[0] == claimed:
+            bulletin.invalidate_location(pid)
         return HandleResult(False)
 
     def _loc_reply(self, node: NodeId, origin: NodeId, frame: Frame) -> Frame:
@@ -310,14 +294,6 @@ class Router:
         return Frame(FrameKind.LOC_REPLY, frame.dst, frame.src,
                      self.config.control_size, [node, origin],
                      info=(frame.dst, true_node))
-
-    def _transmit(self, frame: Frame, frm: NodeId, to: NodeId) -> float:
-        """Charge one full-hop link traversal; collapsed legs (frm == to) are
-        free."""
-        if frm == to:
-            return 0.0
-        self._carry(frame, frm, to)
-        return self.model.net_hop(frame.size)
 
     def _carry(self, frame: Frame, frm: NodeId, to: NodeId) -> None:
         """Account one link traversal in the metrics and the trace."""

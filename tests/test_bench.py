@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TEST_MODEL
 from migratenet import bench
@@ -208,3 +210,77 @@ def test_trace_file_written_when_enabled(tmp_path):
     lines = files["ring_load_trace.csv"].read_text().splitlines()
     assert lines[0] == "time,kind,src,dst,from_node,to_node,size"
     assert len(lines) > 1
+
+
+# -- scenario fuzzing -------------------------------------------------------------
+
+FULL_SCENARIO = dict(
+    VALID_SCENARIO,
+    topology={"kind": "explicit", "nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    processes=[{"id": "p0", "home": 0, "job": "A", "work": 1.5},
+               {"id": "p1", "home": 1, "job": "B", "work": 0}],
+    gossip={"bound": 32, "drop_probability": 0.1, "rounds_per_second": 20.0},
+    pre_converge=False,
+    model={"alpha_net": 2e-4, "home_leg_factor": 1.0},
+    caps={"relay_max": 4096, "direct_max": 8192},
+)
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.just(10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.lists(st.integers(-2, 5), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "time", "bogus", "relay_max"]),
+                    st.integers(-2, 5), max_size=2))
+
+
+def field_paths(value, prefix=()):
+    """The path (keys and list indices) of every value in a JSON-like value,
+    the root included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from field_paths(child, prefix + (key,))
+
+
+PATHS = list(field_paths(FULL_SCENARIO))
+
+
+def holds(container, key):
+    return (isinstance(container, dict) and key in container) or \
+        (isinstance(container, list) and isinstance(key, int) and key < len(container))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """FULL_SCENARIO with one to three fields replaced by junk or deleted."""
+    data = json.loads(json.dumps(FULL_SCENARIO))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(PATHS))
+        junk = draw(JUNK)
+        if not path:
+            return junk
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step] if holds(parent, step) else None
+        if not holds(parent, path[-1]):
+            continue   # an earlier mutation removed or replaced this field
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = junk
+    return data
+
+
+def test_full_scenario_is_valid():
+    assert bench.Scenario.from_dict(FULL_SCENARIO).caps.relay_max == 4096
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_scenarios())
+def test_from_dict_raises_only_invalid_scenario(data):
+    # from_dict only: a valid but huge scenario must not be run here
+    try:
+        bench.Scenario.from_dict(data)
+    except InvalidScenarioError:
+        pass

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -90,6 +91,57 @@ def test_run_without_convergence_exits_2(tmp_path, capsys):
     assert "E_NO_CONVERGENCE" in err and "Traceback" not in err
 
 
+def _set(path, value):
+    """A mutation that sets the field at `path` (keys and list indices)."""
+    def apply(data):
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return apply
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (_set(["processes"], [5]), "processes[0]"),
+    (_set(["processes", 0, "work"], "heavy"), "processes[0].work"),
+    (_set(["processes", 0, "job"], 5), "processes[0].job"),
+    (_set(["caps"], 5), "scenario.caps"),
+    (_set(["caps"], {"bogus": 1}), "caps.bogus"),
+    (_set(["caps"], {"relay_max": 2.5}), "caps.relay_max"),
+    (_set(["caps"], {"relay_max": -1}), "caps.relay_max"),
+    (_set(["model"], 5), "scenario.model"),
+    (_set(["model"], {"bogus": 1.0}), "model.bogus"),
+    (_set(["model"], {"alpha_net": "fast"}), "model.alpha_net"),
+    (_set(["gossip"], {"bound": 2.7}), "gossip.bound"),
+    (_set(["gossip"], {"bound": "x"}), "gossip.bound"),
+    (_set(["pre_converge"], "no"), "scenario.pre_converge"),
+    (_set(["seed"], 2.7), "scenario.seed"),
+    (_set(["migrations"], {"time": 0.1}), "scenario.migrations"),
+    (_set(["migrations", 0, "time"], float("inf")), "migrations[0].time"),
+    (_set(["migrations", 0, "time"], -1.0), "migrations[0].time"),
+    (_set(["traffic", 0, "time"], float("inf")), "traffic[0].time"),
+    (_set(["traffic", 0, "time"], float("nan")), "traffic[0].time"),
+    (_set(["traffic", 0, "time"], 10 ** 400), "traffic[0].time"),
+    (_set(["traffic", 0, "time"], True), "traffic[0].time"),
+    (_set(["traffic", 0, "interval"], -0.5), "traffic[0].interval"),
+    (_set(["traffic", 0, "count"], 2.5), "traffic[0].count"),
+    (_set(["topology"], {"kind": "explicit", "nodes": 4, "edges": [[0, 1], 5]}),
+     "topology.edges[1]"),
+    (_set(["topology"], {"kind": "explicit", "nodes": 10 ** 400, "edges": [[0, 1]]}),
+     "topology.edges"),
+])
+def test_run_bad_field_exits_2_with_its_path(tmp_path, capsys, mutate, needle):
+    data = json.loads(json.dumps(SCENARIO))
+    mutate(data)
+    # checked before running: an infinite time accepted here would hang `run`
+    with pytest.raises(InvalidScenarioError, match=re.escape(needle)):
+        bench.Scenario.from_dict(data)
+    assert cli.main(["run", write_scenario(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and needle in err and "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
@@ -151,6 +203,27 @@ def test_config_flag_selects_model(tmp_path, capsys):
                      "--out", str(out)]) == 0
     text = (out / "latency_sweep_latency.csv").read_text()
     assert "local-direct" in text
+
+
+def test_run_config_is_the_base_of_the_scenario_model(tmp_path, capsys):
+    config = tmp_path / "custom.json"
+    cli.write_defaults(replace(cli.calibrate(), model=replace(
+        load_model(), alpha_net=5.0)), config)
+    latencies = {}
+    for label, block, flags in (("packaged", None, []),
+                                ("config", None, ["--config", str(config)]),
+                                ("overlay", {"alpha_net": 7.0}, ["--config", str(config)])):
+        data = dict(SCENARIO, traffic=[dict(SCENARIO["traffic"][0], transport="direct")])
+        if block is not None:
+            data["model"] = block
+        out = tmp_path / label
+        assert cli.main(["run", write_scenario(tmp_path, data), "--out", str(out)]
+                        + flags) == 0
+        latencies[label] = float((out / "cli_demo_latency.csv").read_text()
+                                 .splitlines()[1].split(",")[1])
+    assert latencies["packaged"] < 1.0
+    assert 5.0 < latencies["config"] < 6.0
+    assert latencies["overlay"] - latencies["config"] == pytest.approx(2.0)
 
 
 # -- calibration --------------------------------------------------------------------

@@ -110,6 +110,13 @@ def test_time_travel_rejected():
         q.schedule(4.0, lambda: None)
 
 
+def test_nan_time_rejected():
+    # a NaN-timed event would never come due, so run() could not drain it
+    q = EventQueue()
+    with pytest.raises(TimeTravelError):
+        q.schedule(float("nan"), lambda: None)
+
+
 def test_run_until_stops_at_boundary():
     q = EventQueue()
     seen = []

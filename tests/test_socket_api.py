@@ -260,6 +260,19 @@ def test_close_signals_peer_eof():
     assert stack.recv(server, 1000) is None     # then end-of-stream
 
 
+def test_close_with_chunk_in_flight_is_not_end_of_stream():
+    # the peer closes while its last chunk is still on the wire: recv and
+    # select agree that the stream has not ended until that chunk is read
+    sim, stack, client, server = established_pair(TransportKind.RELAY)
+    stack.send(client, 1000)
+    stack.close(client)
+    assert stack.recv(server, 4096) == 0
+    assert stack.select([server]) == []
+    sim.queue.run_until(sim.queue.now + 60)
+    assert stack.recv(server, 4096) == 1000
+    assert stack.recv(server, 4096) is None
+
+
 def test_double_close_is_idempotent():
     _, stack, client, _ = established_pair()
     stack.close(client)

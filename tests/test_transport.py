@@ -327,6 +327,20 @@ def test_auto_relay_estimate_equals_charged_relay_latency():
             assert estimate == sim.router.send_relay(a, b, size).latency
 
 
+def test_auto_direct_estimate_equals_charged_direct_latency():
+    # co-resident, a bulletin hit, a miss via the home, a miss from the home
+    for at_a, at_b, hit in ((4, 4, False), (2, 3, True), (2, 3, False), (1, 3, False)):
+        for size in (0, 1000):
+            sim = build_sim()
+            a, b = place_pair(sim, 0, 1, at_a, at_b)
+            if hit:
+                sim.converge()
+            else:
+                sim.cluster.bulletins[at_a].invalidate_location(b)
+            estimate = sim.router._estimate_direct(a, b, size)
+            assert estimate == sim.router.send_direct(a, b, size).latency
+
+
 def test_auto_picks_relay_when_cheap_home_legs_beat_direct_overhead():
     sim = build_sim(model=replace(TEST_MODEL, home_leg_factor=0.1))
     a, b = place_pair(sim, 0, 1, 2)
