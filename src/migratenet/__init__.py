@@ -14,7 +14,6 @@ from .gossip import (Bulletin, GossipConfig, GossipDigest, LoadEntry,
                      LocationEntry, RoundReport, gossip_round, make_digest, merge)
 from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, latency_of, load_model
 from .socket_api import SocketHandle, SocketStack, SocketState
-from .transport import (DeliveryReport, Frame, FrameKind, Outcome, Router,
-                        TransportConfig)
+from .transport import DeliveryReport, FrameKind, Router, TransportConfig
 
 __version__ = "0.1.0"

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import random
-import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -41,7 +39,7 @@ from . import balancer, gossip
 from .cluster import ClusterState, GPid, Topology
 from .errors import InvalidScenarioError, MessageTooLargeError
 from .gossip import GossipConfig
-from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, load_model
+from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, load_model, need
 from .transport import Router, TransportConfig
 
 SCENARIO_VERSION = 1
@@ -176,6 +174,20 @@ class TrafficSpec:
     interval: float = 0.0
 
 
+def field_names(schema: type) -> frozenset[str]:
+    return frozenset(f.name for f in fields(schema))
+
+
+# the keys a scenario may use at each level; any other key is an error
+_SCENARIO_KEYS = frozenset({"version", "name", "seed", "topology", "processes", "migrations",
+                            "traffic", "gossip", "pre_converge", "model", "caps"})
+_TOPOLOGY_KEYS = field_names(Topology)
+_PROCESS_KEYS = field_names(ProcessSpec)
+_MIGRATION_KEYS = field_names(MigrationSpec)
+_TRAFFIC_KEYS = field_names(TrafficSpec)
+_GOSSIP_KEYS = field_names(GossipConfig)
+
+
 @dataclass
 class Scenario:
     name: str
@@ -208,10 +220,14 @@ class Scenario:
         version = data.get("version")
         if version != SCENARIO_VERSION:
             raise InvalidScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
+        if not _SCENARIO_KEYS.issuperset(data):
+            raise shape_error(data, _SCENARIO_KEYS, "scenario")
         name = need(data, "name", str, "scenario")
         seed = need(data, "seed", int, "scenario", 0)
 
         topo = need(data, "topology", dict, "scenario")
+        if not _TOPOLOGY_KEYS.issuperset(topo):
+            raise shape_error(topo, _TOPOLOGY_KEYS, "topology")
         kind = need(topo, "kind", str, "topology")
         nodes = need(topo, "nodes", int, "topology")
         if kind == "mesh":
@@ -232,6 +248,8 @@ class Scenario:
         ids = set()
         for i, p in enumerate(need(data, "processes", list, "scenario")):
             where = f"processes[{i}]"
+            if not isinstance(p, dict) or not _PROCESS_KEYS.issuperset(p):
+                raise shape_error(p, _PROCESS_KEYS, where)
             pid = need(p, "id", str, where)
             if pid in ids:
                 raise InvalidScenarioError(f"{where}.id: duplicate id {pid!r}")
@@ -248,6 +266,8 @@ class Scenario:
         last_time = 0.0
         for i, m in enumerate(need(data, "migrations", list, "scenario", [])):
             where = f"migrations[{i}]"
+            if not isinstance(m, dict) or not _MIGRATION_KEYS.issuperset(m):
+                raise shape_error(m, _MIGRATION_KEYS, where)
             t = need(m, "time", float, where)
             pid = need(m, "pid", str, where)
             to = need(m, "to", int, where)
@@ -264,6 +284,8 @@ class Scenario:
         traffic = []
         for i, s in enumerate(need(data, "traffic", list, "scenario", [])):
             where = f"traffic[{i}]"
+            if not isinstance(s, dict) or not _TRAFFIC_KEYS.issuperset(s):
+                raise shape_error(s, _TRAFFIC_KEYS, where)
             t = need(s, "time", float, where)
             if t < 0:
                 raise InvalidScenarioError(f"{where}.time: must be non-negative")
@@ -288,6 +310,8 @@ class Scenario:
                                        count, interval))
 
         g = need(data, "gossip", dict, "scenario", {})
+        if not _GOSSIP_KEYS.issuperset(g):
+            raise shape_error(g, _GOSSIP_KEYS, "gossip")
         gossip_config = GossipConfig(
             bound=need(g, "bound", int, "gossip", GossipConfig.bound),
             drop_probability=need(g, "drop_probability", float, "gossip",
@@ -320,39 +344,21 @@ class Scenario:
                    replace(TransportConfig(), **caps))
 
 
-_REQUIRED = object()
-
-
-def need(mapping, key: str, kind: type, where: str, default=_REQUIRED):
-    """`mapping[key]` of type `kind`, or `default` when the key is absent
-    (an error when no default is given).  An int is accepted as a float,
-    a bool only as a bool, and a float must be finite."""
-    if not isinstance(mapping, dict):
-        raise InvalidScenarioError(f"{where}: expected an object, got {type(mapping).__name__}")
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise InvalidScenarioError(f"{where}.{key}: missing")
-        return default
-    value = mapping[key]
-    if type(value) is not kind:
-        if kind is float and type(value) is int:
-            # an integer beyond float range would make float() raise
-            value = float(value) if abs(value) <= sys.float_info.max else math.inf
-        elif not isinstance(value, kind) or isinstance(value, bool):
-            raise InvalidScenarioError(
-                f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):
-        raise InvalidScenarioError(f"{where}.{key}: must be finite, got {value!r}")
-    return value
+def shape_error(entry, keys: frozenset[str], where: str) -> InvalidScenarioError:
+    """Why `entry` is not an object whose keys are all in `keys`: its type,
+    or its first unknown key."""
+    if not isinstance(entry, dict):
+        return InvalidScenarioError(f"{where}: expected an object, got {type(entry).__name__}")
+    key = next(k for k in entry if k not in keys)
+    return InvalidScenarioError(f"{where}.{key}: unknown field")
 
 
 def overrides(block: dict, schema: type, kind: type, where: str) -> dict:
     """The entries of an override `block`, each naming a field of the
     dataclass `schema` and holding a `kind`."""
-    known = {f.name for f in fields(schema)}
-    for key in block:
-        if key not in known:
-            raise InvalidScenarioError(f"{where}.{key}: unknown field")
+    known = field_names(schema)
+    if not known.issuperset(block):
+        raise shape_error(block, known, where)
     return {key: need(block, key, kind, where) for key in block}
 
 

@@ -117,7 +117,10 @@ class Topology:
 
 
 def collapse_path(raw: list[NodeId]) -> list[NodeId]:
-    """Drop consecutive duplicate nodes from a path."""
+    """Drop consecutive duplicate nodes from a path.
+
+    Nothing in the package calls this; it stays as the reference oracle the
+    tests check :func:`relay_legs` against."""
     out: list[NodeId] = []
     for node in raw:
         if not out or out[-1] != node:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Callable, Optional
 
-from .errors import TimeTravelError
+from .errors import InvalidScenarioError, TimeTravelError
 
 DEFAULTS_RESOURCE = "defaults.json"
 DEFAULTS_VERSION = 1
@@ -71,12 +72,16 @@ class LatencyModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LatencyModel":
+    def from_dict(cls, d: dict, where: str = "model") -> "LatencyModel":
         """Build a model from a mapping; a missing ``home_leg_factor`` (files
-        written before the parameter existed) reads as 1.0."""
-        return cls(home_leg_factor=float(d.get("home_leg_factor", 1.0)),
-                   **{k: float(d[k]) for k in
-                      ("alpha_net", "beta_net", "alpha_sm", "beta_sm", "direct_overhead")})
+        written before the parameter existed) reads as 1.0.  Any fault is an
+        `InvalidScenarioError` naming its field under `where`."""
+        params = {k: need(d, k, float, where) for k in
+                  ("alpha_net", "beta_net", "alpha_sm", "beta_sm", "direct_overhead")}
+        try:
+            return cls(home_leg_factor=need(d, "home_leg_factor", float, where, 1.0), **params)
+        except ValueError as exc:
+            raise InvalidScenarioError(f"{where}: {exc}") from exc
 
 
 def latency_of(path: list[int], size: int, model: LatencyModel,
@@ -87,6 +92,9 @@ def latency_of(path: list[int], size: int, model: LatencyModel,
     the full per-hop latency (store-and-forward).  Direct transport adds its
     fixed per-message overhead.  Relay routes, whose home legs may cost less
     than a full hop, are priced by :func:`relay_latency` instead.
+
+    Nothing in the package calls this; it stays as the homogeneous per-hop
+    reference oracle the tests check :func:`relay_latency` against.
     """
     if len(path) <= 1:
         total = model.shared_memory(size)
@@ -116,17 +124,47 @@ def relay_latency(legs: list[tuple[int, int, bool]], size: int,
 
 def load_model(path: Optional[str] = None) -> LatencyModel:
     """Load the latency model from a defaults file (the packaged calibrated
-    defaults when no path is given)."""
+    defaults when no path is given); a malformed file raises
+    `InvalidScenarioError` with the field path under ``config``."""
     if path is None:
         text = resources.files(__package__).joinpath(DEFAULTS_RESOURCE).read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)
-    version = data.get("version")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidScenarioError(f"config {path}: not valid JSON ({exc})") from exc
+    version = need(data, "version", int, "config", None)
     if version != DEFAULTS_VERSION:
         raise ValueError(f"unsupported defaults version {version!r}")
-    return LatencyModel.from_dict(data["model"])
+    return LatencyModel.from_dict(need(data, "model", dict, "config"), "config.model")
+
+
+_REQUIRED = object()
+
+
+def need(mapping, key: str, kind: type, where: str, default=_REQUIRED):
+    """`mapping[key]` of type `kind`, or `default` when the key is absent
+    (an error when no default is given).  An int is accepted as a float,
+    a bool only as a bool, and a float must be finite."""
+    if not isinstance(mapping, dict):
+        raise InvalidScenarioError(f"{where}: expected an object, got {type(mapping).__name__}")
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise InvalidScenarioError(f"{where}.{key}: missing")
+        return default
+    value = mapping[key]
+    if type(value) is not kind:
+        if kind is float and type(value) is int:
+            # an integer beyond float range would make float() raise
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        elif not isinstance(value, kind) or isinstance(value, bool):
+            raise InvalidScenarioError(
+                f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise InvalidScenarioError(f"{where}.{key}: must be finite, got {value!r}")
+    return value
 
 
 class EventQueue:

@@ -1,30 +1,31 @@
 """Byte-transfer layer: home-node relay, direct with home fallback, and auto.
 
-All three transports share one frame format and resolve a whole message
-atomically against the current cluster state; the returned
-:class:`DeliveryReport` carries the hop count, latency, and which nodes only
-carried the payload.
+Each send resolves a whole message atomically against the current cluster
+state; the returned :class:`DeliveryReport` carries the hop count, latency,
+and which nodes only carried the payload.  Every link a frame crosses is
+accounted and traced in one place, :meth:`Router._carry`.
 
-Direct sends resolve against the sender node's bulletin and fall back to the
-receiver's home node, which always knows the true location:
+A direct send goes to the node where the sender node's bulletin believes
+the receiver runs and falls back to the receiver's home node, which always
+knows the true location.  :meth:`Router.send_direct` reads top to bottom:
 
-* hit (entry correct)      -> one DATA hop (shared memory if co-resident)
-* miss (no entry)          -> DATA to the home, which forwards it and sends a
-                              location reply back; the sender's bulletin is
-                              refreshed
-* stale (entry wrong)      -> the wrongly-addressed node bounces the frame
-                              with NACK_UNKNOWN; the sender invalidates the
-                              entry and retries through the home
+* local: the receiver is co-resident -> shared memory, no frames;
+* hit: the entry is right -> one DATA hop;
+* stale: the entry names a node that neither hosts the receiver nor is its
+  home -> that node bounces the payload with NACK_UNKNOWN; the sender drops
+  the entry and goes on as on a miss;
+* miss: no entry, or one claiming the sender's own node -> DATA to the home,
+  unless the sender is the home.
 
-The per-hop mechanics live in :meth:`Router.handle_incoming`, which the send
-loop drives frame by frame, so protocol traces match the hop accounting
-exactly.  A location request rides on a DATA frame as its `loc_req` flag.
+The home forwards the payload when it does not host the receiver.  If the
+send went through the home or the home forwarded it, and the home is not the
+sender, the home also sends a LOC_REPLY that refreshes the sender's bulletin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -38,27 +39,10 @@ DEFAULT_CONTROL_SIZE = 64
 
 
 class FrameKind(Enum):
+    """Frame kinds as they appear in the protocol trace."""
     DATA = "DATA"
     LOC_REPLY = "LOC_REPLY"
     NACK_UNKNOWN = "NACK_UNKNOWN"
-
-
-class Outcome(Enum):
-    DELIVERED = "delivered"
-
-
-@dataclass
-class Frame:
-    """One protocol message.  `path` accumulates the nodes it touches
-    (origin first, next hop last); `info` carries (pid, node) payloads for
-    LOC_REPLY (true location) and NACK_UNKNOWN (the stale claim)."""
-    kind: FrameKind
-    src: GPid
-    dst: GPid
-    size: int
-    path: list[NodeId]
-    loc_req: bool = False
-    info: Optional[tuple[GPid, NodeId]] = None
 
 
 @dataclass(frozen=True)
@@ -70,18 +54,11 @@ class TransportConfig:
 
 @dataclass(frozen=True)
 class DeliveryReport:
-    outcome: Outcome
     transport: TransportKind           # mechanism actually used
     network_hops: int                  # DATA link traversals, wasted ones included
     latency: float                     # send start to payload arrival
     frames_emitted: int                # all link traversals, control frames included
     relayed_by: tuple[NodeId, ...]     # nodes that carried but did not terminate the payload
-
-
-@dataclass
-class HandleResult:
-    delivered: bool
-    emitted: list[Frame] = field(default_factory=list)
 
 
 class Router:
@@ -125,17 +102,14 @@ class Router:
         self.metrics.sample(TransportKind.RELAY.value, size, latency)
         if not legs:
             self.metrics.deliver(sender, size)
-            return DeliveryReport(Outcome.DELIVERED, TransportKind.RELAY,
-                                  0, latency, 0, ())
-        path = [sender] + [to for _, to, _ in legs]
-        frame = Frame(FrameKind.DATA, src, dst, size, path)
+            return DeliveryReport(TransportKind.RELAY, 0, latency, 0, ())
         for frm, to, _ in legs:
-            self._carry(frame, frm, to)
-        for node in path[1:-1]:
+            self._carry(FrameKind.DATA, src, dst, size, frm, to)
+        relayed = tuple(to for _, to, _ in legs[:-1])
+        for node in relayed:
             self.metrics.relay(node, size)
         self.metrics.deliver(receiver, size)
-        return DeliveryReport(Outcome.DELIVERED, TransportKind.RELAY,
-                              len(legs), latency, len(legs), tuple(path[1:-1]))
+        return DeliveryReport(TransportKind.RELAY, len(legs), latency, len(legs), relayed)
 
     # -- direct -----------------------------------------------------------
 
@@ -146,50 +120,54 @@ class Router:
         target, via_home = self._first_target(sender, dst)
         if size > self.config.direct_max:
             raise MessageTooLargeError(f"{size} > direct cap {self.config.direct_max}")
+        model = self.model
 
         if target == sender and not via_home:
             # the hosting node sees its own residents; no lookup, no network
-            latency = self.model.shared_memory(size) + self.model.direct_overhead
+            latency = model.shared_memory(size) + model.direct_overhead
             self.metrics.deliver(sender, size)
             self.metrics.sample(TransportKind.DIRECT.value, size, latency)
-            return DeliveryReport(Outcome.DELIVERED, TransportKind.DIRECT,
-                                  0, latency, 0, ())
+            return DeliveryReport(TransportKind.DIRECT, 0, latency, 0, ())
 
+        receiver = self.cluster.residency(dst)
+        home = dst.home
+        control = self.config.control_size
+        bulletin = self.cluster.bulletins[sender]
+        hops = frames = 0
+        latency = 0.0      # legs are added in arrival order
+        if not via_home and target not in (receiver, home):
+            # stale: the believed node bounces the payload; fall back as a miss
+            self._carry(FrameKind.DATA, src, dst, size, sender, target)
+            self._carry(FrameKind.NACK_UNKNOWN, dst, src, control, target, sender)
+            latency += model.net_hop(size)
+            latency += model.net_hop(control)
+            hops, frames = 1, 2
+            target, via_home = home, True
         if via_home:
-            # an entry claiming dst is local is stale, detected for free
-            self.cluster.bulletins[sender].invalidate_location(dst)
-        first = Frame(FrameKind.DATA, src, dst, size, [sender, target], loc_req=via_home)
+            # the entry was missing, stale, or claimed dst is local
+            bulletin.invalidate_location(dst)
+        if target != sender:
+            self._carry(FrameKind.DATA, src, dst, size, sender, target)
+            latency += model.net_hop(size)
+            hops += 1
+            frames += 1
+        forwarded = target != receiver     # then target is the home
+        if forwarded:
+            self.metrics.relay(home, size)
+            self._carry(FrameKind.DATA, src, dst, size, home, receiver)
+            latency += model.net_hop(size)
+            hops += 1
+            frames += 1
+        self.metrics.deliver(receiver, size)
+        if home != sender and (via_home or forwarded):
+            self._carry(FrameKind.LOC_REPLY, dst, src, control, home, sender)
+            frames += 1
+            bulletin.publish_location(dst, receiver, self.cluster.next_serial())
 
-        data_hops = frames = 0
-        relayed: list[NodeId] = []
-        delivery_time = None
-        pending: list[tuple[float, Frame]] = [(0.0, first)]
-        while pending:
-            emit_time, frame = pending.pop(0)
-            frm, to = frame.path[-2], frame.path[-1]
-            arrived = emit_time
-            if frm != to:   # a collapsed leg is free
-                self._carry(frame, frm, to)
-                arrived += self.model.net_hop(frame.size)
-                frames += 1
-                if frame.kind is FrameKind.DATA:
-                    data_hops += 1
-            result = self.handle_incoming(to, frame)
-            if result.delivered:
-                delivery_time = arrived
-            for emitted in result.emitted:
-                if emitted.kind is FrameKind.DATA:
-                    relayed.append(to)
-                pending.append((arrived, emitted))
-            if frame.kind is FrameKind.NACK_UNKNOWN and to == sender:
-                # fall back through the home, location request piggybacked
-                pending.append((arrived, replace(first, path=[sender, dst.home], loc_req=True)))
-
-        assert delivery_time is not None, "direct send must terminate with a delivery"
-        latency = delivery_time + self.model.direct_overhead
+        latency += model.direct_overhead
         self.metrics.sample(TransportKind.DIRECT.value, size, latency)
-        return DeliveryReport(Outcome.DELIVERED, TransportKind.DIRECT,
-                              data_hops, latency, frames, tuple(relayed))
+        return DeliveryReport(TransportKind.DIRECT, hops, latency, frames,
+                              (home,) if forwarded else ())
 
     # -- auto -------------------------------------------------------------
 
@@ -244,61 +222,10 @@ class Router:
             return hit[0], False
         return dst.home, True
 
-    # -- per-node frame mechanics ------------------------------------------
-
-    def handle_incoming(self, node: NodeId, frame: Frame) -> HandleResult:
-        """Process one frame arriving at `node`; returns frames to emit next.
-
-        Misdelivery is a protocol outcome, not an error: a DATA frame for a
-        process the node does not host is forwarded (plus a location reply)
-        when the node is the process's home, and bounced with NACK_UNKNOWN
-        otherwise.
-        """
-        if frame.kind is FrameKind.DATA:
-            origin = frame.path[0]
-            if frame.dst in self.cluster.resident[node]:
-                self.metrics.deliver(node, frame.size)
-                emitted: list[Frame] = []
-                if frame.loc_req and node == frame.dst.home and origin != node:
-                    emitted.append(self._loc_reply(node, origin, frame))
-                return HandleResult(True, emitted)
-            if node == frame.dst.home:
-                true_node = self.cluster.locate_authoritative(frame.dst)
-                self.metrics.relay(node, frame.size)
-                forward = replace(frame, path=frame.path + [true_node])
-                emitted = [forward]
-                if origin != node:
-                    emitted.append(self._loc_reply(node, origin, frame))
-                return HandleResult(False, emitted)
-            nack = Frame(FrameKind.NACK_UNKNOWN, frame.dst, frame.src,
-                         self.config.control_size, [node, origin],
-                         info=(frame.dst, node))
-            return HandleResult(False, [nack])
-
-        if frame.kind is FrameKind.LOC_REPLY:
-            pid, where = frame.info
-            self.cluster.bulletins[node].publish_location(
-                pid, where, self.cluster.next_serial())
-            return HandleResult(False)
-
-        # NACK_UNKNOWN
-        pid, claimed = frame.info
-        bulletin = self.cluster.bulletins[node]
-        hit = bulletin.lookup_location(pid)
-        if hit is not None and hit[0] == claimed:
-            bulletin.invalidate_location(pid)
-        return HandleResult(False)
-
-    def _loc_reply(self, node: NodeId, origin: NodeId, frame: Frame) -> Frame:
-        true_node = self.cluster.locate_authoritative(frame.dst)
-        return Frame(FrameKind.LOC_REPLY, frame.dst, frame.src,
-                     self.config.control_size, [node, origin],
-                     info=(frame.dst, true_node))
-
-    def _carry(self, frame: Frame, frm: NodeId, to: NodeId) -> None:
+    def _carry(self, kind: FrameKind, src: GPid, dst: GPid, size: int,
+               frm: NodeId, to: NodeId) -> None:
         """Account one link traversal in the metrics and the trace."""
-        self.metrics.link(frm, to, frame.size)
+        self.metrics.link(frm, to, size)
         self.metrics.handle(to)
         if self.trace is not None:
-            self.trace.append((self.now, frame.kind.value, str(frame.src),
-                               str(frame.dst), frm, to, frame.size))
+            self.trace.append((self.now, kind.value, str(src), str(dst), frm, to, size))

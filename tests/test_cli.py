@@ -129,6 +129,12 @@ def _set(path, value):
      "topology.edges[1]"),
     (_set(["topology"], {"kind": "explicit", "nodes": 10 ** 400, "edges": [[0, 1]]}),
      "topology.edges"),
+    (_set(["pre_convergee"], False), "scenario.pre_convergee: unknown field"),
+    (_set(["topology", "nodez"], 4), "topology.nodez: unknown field"),
+    (_set(["processes", 1, "hom"], 1), "processes[1].hom: unknown field"),
+    (_set(["migrations", 0, "node"], 3), "migrations[0].node: unknown field"),
+    (_set(["traffic", 0, "bytes"], 4096), "traffic[0].bytes: unknown field"),
+    (_set(["gossip"], {"bonud": 1}), "gossip.bonud: unknown field"),
 ])
 def test_run_bad_field_exits_2_with_its_path(tmp_path, capsys, mutate, needle):
     data = json.loads(json.dumps(SCENARIO))
@@ -203,6 +209,29 @@ def test_config_flag_selects_model(tmp_path, capsys):
                      "--out", str(out)]) == 0
     text = (out / "latency_sweep_latency.csv").read_text()
     assert "local-direct" in text
+
+
+MODEL_WITHOUT_BETA_NET = {"alpha_net": 1e-4, "alpha_sm": 1e-5, "beta_sm": 1e9,
+                          "direct_overhead": 1e-5}
+
+
+@pytest.mark.parametrize("config,needle", [
+    ({"version": 1}, "config.model: missing"),
+    ({"version": 1, "model": MODEL_WITHOUT_BETA_NET}, "config.model.beta_net: missing"),
+    ({"version": 1, "model": 5}, "config.model: expected dict"),
+    ({"version": 1, "model": dict(MODEL_WITHOUT_BETA_NET, beta_net="fast")},
+     "config.model.beta_net: expected float"),
+    ({"version": 1, "model": dict(MODEL_WITHOUT_BETA_NET, beta_net=-1.0)},
+     "config.model: beta_net must be strictly positive"),
+    ([1], "config: expected an object"),
+])
+def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--sizes", "1024", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and needle in err and "Traceback" not in err
 
 
 def test_run_config_is_the_base_of_the_scenario_model(tmp_path, capsys):

@@ -7,7 +7,7 @@ from migratenet.errors import MessageTooLargeError, NoSuchProcessError
 from migratenet.cluster import GPid
 from migratenet.gossip import force_convergence
 from migratenet.simcore import TransportKind
-from migratenet.transport import Frame, FrameKind, Outcome, TransportConfig
+from migratenet.transport import TransportConfig
 
 HOP = lambda s: TEST_MODEL.alpha_net + s / TEST_MODEL.beta_net
 SM = lambda s: TEST_MODEL.alpha_sm + s / TEST_MODEL.beta_sm
@@ -20,7 +20,6 @@ def test_relay_both_migrated_three_hops():
     sim = build_sim()
     a, b = place_pair(sim, 0, 1, 2, 3)
     rep = sim.router.send_relay(a, b, 1000)
-    assert rep.outcome is Outcome.DELIVERED
     assert rep.network_hops == 3
     assert rep.relayed_by == (0, 1)
     assert rep.latency == 3 * HOP(1000)
@@ -194,7 +193,6 @@ def test_direct_terminates_within_three_data_hops_for_any_staleness():
         sim.cluster.migrate(b, (seed % 5) + 1 if (seed % 5) + 1 != 2 else 5)
         rep = sim.router.send_direct(a, b, 256)
         assert rep.network_hops <= 3
-        assert rep.outcome is Outcome.DELIVERED
 
 
 def test_direct_cap_enforced():
@@ -204,56 +202,83 @@ def test_direct_cap_enforced():
         sim.router.send_direct(a, b, 2001)
 
 
-# -- handle_incoming case table ------------------------------------------------------
+# -- direct route table ------------------------------------------------------------
 
-def test_handle_data_for_resident_process_delivers():
-    sim = build_sim()
-    a, b = place_pair(sim, 0, 1)
-    frame = Frame(FrameKind.DATA, a, b, 300, [0, 1])
-    result = sim.router.handle_incoming(1, frame)
-    assert result.delivered and result.emitted == []
-    assert sim.metrics.delivered_bytes == {1: 300}
-
-
-def test_handle_data_at_home_forwards_and_replies():
-    sim = build_sim()
-    a, b = place_pair(sim, 0, 1, at_b=4)
-    frame = Frame(FrameKind.DATA, a, b, 300, [0, 1], loc_req=True)
-    result = sim.router.handle_incoming(1, frame)
-    assert not result.delivered
-    kinds = [f.kind for f in result.emitted]
-    assert kinds == [FrameKind.DATA, FrameKind.LOC_REPLY]
-    assert result.emitted[0].path == [0, 1, 4]
-    assert result.emitted[1].info == (b, 4)
-
-
-def test_handle_data_at_wrong_node_bounces():
-    sim = build_sim()
-    a, b = place_pair(sim, 0, 1, at_b=4)
-    frame = Frame(FrameKind.DATA, a, b, 300, [0, 5])
-    result = sim.router.handle_incoming(5, frame)
-    assert [f.kind for f in result.emitted] == [FrameKind.NACK_UNKNOWN]
-    assert result.emitted[0].info == (b, 5)
+# a is homed on node 0 and b on node 1; a runs on `at_a`, b on `at_b`, and
+# a's node believes b runs on `belief` (None: no entry).  Each route lists
+# its link traversals as (kind, from, to), then the node a's bulletin names
+# for b afterwards.  DATA carries the payload; the control frames
+# (NACK_UNKNOWN, LOC_REPLY) travel from b's side back to a.
+SIZE, CTL = 1000, TransportConfig().control_size
+DIRECT_ROUTES = {
+    "local": (2, 2, None, [], None),
+    "hit": (2, 3, 3, [("DATA", 2, 3)], 3),
+    "hit_at_home": (2, 1, 1, [("DATA", 2, 1)], 1),
+    "miss": (2, 3, None, [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+    "miss_home_hosts_dst": (2, 1, None, [("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1),
+    "miss_from_home": (1, 3, None, [("DATA", 1, 3)], None),
+    "self_claiming_entry": (2, 3, 2,
+                            [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+    "stale": (2, 3, 4, [("DATA", 2, 4), ("NACK_UNKNOWN", 4, 2), ("DATA", 2, 1),
+                        ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+    "stale_at_home": (2, 3, 1,
+                      [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+    "stale_from_home": (1, 3, 4,
+                        [("DATA", 1, 4), ("NACK_UNKNOWN", 4, 1), ("DATA", 1, 3)], None),
+    "stale_home_hosts_dst": (2, 1, 4, [("DATA", 2, 4), ("NACK_UNKNOWN", 4, 2),
+                                       ("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1),
+}
 
 
-def test_handle_loc_reply_updates_bulletin():
-    sim = build_sim()
-    a, b = place_pair(sim, 0, 1, at_b=4)
-    reply = Frame(FrameKind.LOC_REPLY, b, a, 64, [1, 0], info=(b, 4))
-    sim.router.handle_incoming(0, reply)
-    assert sim.cluster.bulletins[0].lookup_location(b) == (4, 0)
+def counter_delta(before: dict, after: dict) -> dict:
+    return {k: v - before.get(k, 0) for k, v in after.items() if v != before.get(k, 0)}
 
 
-def test_handle_nack_invalidates_matching_entry_only():
-    sim = build_sim()
-    a, b = place_pair(sim, 0, 1)
-    sim.cluster.bulletins[0].publish_location(b, 4)
-    miss = Frame(FrameKind.NACK_UNKNOWN, b, a, 64, [5, 0], info=(b, 5))
-    sim.router.handle_incoming(0, miss)   # claims node 5, entry says 4: keep
-    assert sim.cluster.bulletins[0].lookup_location(b) == (4, 0)
-    hit = Frame(FrameKind.NACK_UNKNOWN, b, a, 64, [4, 0], info=(b, 4))
-    sim.router.handle_incoming(0, hit)
-    assert sim.cluster.bulletins[0].lookup_location(b) is None
+@pytest.mark.parametrize("route", list(DIRECT_ROUTES))
+def test_direct_route_table(route):
+    at_a, at_b, belief, hops, entry_after = DIRECT_ROUTES[route]
+    trace = []
+    sim = build_sim(trace=trace)
+    a, b = place_pair(sim, 0, 1, at_a, at_b)
+    bulletin = sim.cluster.bulletins[at_a]
+    bulletin.invalidate_location(b)
+    if belief is not None:
+        bulletin.publish_location(b, belief)
+    m = sim.metrics
+    before = [dict(m.delivered_bytes), dict(m.relayed_bytes), dict(m.link_bytes),
+              dict(m.frames_handled)]
+
+    rep = sim.router.send_direct(a, b, SIZE)
+
+    def frame(kind, frm, to):
+        if kind == "DATA":
+            return (kind, str(a), str(b), frm, to, SIZE)
+        return (kind, str(b), str(a), frm, to, CTL)
+
+    assert [t[1:] for t in trace] == [frame(*hop) for hop in hops]
+    data = [(frm, to) for kind, frm, to in hops if kind == "DATA"]
+    relayed = {1: SIZE} if data and data[-1][0] == 1 else {}    # the home forwarded
+    assert rep.transport is TransportKind.DIRECT
+    assert rep.network_hops == len(data)
+    assert rep.frames_emitted == len(hops)
+    assert rep.relayed_by == tuple(relayed)
+    latency = 0.0
+    for kind, _, _ in hops:
+        if kind != "LOC_REPLY":     # the payload has arrived before the reply leaves
+            latency += HOP(SIZE if kind == "DATA" else CTL)
+    if not hops:
+        latency = SM(SIZE)
+    assert rep.latency == latency + D
+    links: dict = {}
+    handled: dict = {}
+    for kind, frm, to in hops:
+        links[(frm, to)] = links.get((frm, to), 0) + (SIZE if kind == "DATA" else CTL)
+        handled[to] = handled.get(to, 0) + 1
+    after = [m.delivered_bytes, m.relayed_bytes, m.link_bytes, m.frames_handled]
+    assert [counter_delta(x, y) for x, y in zip(before, after)] == [
+        {at_b: SIZE}, relayed, links, handled]
+    expected_entry = None if entry_after is None else (entry_after, 0)
+    assert bulletin.lookup_location(b) == expected_entry
 
 
 # -- auto ------------------------------------------------------------------------------
