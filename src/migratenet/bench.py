@@ -6,24 +6,15 @@ A :class:`Scenario` is a declarative experiment (JSON-friendly) that
 `gossip_stats`) reproduce the standard experiments and re-derive every
 assertion from raw simulation output.
 
-Scenario file schema (version 1)::
-
-    {
-      "version": 1,
-      "name": "demo",
-      "seed": 7,
-      "topology": {"kind": "mesh" | "ring_with_center" | "explicit",
-                    "nodes": 4, "edges": [[0, 1], ...]},      # edges: explicit only
-      "processes": [{"id": "p0", "home": 0, "job": "A", "work": 1.0}, ...],
-      "migrations": [{"time": 0.0, "pid": "p0", "to": 2}, ...],  # times non-decreasing
-      "traffic": [{"time": 1.0, "src": "p0", "dst": "p1",
-                    "transport": "relay" | "direct" | "auto",
-                    "size": 1024, "count": 1, "interval": 0.0}, ...],
-      "gossip": {"bound": 64, "drop_probability": 0.0, "rounds_per_second": 10.0},
-      "pre_converge": true,
-      "model": {"alpha_net": ...},                # optional overrides of the base model
-      "caps": {"relay_max": ..., "direct_max": ..., "control_size": ...}  # optional
-    }
+Scenario file schema (version 1): one JSON object with ``version`` (1),
+``name``, ``seed``, ``pre_converge``, a ``topology`` (``kind`` one of mesh,
+ring_with_center or explicit; ``nodes``; ``edges`` for explicit only) and
+the blocks ``processes``, ``migrations`` and ``traffic`` (lists of
+:class:`ProcessSpec`, :class:`MigrationSpec` and :class:`TrafficSpec`),
+``gossip`` (:class:`GossipConfig`), ``model`` (overrides of the base
+:class:`LatencyModel`) and ``caps`` (:class:`TransportConfig`).  A block's
+keys, types and defaults are its dataclass's fields, and `LIMITS` holds
+their value rules; migration times must not decrease.
 """
 
 from __future__ import annotations
@@ -31,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +30,9 @@ from . import balancer, gossip
 from .cluster import ClusterState, GPid, Topology
 from .errors import InvalidScenarioError, MessageTooLargeError
 from .gossip import GossipConfig
-from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, load_model, need
+from .simcore import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, EventQueue,
+                      LatencyModel, Metrics, TransportKind, expect_keys, load_model, need,
+                      read)
 from .transport import Router, TransportConfig
 
 SCENARIO_VERSION = 1
@@ -145,9 +138,6 @@ class Report:
 # ---------------------------------------------------------------------------
 # declarative scenarios
 
-_TRANSPORTS = {k.value: k for k in TransportKind}
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     id: str
@@ -174,18 +164,16 @@ class TrafficSpec:
     interval: float = 0.0
 
 
-def field_names(schema: type) -> frozenset[str]:
-    return frozenset(f.name for f in fields(schema))
-
-
-# the keys a scenario may use at each level; any other key is an error
-_SCENARIO_KEYS = frozenset({"version", "name", "seed", "topology", "processes", "migrations",
-                            "traffic", "gossip", "pre_converge", "model", "caps"})
-_TOPOLOGY_KEYS = field_names(Topology)
-_PROCESS_KEYS = field_names(ProcessSpec)
-_MIGRATION_KEYS = field_names(MigrationSpec)
-_TRAFFIC_KEYS = field_names(TrafficSpec)
-_GOSSIP_KEYS = field_names(GossipConfig)
+# the value rules of each schema's fields, beyond their types; the scenario
+# reader and the CLI flags that stand for these fields check against them
+LIMITS = {
+    ProcessSpec: {"work": NON_NEGATIVE},
+    TrafficSpec: {"time": NON_NEGATIVE, "size": NON_NEGATIVE, "count": AT_LEAST_ONE,
+                  "interval": NON_NEGATIVE},
+    GossipConfig: {"bound": AT_LEAST_ONE, "drop_probability": UNIT_INTERVAL,
+                   "rounds_per_second": POSITIVE},
+    TransportConfig: {f.name: NON_NEGATIVE for f in fields(TransportConfig)},
+}
 
 
 @dataclass
@@ -206,28 +194,27 @@ class Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:   # not UTF-8, or not JSON
                 raise InvalidScenarioError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(data, base)
 
     @classmethod
     def from_dict(cls, data: dict, base: Optional[LatencyModel] = None) -> "Scenario":
         """Validate a scenario mapping; every fault is an
-        `InvalidScenarioError` naming its field.  A `model` block overrides
-        `base` (default: the packaged defaults)."""
+        `InvalidScenarioError` naming its field.  Each block is read through
+        its dataclass (:func:`read`); checked here is what no dataclass can
+        say: the version, the topology and the references between blocks.
+        A `model` block overrides `base` (default: the packaged model)."""
         if not isinstance(data, dict):
             raise InvalidScenarioError("scenario: expected a JSON object")
         version = data.get("version")
         if version != SCENARIO_VERSION:
             raise InvalidScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
-        if not _SCENARIO_KEYS.issuperset(data):
-            raise shape_error(data, _SCENARIO_KEYS, "scenario")
-        name = need(data, "name", str, "scenario")
-        seed = need(data, "seed", int, "scenario", 0)
+        expect_keys(data, ("version", "name", "seed", "topology", "processes", "migrations",
+                           "traffic", "gossip", "pre_converge", "model", "caps"), "scenario")
 
         topo = need(data, "topology", dict, "scenario")
-        if not _TOPOLOGY_KEYS.issuperset(topo):
-            raise shape_error(topo, _TOPOLOGY_KEYS, "topology")
+        expect_keys(topo, [f.name for f in fields(Topology)], "topology")
         kind = need(topo, "kind", str, "topology")
         nodes = need(topo, "nodes", int, "topology")
         if kind == "mesh":
@@ -244,122 +231,46 @@ class Scenario:
         else:
             raise InvalidScenarioError(f"topology.kind: unknown kind {kind!r}")
 
-        processes = []
+        processes = [read(raw, ProcessSpec, f"processes[{i}]", LIMITS[ProcessSpec])
+                     for i, raw in enumerate(need(data, "processes", list, "scenario"))]
         ids = set()
-        for i, p in enumerate(need(data, "processes", list, "scenario")):
-            where = f"processes[{i}]"
-            if not isinstance(p, dict) or not _PROCESS_KEYS.issuperset(p):
-                raise shape_error(p, _PROCESS_KEYS, where)
-            pid = need(p, "id", str, where)
-            if pid in ids:
-                raise InvalidScenarioError(f"{where}.id: duplicate id {pid!r}")
-            ids.add(pid)
-            home = need(p, "home", int, where)
-            if not 0 <= home < nodes:
-                raise InvalidScenarioError(f"{where}.home: node {home} out of range")
-            work = need(p, "work", float, where, 1.0)
-            if work < 0:
-                raise InvalidScenarioError(f"{where}.work: must be non-negative")
-            processes.append(ProcessSpec(pid, home, need(p, "job", str, where, "job"), work))
+        for i, p in enumerate(processes):
+            if p.id in ids:
+                raise InvalidScenarioError(f"processes[{i}].id: duplicate id {p.id!r}")
+            ids.add(p.id)
+            if not 0 <= p.home < nodes:
+                raise InvalidScenarioError(f"processes[{i}].home: node {p.home} out of range")
 
-        migrations = []
+        migrations = [read(raw, MigrationSpec, f"migrations[{i}]")
+                      for i, raw in enumerate(need(data, "migrations", list, "scenario", []))]
         last_time = 0.0
-        for i, m in enumerate(need(data, "migrations", list, "scenario", [])):
-            where = f"migrations[{i}]"
-            if not isinstance(m, dict) or not _MIGRATION_KEYS.issuperset(m):
-                raise shape_error(m, _MIGRATION_KEYS, where)
-            t = need(m, "time", float, where)
-            pid = need(m, "pid", str, where)
-            to = need(m, "to", int, where)
-            if pid not in ids:
-                raise InvalidScenarioError(f"{where}.pid: unknown process {pid!r}")
-            if not 0 <= to < nodes:
-                raise InvalidScenarioError(f"{where}.to: node {to} out of range")
-            if t < last_time:
+        for i, m in enumerate(migrations):
+            if m.pid not in ids:
+                raise InvalidScenarioError(f"migrations[{i}].pid: unknown process {m.pid!r}")
+            if not 0 <= m.to < nodes:
+                raise InvalidScenarioError(f"migrations[{i}].to: node {m.to} out of range")
+            if m.time < last_time:
                 raise InvalidScenarioError(
-                    f"{where}.time: times must be non-negative and non-decreasing")
-            last_time = t
-            migrations.append(MigrationSpec(t, pid, to))
+                    f"migrations[{i}].time: times must be non-negative and non-decreasing")
+            last_time = m.time
 
-        traffic = []
-        for i, s in enumerate(need(data, "traffic", list, "scenario", [])):
-            where = f"traffic[{i}]"
-            if not isinstance(s, dict) or not _TRAFFIC_KEYS.issuperset(s):
-                raise shape_error(s, _TRAFFIC_KEYS, where)
-            t = need(s, "time", float, where)
-            if t < 0:
-                raise InvalidScenarioError(f"{where}.time: must be non-negative")
-            src = need(s, "src", str, where)
-            dst = need(s, "dst", str, where)
-            for label, value in (("src", src), ("dst", dst)):
-                if value not in ids:
-                    raise InvalidScenarioError(f"{where}.{label}: unknown process {value!r}")
-            transport = need(s, "transport", str, where)
-            if transport not in _TRANSPORTS:
-                raise InvalidScenarioError(f"{where}.transport: unknown transport {transport!r}")
-            size = need(s, "size", int, where)
-            if size < 0:
-                raise InvalidScenarioError(f"{where}.size: must be non-negative")
-            count = need(s, "count", int, where, 1)
-            if count < 1:
-                raise InvalidScenarioError(f"{where}.count: must be >= 1")
-            interval = need(s, "interval", float, where, 0.0)
-            if interval < 0:
-                raise InvalidScenarioError(f"{where}.interval: must be non-negative")
-            traffic.append(TrafficSpec(t, src, dst, _TRANSPORTS[transport], size,
-                                       count, interval))
+        traffic = [read(raw, TrafficSpec, f"traffic[{i}]", LIMITS[TrafficSpec])
+                   for i, raw in enumerate(need(data, "traffic", list, "scenario", []))]
+        for i, t in enumerate(traffic):
+            for label, pid in (("src", t.src), ("dst", t.dst)):
+                if pid not in ids:
+                    raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
 
-        g = need(data, "gossip", dict, "scenario", {})
-        if not _GOSSIP_KEYS.issuperset(g):
-            raise shape_error(g, _GOSSIP_KEYS, "gossip")
-        gossip_config = GossipConfig(
-            bound=need(g, "bound", int, "gossip", GossipConfig.bound),
-            drop_probability=need(g, "drop_probability", float, "gossip",
-                                  GossipConfig.drop_probability),
-            rounds_per_second=need(g, "rounds_per_second", float, "gossip",
-                                   GossipConfig.rounds_per_second),
-        )
-        if gossip_config.bound < 1:
-            raise InvalidScenarioError("gossip.bound: must be >= 1")
-        if not 0.0 <= gossip_config.drop_probability <= 1.0:
-            raise InvalidScenarioError("gossip.drop_probability: must be in [0, 1]")
-        if gossip_config.rounds_per_second <= 0:
-            raise InvalidScenarioError("gossip.rounds_per_second: must be > 0")
-
-        model = base
-        params = overrides(need(data, "model", dict, "scenario", {}), LatencyModel, float, "model")
-        if params:
-            try:
-                model = replace(base if base is not None else load_model(), **params)
-            except ValueError as exc:
-                raise InvalidScenarioError(f"model: {exc}") from exc
-
-        caps = overrides(need(data, "caps", dict, "scenario", {}), TransportConfig, int, "caps")
-        for key, value in caps.items():
-            if value < 0:
-                raise InvalidScenarioError(f"caps.{key}: must be non-negative")
-
-        return cls(name, topology, processes, migrations, traffic, gossip_config,
-                   need(data, "pre_converge", bool, "scenario", True), seed, model,
-                   replace(TransportConfig(), **caps))
-
-
-def shape_error(entry, keys: frozenset[str], where: str) -> InvalidScenarioError:
-    """Why `entry` is not an object whose keys are all in `keys`: its type,
-    or its first unknown key."""
-    if not isinstance(entry, dict):
-        return InvalidScenarioError(f"{where}: expected an object, got {type(entry).__name__}")
-    key = next(k for k in entry if k not in keys)
-    return InvalidScenarioError(f"{where}.{key}: unknown field")
-
-
-def overrides(block: dict, schema: type, kind: type, where: str) -> dict:
-    """The entries of an override `block`, each naming a field of the
-    dataclass `schema` and holding a `kind`."""
-    known = field_names(schema)
-    if not known.issuperset(block):
-        raise shape_error(block, known, where)
-    return {key: need(block, key, kind, where) for key in block}
+        gossip_config = read(need(data, "gossip", dict, "scenario", {}), GossipConfig,
+                             "gossip", LIMITS[GossipConfig])
+        block = need(data, "model", dict, "scenario", {})
+        model = read(block, LatencyModel, "model", base=base or load_model()) if block else base
+        caps = read(need(data, "caps", dict, "scenario", {}), TransportConfig, "caps",
+                    LIMITS[TransportConfig])
+        return cls(need(data, "name", str, "scenario"), topology, processes, migrations,
+                   traffic, gossip_config,
+                   need(data, "pre_converge", bool, "scenario", cls.pre_converge),
+                   need(data, "seed", int, "scenario", cls.seed), model, caps)
 
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None,

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import bench
-from .errors import NoSolutionError, SimulatorError
-from .simcore import DEFAULTS_VERSION, LatencyModel, load_model
+from .errors import InvalidScenarioError, NoSolutionError, SimulatorError
+from .simcore import DEFAULTS_VERSION, LatencyModel, check, load_model
 
 SEED_ENV = "MIGRATENET_SEED"
 
@@ -205,6 +205,15 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
+def _size(text, flag: str) -> int:
+    """A message size given by `flag`, under the rule of `TrafficSpec.size`."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise InvalidScenarioError(f"{flag}: expected an integer, got {text!r}") from None
+    return check(size, bench.LIMITS[bench.TrafficSpec]["size"], flag)
+
+
 def _emit(report: bench.Report, outdir: str) -> int:
     files = report.write(outdir)
     for a in report.assertions:
@@ -261,18 +270,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "sweep":
             sizes = None
             if args.sizes:
-                sizes = [int(s) for s in args.sizes.split(",")]
+                sizes = [_size(s, "--sizes") for s in args.sizes.split(",")]
             report = bench.latency_sweep(sizes, model, seed, trace_enabled=args.trace)
         elif args.command == "limit":
             report = bench.limit_test(model, seed, trace_enabled=args.trace)
         elif args.command == "ring":
-            report = bench.ring_load(args.spokes, args.size, model, seed,
+            report = bench.ring_load(args.spokes, _size(args.size, "--size"), model, seed,
                                      trace_enabled=args.trace)
         elif args.command == "imbalance":
             report = bench.imbalance_test(model, seed, preset=args.preset,
                                           trace_enabled=args.trace)
         else:   # gossip-stats
-            config = bench.GossipConfig(drop_probability=args.drop)
+            config = bench.GossipConfig(drop_probability=check(
+                args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))
             report = bench.gossip_stats(args.nodes, seed, config, args.max_rounds)
         return _emit(report, args.out)
     except (SimulatorError, OSError, ValueError) as exc:

@@ -45,7 +45,9 @@ class TimeTravelError(SimulatorError):
     code = "E_TIME_TRAVEL"
 
 
-class InvalidScenarioError(SimulatorError):
+class InvalidScenarioError(SimulatorError, ValueError):
+    """A scenario, config file or CLI value the simulator rejects.  It is
+    also a `ValueError`, so code that catches bad values catches it too."""
     code = "E_INVALID_SCENARIO"
 
 

@@ -11,10 +11,11 @@ import heapq
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from importlib import resources
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Callable, Optional, get_type_hints
 
 from .errors import InvalidScenarioError, TimeTravelError
 
@@ -62,26 +63,13 @@ class LatencyModel:
         return self.alpha_sm + size / self.beta_sm
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_net": self.alpha_net,
-            "beta_net": self.beta_net,
-            "alpha_sm": self.alpha_sm,
-            "beta_sm": self.beta_sm,
-            "direct_overhead": self.direct_overhead,
-            "home_leg_factor": self.home_leg_factor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "model") -> "LatencyModel":
-        """Build a model from a mapping; a missing ``home_leg_factor`` (files
-        written before the parameter existed) reads as 1.0.  Any fault is an
+        """Build a model from a mapping through :func:`read`; any fault is an
         `InvalidScenarioError` naming its field under `where`."""
-        params = {k: need(d, k, float, where) for k in
-                  ("alpha_net", "beta_net", "alpha_sm", "beta_sm", "direct_overhead")}
-        try:
-            return cls(home_leg_factor=need(d, "home_leg_factor", float, where, 1.0), **params)
-        except ValueError as exc:
-            raise InvalidScenarioError(f"{where}: {exc}") from exc
+        return read(d, cls, where)
 
 
 def latency_of(path: list[int], size: int, model: LatencyModel,
@@ -126,32 +114,27 @@ def load_model(path: Optional[str] = None) -> LatencyModel:
     """Load the latency model from a defaults file (the packaged calibrated
     defaults when no path is given); a malformed file raises
     `InvalidScenarioError` with the field path under ``config``."""
-    if path is None:
-        text = resources.files(__package__).joinpath(DEFAULTS_RESOURCE).read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    source = (resources.files(__package__).joinpath(DEFAULTS_RESOURCE) if path is None
+              else Path(path))
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(source.read_text(encoding="utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
         raise InvalidScenarioError(f"config {path}: not valid JSON ({exc})") from exc
     version = need(data, "version", int, "config", None)
     if version != DEFAULTS_VERSION:
-        raise ValueError(f"unsupported defaults version {version!r}")
+        raise InvalidScenarioError(
+            f"config.version: expected {DEFAULTS_VERSION}, got {version!r}")
     return LatencyModel.from_dict(need(data, "model", dict, "config"), "config.model")
 
 
-_REQUIRED = object()
-
-
-def need(mapping, key: str, kind: type, where: str, default=_REQUIRED):
+def need(mapping, key: str, kind: type, where: str, default=MISSING):
     """`mapping[key]` of type `kind`, or `default` when the key is absent
     (an error when no default is given).  An int is accepted as a float,
     a bool only as a bool, and a float must be finite."""
     if not isinstance(mapping, dict):
         raise InvalidScenarioError(f"{where}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise InvalidScenarioError(f"{where}.{key}: missing")
         return default
     value = mapping[key]
@@ -165,6 +148,74 @@ def need(mapping, key: str, kind: type, where: str, default=_REQUIRED):
     if kind is float and not math.isfinite(value):
         raise InvalidScenarioError(f"{where}.{key}: must be finite, got {value!r}")
     return value
+
+
+# value rules (lo, hi, fault): a value passes when lo <= value <= hi
+NON_NEGATIVE = (0, math.inf, "must be non-negative")
+AT_LEAST_ONE = (1, math.inf, "must be >= 1")
+UNIT_INTERVAL = (0, 1, "must be in [0, 1]")
+POSITIVE = (math.ulp(0.0), math.inf, "must be > 0")   # the least float above 0
+
+
+def check(value, limit: tuple, where: str):
+    """`value` if it passes the rule `limit`, else an error at `where`."""
+    if not limit[0] <= value <= limit[1]:
+        raise InvalidScenarioError(f"{where}: {limit[2]}")
+    return value
+
+
+def expect_keys(raw, names, where: str) -> None:
+    """Raise unless `raw` is an object whose keys are all in `names`."""
+    if not isinstance(raw, dict):
+        raise InvalidScenarioError(f"{where}: expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in names:
+            raise InvalidScenarioError(f"{where}.{key}: unknown field")
+
+
+_PLANS: dict = {}   # dataclass -> (field names, one step per field, limits)
+
+
+def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None):
+    """Build the dataclass `schema` from the JSON object `raw` found at `where`.
+
+    The keys must be fields of `schema`; each value is read as its field's
+    type under :func:`need`'s rules (an enum by value) and must pass its rule
+    in `limits`.  An absent field takes its value from `base` if given, else
+    its default.  Every fault is an `InvalidScenarioError` naming its field.
+    """
+    plan = _PLANS.get(schema)
+    if plan is None or plan[2] is not limits:   # first read, or other limits
+        hints = get_type_hints(schema)
+        plan = _PLANS[schema] = (frozenset(f.name for f in fields(schema)), tuple(
+            (f.name, hints[f.name], f.default,
+             {m.value: m for m in hints[f.name]} if issubclass(hints[f.name], Enum) else None,
+             (limits or {}).get(f.name)) for f in fields(schema)), limits)
+    names, steps, _ = plan
+    if type(raw) is not dict or not names.issuperset(raw):
+        expect_keys(raw, names, where)
+    values = []
+    for name, kind, default, members, limit in steps:
+        value = raw.get(name, MISSING)
+        if value is MISSING:
+            value = default if base is None else getattr(base, name)
+            if value is MISSING:
+                raise InvalidScenarioError(f"{where}.{name}: missing")
+        elif members is not None:   # an enum, named by its value
+            value = members.get(value) if type(value) is str else None
+            if value is None:
+                need(raw, name, str, where)     # raises unless the value is a string
+                raise InvalidScenarioError(f"{where}.{name}: unknown {name} {raw[name]!r}")
+        else:
+            if type(value) is not kind or (kind is float and not math.isfinite(value)):
+                value = need(raw, name, kind, where)    # an int as a float, or a fault
+            if limit is not None and not limit[0] <= value <= limit[1]:
+                check(value, limit, f"{where}.{name}")   # raises
+        values.append(value)
+    try:
+        return schema(*values)
+    except ValueError as exc:
+        raise InvalidScenarioError(f"{where}: {exc}") from exc
 
 
 class EventQueue:

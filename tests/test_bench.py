@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import TEST_MODEL
 from migratenet import bench
 from migratenet.errors import InvalidScenarioError
-from migratenet.simcore import TransportKind
+from migratenet.simcore import TransportKind, load_model
 
 VALID_SCENARIO = {
     "version": 1,
@@ -284,3 +286,44 @@ def test_from_dict_raises_only_invalid_scenario(data):
         bench.Scenario.from_dict(data)
     except InvalidScenarioError:
         pass
+
+
+FULL_CONFIG = {"version": 1, "model": dict(TEST_MODEL.to_dict(), home_leg_factor=0.5)}
+
+
+@st.composite
+def mutated_configs(draw):
+    """The bytes of a `--config` file: FULL_CONFIG with one value replaced
+    by junk, deleted or joined by an unknown key, or junk outright."""
+    data = json.loads(json.dumps(FULL_CONFIG))
+    path = draw(st.sampled_from(list(field_paths(FULL_CONFIG))))
+    if not path:
+        return draw(st.one_of(JUNK.map(json.dumps).map(str.encode), st.binary(max_size=6)))
+    parent = data["model"] if len(path) == 2 else data
+    action = draw(st.sampled_from(["junk", "delete", "unknown"]))
+    if action == "junk":
+        parent[path[-1]] = draw(JUNK)
+    elif action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1] + "_"] = draw(JUNK)
+    return json.dumps(data).encode()
+
+
+def test_full_config_is_valid(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(FULL_CONFIG).encode())
+    assert load_model(str(path)).home_leg_factor == 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_load_model_raises_only_invalid_scenario(payload):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        try:
+            load_model(path)
+        except InvalidScenarioError:
+            pass

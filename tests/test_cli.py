@@ -45,6 +45,14 @@ def test_run_invalid_json_exits_2(tmp_path, capsys):
     assert "E_INVALID_SCENARIO" in capsys.readouterr().err
 
 
+def test_run_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "\xff"}')
+    assert cli.main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and "Traceback" not in err
+
+
 def test_run_schema_violation_exits_2(tmp_path, capsys):
     data = json.loads(json.dumps(SCENARIO))
     data["traffic"][0]["src"] = "ghost"
@@ -224,6 +232,9 @@ MODEL_WITHOUT_BETA_NET = {"alpha_net": 1e-4, "alpha_sm": 1e-5, "beta_sm": 1e9,
     ({"version": 1, "model": dict(MODEL_WITHOUT_BETA_NET, beta_net=-1.0)},
      "config.model: beta_net must be strictly positive"),
     ([1], "config: expected an object"),
+    ({"version": 1, "model": dict(MODEL_WITHOUT_BETA_NET, beta_net=1e8, home_leg_facter=0.5)},
+     "config.model.home_leg_facter: unknown field"),
+    ({"version": 99, "model": {}}, "config.version"),
 ])
 def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle):
     path = tmp_path / "config.json"
@@ -232,6 +243,22 @@ def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle)
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "E_INVALID_SCENARIO" in err and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["sweep", "--sizes", "1k"], "--sizes: expected an integer"),
+    (["sweep", "--sizes", ","], "--sizes: expected an integer"),
+    (["sweep", "--sizes", "0,-5"], "--sizes: must be non-negative"),
+    (["ring", "--size", "-1"], "--size: must be non-negative"),
+    (["gossip-stats", "--drop", "2"], "--drop: must be in [0, 1]"),
+    (["gossip-stats", "--drop", "nan"], "--drop: must be in [0, 1]"),
+])
+def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle):
+    # a flag that stands for a scenario field obeys that field's rule
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and needle in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_is_the_base_of_the_scenario_model(tmp_path, capsys):
