@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from typing import Optional
 
 from . import bench
 from .errors import InvalidScenarioError, NoSolutionError, SimulatorError
-from .simcore import DEFAULTS_VERSION, LatencyModel, check, load_model
+from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, LatencyModel, check, load_model
 
 SEED_ENV = "MIGRATENET_SEED"
 
@@ -33,6 +34,10 @@ SM_BETA_FACTOR = 10.0         # beta_sm  = beta_net * 10
 TARGET_SLOWDOWN = 0.17        # mean direct / local-relay - 1
 TARGET_IMPROVEMENT = 0.52     # mean 1 - direct / migrated-relay
 TOLERANCE = 0.01
+
+# value rules of the flags that stand for no scenario field (see simcore.check)
+FINITE_NON_NEGATIVE = (0, sys.float_info.max, "must be finite and non-negative")
+AT_LEAST_TWO = (2, math.inf, "must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,8 @@ def _emit(report: bench.Report, outdir: str) -> int:
 
 
 def _run_calibrate(args) -> int:
+    if args.fix_overhead is not None:
+        check(args.fix_overhead, FINITE_NON_NEGATIVE, "--fix-overhead")
     result = calibrate(overhead_override=args.fix_overhead)
     out_path = args.defaults_out or str(Path(args.out) / "latency_defaults.json")
     write_defaults(result, out_path)
@@ -275,7 +282,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "limit":
             report = bench.limit_test(model, seed, trace_enabled=args.trace)
         elif args.command == "ring":
-            report = bench.ring_load(args.spokes, _size(args.size, "--size"), model, seed,
+            report = bench.ring_load(check(args.spokes, AT_LEAST_TWO, "--spokes"),
+                                     _size(args.size, "--size"), model, seed,
                                      trace_enabled=args.trace)
         elif args.command == "imbalance":
             report = bench.imbalance_test(model, seed, preset=args.preset,
@@ -283,7 +291,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:   # gossip-stats
             config = bench.GossipConfig(drop_probability=check(
                 args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))
-            report = bench.gossip_stats(args.nodes, seed, config, args.max_rounds)
+            report = bench.gossip_stats(args.nodes, seed, config,
+                                        check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
         return _emit(report, args.out)
     except (SimulatorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

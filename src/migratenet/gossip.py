@@ -10,15 +10,18 @@ Internally an entry stores the bulletin clock value at which it was born;
 its age is recomputed as ``clock - birth``, which makes the per-round ageing
 of a whole bulletin O(1).  A digest is a raw snapshot of such entries plus
 the sender's clock: the receiver shifts each birth onto its own clock and
-compares births, so no per-entry object is built on the hot path.
+compares births, so no per-entry object is built on the hot path.  A
+bulletin larger than the digest bound is cut at a birth threshold found by
+sorting the plain birth integers, not by ranking whole entries; the entries
+of each kind ship in bulletin order, since no reader of a digest depends on
+its order.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import NoConvergenceError
@@ -32,6 +35,8 @@ KIND_LOCATION = 0
 KIND_LOAD = 1
 
 DEFAULT_BOUND = 64
+
+_birth = itemgetter(1)   # the birth of a stored entry
 
 
 @dataclass(frozen=True)
@@ -146,24 +151,30 @@ class Bulletin:
 def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
     """Select the `bound` youngest entries across both maps.
 
-    Ties break on (age, kind, key) so the digest is deterministic; locations
-    order before loads at equal age.  A bulletin with at most `bound` entries
-    is shipped whole, in its own order.
+    A bulletin with at most `bound` entries is shipped whole, in its own
+    order.  A larger one is cut at a birth threshold: `cut` is the birth of
+    the `bound`-th youngest entry, every entry born after it ships, and the
+    room left goes to the entries born exactly at `cut` in (kind, key) order,
+    so locations win ties over loads and the selection is deterministic.
+    Within each kind the entries born after `cut` keep bulletin order.
     """
     if bound < 1:
         raise ValueError("digest bound must be >= 1")
     locations, loads = bulletin._locations, bulletin._loads
     if len(locations) + len(loads) <= bound:
         return GossipDigest(bulletin.clock, tuple(locations.items()), tuple(loads.items()))
-    # a larger birth is a younger age on the one clock, so -birth ranks as age
-    ranked = heapq.nsmallest(bound, chain(
-        ((-birth, KIND_LOCATION, pid) for pid, (_, birth, _) in locations.items()),
-        ((-birth, KIND_LOAD, node) for node, (_, birth, _) in loads.items())))
-    return GossipDigest(
-        bulletin.clock,
-        tuple((key, locations[key]) for _, kind, key in ranked if kind == KIND_LOCATION),
-        tuple((key, loads[key]) for _, kind, key in ranked if kind == KIND_LOAD),
-    )
+    # a larger birth is a younger age on the one clock
+    births = [*map(_birth, locations.values()), *map(_birth, loads.values())]
+    births.sort()
+    cut = births[-bound]
+    picked = ([item for item in locations.items() if item[1][1] > cut],
+              [item for item in loads.items() if item[1][1] > cut])
+    room = bound - len(picked[0]) - len(picked[1])
+    for items, table in zip(picked, (locations, loads)):
+        tied = sorted(key for key, entry in table.items() if entry[1] == cut)[:room]
+        items += [(key, table[key]) for key in tied]
+        room -= len(tied)
+    return GossipDigest(bulletin.clock, tuple(picked[0]), tuple(picked[1]))
 
 
 def _fold(table: dict, items: tuple, shift: int, owner: Optional["NodeId"]) -> int:

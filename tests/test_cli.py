@@ -252,6 +252,12 @@ def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle)
     (["ring", "--size", "-1"], "--size: must be non-negative"),
     (["gossip-stats", "--drop", "2"], "--drop: must be in [0, 1]"),
     (["gossip-stats", "--drop", "nan"], "--drop: must be in [0, 1]"),
+    (["gossip-stats", "--max-rounds", "0"], "--max-rounds: must be >= 1"),
+    (["gossip-stats", "--max-rounds", "-1"], "--max-rounds: must be >= 1"),
+    (["ring", "--spokes", "1"], "--spokes: must be >= 2"),
+    (["calibrate", "--fix-overhead", "-1"], "--fix-overhead: must be finite and non-negative"),
+    (["calibrate", "--fix-overhead", "nan"], "--fix-overhead: must be finite and non-negative"),
+    (["calibrate", "--fix-overhead", "inf"], "--fix-overhead: must be finite and non-negative"),
 ])
 def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle):
     # a flag that stands for a scenario field obeys that field's rule

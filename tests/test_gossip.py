@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_sim
+from migratenet import gossip
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import NoConvergenceError, SimulatorError
 from migratenet.gossip import (KIND_LOAD, KIND_LOCATION, Bulletin, GossipConfig,
@@ -120,6 +121,50 @@ def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads
                      for e in digest.loads])
     assert picked == oracle
     assert len(digest) == len(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(births=st.lists(st.integers(0, 1000), min_size=60, max_size=200),
+       n_loads=st.integers(0, 32), bound=st.integers(1, 128),
+       rnd=st.randoms(use_true_random=False))
+def test_digest_matches_sort_oracle_at_churn_scale(births, n_loads, bound, rnd):
+    # 60-200 entries with births over a 1,000-round window, inserted in a
+    # shuffled order: most digests are cut, and few entries share a birth
+    b = Bulletin(owner=0)
+    b.clock = 1000
+    order = list(range(len(births)))
+    rnd.shuffle(order)
+    for i in order:
+        if i < n_loads:
+            b._loads[i] = (i / 4, births[i], i % 4)
+        else:
+            b._locations[GPid(i % 32, i // 32)] = (i % 32, births[i], i % 4)
+    oracle = sorted([(e.age, KIND_LOCATION, e.pid, e.node, e.serial)
+                     for e in b.location_entries()] +
+                    [(e.age, KIND_LOAD, e.node, e.load, e.serial)
+                     for e in b.load_entries()])[:bound]
+    digest = make_digest(b, bound)
+    picked = ({(e.age, KIND_LOCATION, e.pid, e.node, e.serial) for e in digest.locations} |
+              {(e.age, KIND_LOAD, e.node, e.load, e.serial) for e in digest.loads})
+    assert len(digest) == len(oracle)
+    assert picked == set(oracle)
+
+
+def test_cut_digest_fills_tied_room_with_locations_by_key():
+    # two entries born after the cut, then six locations and two loads born at
+    # it, locations inserted in descending key order; room for three of them
+    b = Bulletin(owner=0)
+    b.clock = 10
+    b._locations = {GPid(9, 0): (1, 9, 0)}
+    b._loads = {3: (1.0, 8, 0)}
+    for seq in range(5, -1, -1):
+        b._locations[GPid(2, seq)] = (4, 5, 0)
+    b._loads.update({0: (2.0, 5, 0), 1: (3.0, 5, 0)})
+    b._locations[GPid(0, 0)] = (4, 2, 0)          # older than the cut
+    digest = make_digest(b, 5)
+    assert {pid for pid, _ in digest.location_items} == {
+        GPid(9, 0), GPid(2, 0), GPid(2, 1), GPid(2, 2)}
+    assert [node for node, _ in digest.load_items] == [3]
 
 
 # -- merge -----------------------------------------------------------------------
@@ -315,6 +360,31 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
 ])
 def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
     assert seeded_bulletin_fingerprint(nodes, procs) == golden
+
+
+def test_seeded_rounds_match_golden_digests(monkeypatch):
+    # SHA-256 over the sorted (kind, key, value, age, serial) contents of every
+    # digest the seeded 32/96 rounds build, in the order they are built: this
+    # pins each cut digest, not only the bulletins it leaves behind
+    digests = hashlib.sha256()
+    built = cut = 0
+
+    def recording_make_digest(bulletin, bound):
+        nonlocal built, cut
+        digest = make_digest(bulletin, bound)
+        built += 1
+        cut += len(bulletin) > bound
+        digests.update(repr(sorted(
+            [(KIND_LOCATION, (e.pid.home, e.pid.seq), e.node, e.age, e.serial)
+             for e in digest.locations] +
+            [(KIND_LOAD, e.node, e.load, e.age, e.serial) for e in digest.loads])).encode())
+        return digest
+
+    monkeypatch.setattr(gossip, "make_digest", recording_make_digest)
+    seeded_bulletin_fingerprint(32, 96)
+    assert (built, cut) == (1920, 1778)
+    assert digests.hexdigest() == (
+        "0abf405152c4ad46ae7e94cd77368e8819f9f8875141fa75c72cb9932033e23c")
 
 
 def test_lookup_age_equals_rounds_since_publication_on_arrival():
