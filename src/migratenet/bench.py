@@ -307,12 +307,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     period = 1.0 / scenario.gossip_config.rounds_per_second
     next_round = period
     while next_round <= horizon:
-        sim.queue.schedule(next_round,
-                           lambda: gossip.gossip_round(sim.cluster, sim.rng,
-                                                       scenario.gossip_config))
+        sim.queue.schedule(next_round, lambda: sim.metrics.add_round(
+            gossip.gossip_round(sim.cluster, sim.rng, scenario.gossip_config)))
         next_round += period
 
-    sim.queue.run()
+    sim.metrics.events = sim.queue.run()
     report.metrics = sim.metrics.snapshot()
     report.extra["sends"] = str(len(report.latency_rows))
     return report

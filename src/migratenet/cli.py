@@ -291,7 +291,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:   # gossip-stats
             config = bench.GossipConfig(drop_probability=check(
                 args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))
-            report = bench.gossip_stats(args.nodes, seed, config,
+            report = bench.gossip_stats(check(args.nodes, AT_LEAST_ONE, "--nodes"), seed, config,
                                         check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
         return _emit(report, args.out)
     except (SimulatorError, OSError, ValueError) as exc:

@@ -11,7 +11,7 @@ import heapq
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -257,9 +257,32 @@ class EventQueue:
         return count
 
 
+def _counters(*keys: str):
+    """A dataclass field holding one zero counter per key, in key order."""
+    return field(default_factory=lambda: dict.fromkeys(keys, 0))
+
+
 @dataclass
 class Metrics:
-    """Byte and frame counters plus per-message latency samples.
+    """Byte and frame counters per node and per link, and fixed-size counters
+    of what each layer did.
+
+    Nothing here grows with the number of sends: a report's latency rows are
+    the one per-send record.  The fixed counters are written after the
+    per-node and per-link rows, in this order, even when they are zero:
+
+    * `sends`: sends carried by each transport, auto's picks included;
+    * `direct_outcomes`: each direct send by what the sender's bulletin entry
+      met: local (co-resident), hit (the entry names the receiver's node),
+      miss (no entry) or stale (any other entry, one naming the sender's own
+      node or the receiver's home included);
+    * `control_frames`: NACK_UNKNOWN and LOC_REPLY frames sent;
+    * `auto_picks`: each auto send by the transport it picked, and
+      `auto_error`, the sum of |estimate - charged latency| over them
+      (written as a mean);
+    * `gossip_totals`: the gossip rounds run on a scenario's timeline
+      (rounds, exchanges, dropped exchanges, frames, entries moved);
+    * `events`: the events a scenario's queue executed.
 
     Conservation invariant: the sum of `delivered_bytes` equals the payload
     bytes of every delivered message (`payload_delivered`).
@@ -268,8 +291,15 @@ class Metrics:
     delivered_bytes: dict[int, int] = field(default_factory=dict)
     frames_handled: dict[int, int] = field(default_factory=dict)
     link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    latencies: list[tuple[str, int, float]] = field(default_factory=list)
     payload_delivered: int = 0
+    sends: dict[str, int] = _counters("relay", "direct")
+    direct_outcomes: dict[str, int] = _counters("local", "hit", "miss", "stale")
+    control_frames: dict[str, int] = _counters("NACK_UNKNOWN", "LOC_REPLY")
+    auto_picks: dict[str, int] = _counters("relay", "direct")
+    auto_error: float = 0.0
+    gossip_totals: dict[str, int] = _counters("rounds", "exchanges", "dropped", "frames",
+                                              "entries_moved")
+    events: int = 0
 
     def relay(self, node: int, size: int) -> None:
         self.relayed_bytes[node] = self.relayed_bytes.get(node, 0) + size
@@ -285,18 +315,18 @@ class Metrics:
         key = (frm, to)
         self.link_bytes[key] = self.link_bytes.get(key, 0) + size
 
-    def sample(self, transport: str, size: int, latency: float) -> None:
-        self.latencies.append((transport, size, latency))
+    def add_round(self, report) -> None:
+        """Add one gossip round's `RoundReport` to `gossip_totals`."""
+        totals = self.gossip_totals
+        totals["rounds"] += 1
+        totals["exchanges"] += report.exchanges
+        totals["dropped"] += report.dropped
+        totals["frames"] += report.frames
+        totals["entries_moved"] += report.entries_moved
 
     def snapshot(self) -> "Metrics":
-        return Metrics(
-            relayed_bytes=dict(self.relayed_bytes),
-            delivered_bytes=dict(self.delivered_bytes),
-            frames_handled=dict(self.frames_handled),
-            link_bytes=dict(self.link_bytes),
-            latencies=list(self.latencies),
-            payload_delivered=self.payload_delivered,
-        )
+        return replace(self, **{f.name: value.copy() for f in fields(self)
+                                if isinstance(value := getattr(self, f.name), dict)})
 
     def rows(self) -> list[tuple[str, str, str]]:
         """Flatten to (metric, key, value) rows in a fixed order for CSV."""
@@ -307,7 +337,13 @@ class Metrics:
                 out.append((name, str(node), repr(counters[node])))
         for (frm, to) in sorted(self.link_bytes):
             out.append(("link_bytes", f"{frm}->{to}", repr(self.link_bytes[(frm, to)])))
-        for i, (transport, size, latency) in enumerate(self.latencies):
-            out.append(("latency", f"{transport}/{size}/{i}", repr(latency)))
         out.append(("payload_delivered", "total", repr(self.payload_delivered)))
+        for name in ("sends", "direct_outcomes", "control_frames", "auto_picks"):
+            for key, value in getattr(self, name).items():
+                out.append((name, key, repr(value)))
+        picks = sum(self.auto_picks.values())
+        out.append(("auto_error", "mean", repr(self.auto_error / picks if picks else 0.0)))
+        for key, value in self.gossip_totals.items():
+            out.append(("gossip_totals", key, repr(value)))
+        out.append(("events", "executed", repr(self.events)))
         return out

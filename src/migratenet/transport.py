@@ -99,7 +99,7 @@ class Router:
             raise MessageTooLargeError(f"{size} > relay cap {self.config.relay_max}")
         legs = relay_legs(sender, src.home, dst.home, receiver)
         latency = relay_latency(legs, size, self.model)
-        self.metrics.sample(TransportKind.RELAY.value, size, latency)
+        self.metrics.sends["relay"] += 1
         if not legs:
             self.metrics.deliver(sender, size)
             return DeliveryReport(TransportKind.RELAY, 0, latency, 0, ())
@@ -117,16 +117,18 @@ class Router:
         """Node-to-node send using the sender's bulletin, home fallback on
         miss or stale entries.  At most three DATA link traversals."""
         sender = self.cluster.residency(src)
-        target, via_home = self._first_target(sender, dst)
+        target, via_home, outcome = self._first_target(sender, dst)
         if size > self.config.direct_max:
             raise MessageTooLargeError(f"{size} > direct cap {self.config.direct_max}")
         model = self.model
+        metrics = self.metrics
+        metrics.sends["direct"] += 1
+        metrics.direct_outcomes[outcome] += 1
 
-        if target == sender and not via_home:
+        if outcome == "local":
             # the hosting node sees its own residents; no lookup, no network
             latency = model.shared_memory(size) + model.direct_overhead
-            self.metrics.deliver(sender, size)
-            self.metrics.sample(TransportKind.DIRECT.value, size, latency)
+            metrics.deliver(sender, size)
             return DeliveryReport(TransportKind.DIRECT, 0, latency, 0, ())
 
         receiver = self.cluster.residency(dst)
@@ -139,6 +141,7 @@ class Router:
             # stale: the believed node bounces the payload; fall back as a miss
             self._carry(FrameKind.DATA, src, dst, size, sender, target)
             self._carry(FrameKind.NACK_UNKNOWN, dst, src, control, target, sender)
+            metrics.control_frames["NACK_UNKNOWN"] += 1
             latency += model.net_hop(size)
             latency += model.net_hop(control)
             hops, frames = 1, 2
@@ -153,19 +156,19 @@ class Router:
             frames += 1
         forwarded = target != receiver     # then target is the home
         if forwarded:
-            self.metrics.relay(home, size)
+            metrics.relay(home, size)
             self._carry(FrameKind.DATA, src, dst, size, home, receiver)
             latency += model.net_hop(size)
             hops += 1
             frames += 1
-        self.metrics.deliver(receiver, size)
+        metrics.deliver(receiver, size)
         if home != sender and (via_home or forwarded):
             self._carry(FrameKind.LOC_REPLY, dst, src, control, home, sender)
+            metrics.control_frames["LOC_REPLY"] += 1
             frames += 1
             bulletin.publish_location(dst, receiver, self.cluster.next_serial())
 
         latency += model.direct_overhead
-        self.metrics.sample(TransportKind.DIRECT.value, size, latency)
         return DeliveryReport(TransportKind.DIRECT, hops, latency, frames,
                               (home,) if forwarded else ())
 
@@ -173,7 +176,8 @@ class Router:
 
     def send_auto(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
         """Pick the transport the sender expects to be cheaper, judged from
-        its local knowledge only; ties go to relay."""
+        its local knowledge only; ties go to relay.  The pick and how far its
+        estimate was from the latency charged go to the metrics."""
         self.cluster.residency(src)
         self.cluster.residency(dst)
         if size > self.config.relay_max and size > self.config.direct_max:
@@ -183,17 +187,24 @@ class Router:
         est_direct = self._estimate_direct(src, dst, size)
         first = TransportKind.DIRECT if est_direct < est_relay else TransportKind.RELAY
         try:
-            return self.send(first, src, dst, size)
+            report = self.send(first, src, dst, size)
         except MessageTooLargeError:
             other = (TransportKind.RELAY if first is TransportKind.DIRECT
                      else TransportKind.DIRECT)
-            return self.send(other, src, dst, size)
+            report = self.send(other, src, dst, size)
+        if report.transport is TransportKind.DIRECT:
+            picked, estimate = "direct", est_direct
+        else:
+            picked, estimate = "relay", est_relay
+        self.metrics.auto_picks[picked] += 1
+        self.metrics.auto_error += abs(estimate - report.latency)
+        return report
 
     def _estimate_relay(self, src: GPid, dst: GPid, size: int) -> float:
         if size > self.config.relay_max:
             return math.inf
         sender = self.cluster.residency(src)
-        target, _ = self._first_target(sender, dst)
+        target, _, _ = self._first_target(sender, dst)
         return relay_latency(relay_legs(sender, src.home, dst.home, target), size, self.model)
 
     def _estimate_direct(self, src: GPid, dst: GPid, size: int) -> float:
@@ -202,25 +213,30 @@ class Router:
         if size > self.config.direct_max:
             return math.inf
         sender = self.cluster.residency(src)
-        target, via_home = self._first_target(sender, dst)
-        if target == sender and not via_home:
+        target, via_home, outcome = self._first_target(sender, dst)
+        if outcome == "local":
             return self.model.shared_memory(size) + self.model.direct_overhead
         hops = 0 if target == sender else 1     # the sender may be dst's home
         if via_home:
             hops += 1                           # the home forwards to the true node
         return hops * self.model.net_hop(size) + self.model.direct_overhead
 
-    def _first_target(self, sender: NodeId, dst: GPid) -> tuple[NodeId, bool]:
+    def _first_target(self, sender: NodeId, dst: GPid) -> tuple[NodeId, bool, str]:
         """Where the node `sender` sends for dst first, for the direct send and
-        both of auto's estimates, and whether that is dst's home on a miss:
-        `sender` itself when dst is co-resident, else the bulletin's node,
-        else (no entry, or one wrongly claiming `sender`) ``(dst.home, True)``."""
-        if self.cluster.residency(dst) == sender:
-            return sender, False
+        both of auto's estimates, whether that is dst's home on a miss, and the
+        direct outcome: ``(sender, False, "local")`` when dst is co-resident,
+        else the bulletin's node (a hit if dst runs there, else stale), else
+        ``(dst.home, True, ...)``: a miss without an entry, stale with one
+        wrongly claiming `sender`."""
+        receiver = self.cluster.residency(dst)
+        if receiver == sender:
+            return sender, False, "local"
         hit = self.cluster.bulletins[sender].lookup_location(dst)
-        if hit is not None and hit[0] != sender:
-            return hit[0], False
-        return dst.home, True
+        if hit is None:
+            return dst.home, True, "miss"
+        if hit[0] == sender:
+            return dst.home, True, "stale"
+        return hit[0], False, "hit" if hit[0] == receiver else "stale"
 
     def _carry(self, kind: FrameKind, src: GPid, dst: GPid, size: int,
                frm: NodeId, to: NodeId) -> None:

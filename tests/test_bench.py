@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import TEST_MODEL
 from migratenet import bench
 from migratenet.errors import InvalidScenarioError
 from migratenet.simcore import TransportKind, load_model
+from migratenet.transport import Router
 
 VALID_SCENARIO = {
     "version": 1,
@@ -212,6 +214,84 @@ def test_trace_file_written_when_enabled(tmp_path):
     lines = files["ring_load_trace.csv"].read_text().splitlines()
     assert lines[0] == "time,kind,src,dst,from_node,to_node,size"
     assert len(lines) > 1
+
+
+# -- counters ------------------------------------------------------------------------
+
+def generated_scenario(seed: int) -> dict:
+    """300 relay, direct and auto sends among 12 processes on 8 nodes, with a
+    migration halfway between every two gossip rounds and lossy gossip that
+    starts cold, so sends meet every direct outcome."""
+    rng = random.Random(seed)
+    nodes = 8
+    ids = [f"p{i}" for i in range(12)]
+    return {
+        "version": 1, "name": "counted", "seed": seed, "pre_converge": False,
+        "topology": {"kind": "mesh", "nodes": nodes},
+        "processes": [{"id": pid, "home": rng.randrange(nodes)} for pid in ids],
+        "migrations": [{"time": 0.05 + 0.1 * k, "pid": rng.choice(ids),
+                        "to": rng.randrange(nodes)} for k in range(20)],
+        "traffic": [{"time": rng.uniform(0.0, 2.0), "src": src, "dst": dst,
+                     "transport": rng.choice(("relay", "direct", "auto")),
+                     "size": rng.choice((64, 4096, 1 << 20))}
+                    for src, dst in (rng.sample(ids, 2) for _ in range(300))],
+        "gossip": {"bound": 8, "drop_probability": 0.3, "rounds_per_second": 10.0},
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_counters_match_outside_classification(monkeypatch, seed):
+    router = Router
+    send_direct, send_auto = router.send_direct, router.send_auto
+    outcomes = dict.fromkeys(("local", "hit", "miss", "stale"), 0)
+    auto_error = 0.0
+
+    def classified(self, src, dst, size):
+        # the sender's bulletin entry against the true node, before the send
+        sender = self.cluster.residency(src)
+        true_node = self.cluster.residency(dst)
+        hint = self.cluster.bulletins[sender].lookup_location(dst)
+        outcome = ("local" if true_node == sender else "miss" if hint is None
+                   else "hit" if hint[0] == true_node else "stale")
+        outcomes[outcome] += 1
+        return send_direct(self, src, dst, size)
+
+    def estimated(self, src, dst, size):
+        nonlocal auto_error
+        estimates = {TransportKind.RELAY: self._estimate_relay(src, dst, size),
+                     TransportKind.DIRECT: self._estimate_direct(src, dst, size)}
+        report = send_auto(self, src, dst, size)
+        auto_error += abs(estimates[report.transport] - report.latency)
+        return report
+
+    monkeypatch.setattr(router, "send_direct", classified)
+    monkeypatch.setattr(router, "send_auto", estimated)
+    scenario = bench.Scenario.from_dict(generated_scenario(seed))
+    report = bench.run_scenario(scenario)
+    m = report.metrics
+
+    asked = {kind: sum(t.count for t in scenario.traffic if t.transport.value == kind)
+             for kind in ("relay", "direct", "auto")}
+    assert m.direct_outcomes == outcomes and all(outcomes.values())
+    assert sum(outcomes.values()) == m.sends["direct"] == asked["direct"] + m.auto_picks["direct"]
+    assert m.sends["relay"] == asked["relay"] + m.auto_picks["relay"]
+    assert sum(m.auto_picks.values()) == asked["auto"]
+    assert m.auto_error == auto_error
+    assert m.control_frames["NACK_UNKNOWN"] > 0 and m.control_frames["LOC_REPLY"] > 0
+    assert m.gossip_totals["rounds"] == 19      # every 0.1 s up to the last send, after 1.9 s
+    assert m.events == m.gossip_totals["rounds"] + len(scenario.migrations) + sum(asked.values())
+
+
+def test_metrics_file_size_does_not_grow_with_sends(tmp_path):
+    lengths = []
+    for count in (10, 1000):
+        data = json.loads(json.dumps(VALID_SCENARIO))
+        data["traffic"][0]["count"] = count
+        report = bench.run_scenario(bench.Scenario.from_dict(data))
+        assert len(report.latency_rows) == count + 1
+        report.write(tmp_path / str(count))
+        lengths.append(len((tmp_path / str(count) / "demo_metrics.csv").read_text().splitlines()))
+    assert lengths[0] == lengths[1]
 
 
 # -- scenario fuzzing -------------------------------------------------------------

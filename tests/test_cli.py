@@ -258,6 +258,8 @@ def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle)
     (["calibrate", "--fix-overhead", "-1"], "--fix-overhead: must be finite and non-negative"),
     (["calibrate", "--fix-overhead", "nan"], "--fix-overhead: must be finite and non-negative"),
     (["calibrate", "--fix-overhead", "inf"], "--fix-overhead: must be finite and non-negative"),
+    (["gossip-stats", "--nodes", "0"], "--nodes: must be >= 1"),
+    (["gossip-stats", "--nodes", "-3"], "--nodes: must be >= 1"),
 ])
 def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle):
     # a flag that stands for a scenario field obeys that field's rule

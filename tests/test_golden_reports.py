@@ -57,7 +57,7 @@ GOLDEN = {
     "balanced/imbalance_test_latency.csv":
         "0aef943bf5310d88e7c04ea1d3c73a4aea597b6a5638312aef613a6487a93c59",
     "balanced/imbalance_test_metrics.csv":
-        "edee27d50f5238df6075d047ef2b9bb80c092a69267a11630c15ec73f48f98ad",
+        "bbe52988863e73d4ea123a80233826b80d9ad297b4ccb3aba86defe3b851ee42",
     "balanced/imbalance_test_summary.txt":
         "456bee8aba48734c4142154aa9d7a6916ae97cd60d03e68536ae49b0a75645fc",
     "gossip/gossip_stats_gossip.csv":
@@ -65,13 +65,13 @@ GOLDEN = {
     "gossip/gossip_stats_latency.csv":
         "0aef943bf5310d88e7c04ea1d3c73a4aea597b6a5638312aef613a6487a93c59",
     "gossip/gossip_stats_metrics.csv":
-        "7a58b7380a3a3fcbd02369b1960e6d04a5fad41e7e00da209e4052563884fc8a",
+        "e2ceaa9f1683972a95a32e0a0ed3dd79ed753faa1d1dff57e614535f9b744fbf",
     "gossip/gossip_stats_summary.txt":
         "1b94c0bfd601e876636416bd2ce85bda133bb58a59cb6059cc8e29286c5648f5",
     "imbalanced/imbalance_test_latency.csv":
         "0aef943bf5310d88e7c04ea1d3c73a4aea597b6a5638312aef613a6487a93c59",
     "imbalanced/imbalance_test_metrics.csv":
-        "edee27d50f5238df6075d047ef2b9bb80c092a69267a11630c15ec73f48f98ad",
+        "bbe52988863e73d4ea123a80233826b80d9ad297b4ccb3aba86defe3b851ee42",
     "imbalanced/imbalance_test_summary.txt":
         "17f2cc15ed319aec1a8676d1bd27961584d26fc8109e346a2ed30cfd997db608",
     "imbalanced/imbalance_test_trace.csv":
@@ -79,13 +79,13 @@ GOLDEN = {
     "limit/limit_test_latency.csv":
         "0aef943bf5310d88e7c04ea1d3c73a4aea597b6a5638312aef613a6487a93c59",
     "limit/limit_test_metrics.csv":
-        "791eecd88c6fe4c456aaf5f8741510a5b153c2cb6b5b9e4215b56d9700ae2efa",
+        "4026fb8154e3876ce66ad573a813c726eda02889ce2e6c62c99f597dc5e69bff",
     "limit/limit_test_summary.txt":
         "4b7546541c17223c02ce8198bda0bee572bf5d953fbe86e3ad783deebebdfdf5",
     "ring/ring_load_latency.csv":
         "0aef943bf5310d88e7c04ea1d3c73a4aea597b6a5638312aef613a6487a93c59",
     "ring/ring_load_metrics.csv":
-        "8256607e8fe8e1c240657e7997f4399be50f99418b8bfc729429569bd87f1315",
+        "9378bc4dc6c4d617d64527045368b13b728f1f379525aa3c9f492a50ed7bb84c",
     "ring/ring_load_summary.txt":
         "4907316a6daaa70336eafcca0b1ba090c1951721eda81c396a755f9b183f0785",
     "ring/ring_load_trace.csv":
@@ -93,7 +93,7 @@ GOLDEN = {
     "scenario/golden_latency.csv":
         "2735b3b74d5ab444b072fdb737f5f06d82c75a4718bc80c0f9dd115ed92749cc",
     "scenario/golden_metrics.csv":
-        "ba0061b60ff57e79002154bf48f6d30a33f5ff117665ce90473ea0d7493a8a09",
+        "659b5a7f66164b5de046fa3ccea3d5791626573af9f40af66e5627b4c129819e",
     "scenario/golden_summary.txt":
         "0cb91ae9016730a8969b89510771a3556839e9b8d01ed5925869fb434084f91e",
     "scenario/golden_trace.csv":
@@ -101,7 +101,7 @@ GOLDEN = {
     "sweep/latency_sweep_latency.csv":
         "1e978fd758523e736fc34479a792b3f31d04b7ff01cab3867d8c510107baa69f",
     "sweep/latency_sweep_metrics.csv":
-        "e9fd56185b60b877ac8a2b3c06b3d95f19d1654522c9bc620748581be3260cac",
+        "139d59d5fe6f37ec6e629b1e4730b7408802ed45b30535231fcbc6ac80307006",
     "sweep/latency_sweep_summary.txt":
         "22b8a313f292076e87fe36848c08f8369860a6f5cfb252c4f2152a167ecffb0a",
     "sweep/latency_sweep_trace.csv":

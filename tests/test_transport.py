@@ -207,26 +207,30 @@ def test_direct_cap_enforced():
 # a is homed on node 0 and b on node 1; a runs on `at_a`, b on `at_b`, and
 # a's node believes b runs on `belief` (None: no entry).  Each route lists
 # its link traversals as (kind, from, to), then the node a's bulletin names
-# for b afterwards.  DATA carries the payload; the control frames
-# (NACK_UNKNOWN, LOC_REPLY) travel from b's side back to a.
+# for b afterwards, then the direct outcome the send counts.  DATA carries
+# the payload; the control frames (NACK_UNKNOWN, LOC_REPLY) travel from b's
+# side back to a.  An entry naming a's node or b's home while b runs
+# elsewhere counts as stale.
 SIZE, CTL = 1000, TransportConfig().control_size
 DIRECT_ROUTES = {
-    "local": (2, 2, None, [], None),
-    "hit": (2, 3, 3, [("DATA", 2, 3)], 3),
-    "hit_at_home": (2, 1, 1, [("DATA", 2, 1)], 1),
-    "miss": (2, 3, None, [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
-    "miss_home_hosts_dst": (2, 1, None, [("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1),
-    "miss_from_home": (1, 3, None, [("DATA", 1, 3)], None),
+    "local": (2, 2, None, [], None, "local"),
+    "hit": (2, 3, 3, [("DATA", 2, 3)], 3, "hit"),
+    "hit_at_home": (2, 1, 1, [("DATA", 2, 1)], 1, "hit"),
+    "miss": (2, 3, None, [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3, "miss"),
+    "miss_home_hosts_dst": (2, 1, None, [("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1, "miss"),
+    "miss_from_home": (1, 3, None, [("DATA", 1, 3)], None, "miss"),
     "self_claiming_entry": (2, 3, 2,
-                            [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+                            [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3,
+                            "stale"),
     "stale": (2, 3, 4, [("DATA", 2, 4), ("NACK_UNKNOWN", 4, 2), ("DATA", 2, 1),
-                        ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+                        ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3, "stale"),
     "stale_at_home": (2, 3, 1,
-                      [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3),
+                      [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3, "stale"),
     "stale_from_home": (1, 3, 4,
-                        [("DATA", 1, 4), ("NACK_UNKNOWN", 4, 1), ("DATA", 1, 3)], None),
+                        [("DATA", 1, 4), ("NACK_UNKNOWN", 4, 1), ("DATA", 1, 3)], None,
+                        "stale"),
     "stale_home_hosts_dst": (2, 1, 4, [("DATA", 2, 4), ("NACK_UNKNOWN", 4, 2),
-                                       ("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1),
+                                       ("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1, "stale"),
 }
 
 
@@ -236,7 +240,7 @@ def counter_delta(before: dict, after: dict) -> dict:
 
 @pytest.mark.parametrize("route", list(DIRECT_ROUTES))
 def test_direct_route_table(route):
-    at_a, at_b, belief, hops, entry_after = DIRECT_ROUTES[route]
+    at_a, at_b, belief, hops, entry_after, outcome = DIRECT_ROUTES[route]
     trace = []
     sim = build_sim(trace=trace)
     a, b = place_pair(sim, 0, 1, at_a, at_b)
@@ -245,8 +249,9 @@ def test_direct_route_table(route):
     if belief is not None:
         bulletin.publish_location(b, belief)
     m = sim.metrics
-    before = [dict(m.delivered_bytes), dict(m.relayed_bytes), dict(m.link_bytes),
-              dict(m.frames_handled)]
+    counted = ("delivered_bytes", "relayed_bytes", "link_bytes", "frames_handled", "sends",
+               "direct_outcomes", "control_frames", "auto_picks")
+    before = [dict(getattr(m, name)) for name in counted]
 
     rep = sim.router.send_direct(a, b, SIZE)
 
@@ -271,12 +276,15 @@ def test_direct_route_table(route):
     assert rep.latency == latency + D
     links: dict = {}
     handled: dict = {}
+    control: dict = {}
     for kind, frm, to in hops:
         links[(frm, to)] = links.get((frm, to), 0) + (SIZE if kind == "DATA" else CTL)
         handled[to] = handled.get(to, 0) + 1
-    after = [m.delivered_bytes, m.relayed_bytes, m.link_bytes, m.frames_handled]
+        if kind != "DATA":
+            control[kind] = control.get(kind, 0) + 1
+    after = [getattr(m, name) for name in counted]
     assert [counter_delta(x, y) for x, y in zip(before, after)] == [
-        {at_b: SIZE}, relayed, links, handled]
+        {at_b: SIZE}, relayed, links, handled, {"direct": 1}, {outcome: 1}, control, {}]
     expected_entry = None if entry_after is None else (entry_after, 0)
     assert bulletin.lookup_location(b) == expected_entry
 
