@@ -1,13 +1,16 @@
 """Byte-transfer layer: home-node relay, direct with home fallback, and auto.
 
-Each send resolves a whole message atomically against the current cluster
-state; the returned :class:`DeliveryReport` carries the hop count, latency,
-and which nodes only carried the payload.  Every link a frame crosses is
-accounted and traced in one place, :meth:`Router._carry`.
+A send resolves its whole *route* atomically against the current cluster
+state: the links it crosses in order as ``(frame kind, from, to)``, the
+latency from send start to payload arrival, priced while the route is built,
+and the nodes that carried the payload without terminating it.  One loop,
+:meth:`Router._carry`, accounts and traces every link of any route, and
+auto's direct estimate is the price of the route the sender believes in.
 
-A direct send goes to the node where the sender node's bulletin believes
-the receiver runs and falls back to the receiver's home node, which always
-knows the true location.  :meth:`Router.send_direct` reads top to bottom:
+A relay route transits both endpoints' home nodes (:func:`relay_legs`, priced
+by :func:`relay_latency`).  A direct route goes to the node where the sender
+node's bulletin believes the receiver runs and falls back to the receiver's
+home node, which always knows the true location:
 
 * local: the receiver is co-resident -> shared memory, no frames;
 * hit: the entry is right -> one DATA hop;
@@ -43,6 +46,13 @@ class FrameKind(Enum):
     DATA = "DATA"
     LOC_REPLY = "LOC_REPLY"
     NACK_UNKNOWN = "NACK_UNKNOWN"
+
+
+# members as globals: one Enum attribute lookup costs ~0.2 us on CPython 3.11
+DATA, LOC_REPLY, NACK_UNKNOWN = FrameKind.DATA, FrameKind.LOC_REPLY, FrameKind.NACK_UNKNOWN
+RELAY, DIRECT = TransportKind.RELAY, TransportKind.DIRECT
+# links as (kind, from, to), latency to payload arrival, nodes that relayed
+Route = tuple[list[tuple[FrameKind, NodeId, NodeId]], float, tuple[NodeId, ...]]
 
 
 @dataclass(frozen=True)
@@ -81,103 +91,46 @@ class Router:
         return self.clock.now if self.clock is not None else 0.0
 
     def send(self, kind: TransportKind, src: GPid, dst: GPid, size: int) -> DeliveryReport:
-        if kind is TransportKind.RELAY:
+        if kind is RELAY:
             return self.send_relay(src, dst, size)
-        if kind is TransportKind.DIRECT:
+        if kind is DIRECT:
             return self.send_direct(src, dst, size)
         return self.send_auto(src, dst, size)
 
-    # -- relay ------------------------------------------------------------
-
     def send_relay(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
-        """Baseline: the payload transits both endpoints' home nodes.  The
-        legs come from :func:`relay_legs` and are priced by
-        :func:`relay_latency`, as in auto's relay estimate."""
+        """Baseline: the payload transits both endpoints' home nodes."""
         sender = self.cluster.residency(src)
         receiver = self.cluster.residency(dst)
         if size > self.config.relay_max:
             raise MessageTooLargeError(f"{size} > relay cap {self.config.relay_max}")
-        legs = relay_legs(sender, src.home, dst.home, receiver)
-        latency = relay_latency(legs, size, self.model)
         self.metrics.sends["relay"] += 1
-        if not legs:
-            self.metrics.deliver(sender, size)
-            return DeliveryReport(TransportKind.RELAY, 0, latency, 0, ())
-        for frm, to, _ in legs:
-            self._carry(FrameKind.DATA, src, dst, size, frm, to)
-        relayed = tuple(to for _, to, _ in legs[:-1])
-        for node in relayed:
-            self.metrics.relay(node, size)
-        self.metrics.deliver(receiver, size)
-        return DeliveryReport(TransportKind.RELAY, len(legs), latency, len(legs), relayed)
-
-    # -- direct -----------------------------------------------------------
+        legs = relay_legs(sender, src.home, dst.home, receiver)
+        route = ([(DATA, frm, to) for frm, to, _ in legs], relay_latency(legs, size, self.model),
+                 tuple(to for _, to, _ in legs[:-1]))
+        return self._carry(RELAY, route, src, dst, size, receiver)
 
     def send_direct(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
         """Node-to-node send using the sender's bulletin, home fallback on
         miss or stale entries.  At most three DATA link traversals."""
         sender = self.cluster.residency(src)
-        target, via_home, outcome = self._first_target(sender, dst)
+        target, via_home, outcome, receiver = self._first_target(sender, dst)
         if size > self.config.direct_max:
             raise MessageTooLargeError(f"{size} > direct cap {self.config.direct_max}")
-        model = self.model
-        metrics = self.metrics
-        metrics.sends["direct"] += 1
-        metrics.direct_outcomes[outcome] += 1
-
-        if outcome == "local":
-            # the hosting node sees its own residents; no lookup, no network
-            latency = model.shared_memory(size) + model.direct_overhead
-            metrics.deliver(sender, size)
-            return DeliveryReport(TransportKind.DIRECT, 0, latency, 0, ())
-
-        receiver = self.cluster.residency(dst)
-        home = dst.home
-        control = self.config.control_size
+        self.metrics.sends["direct"] += 1
+        self.metrics.direct_outcomes[outcome] += 1
+        route = self._direct_route(sender, dst, size, target, via_home, receiver)
         bulletin = self.cluster.bulletins[sender]
-        hops = frames = 0
-        latency = 0.0      # legs are added in arrival order
-        if not via_home and target not in (receiver, home):
-            # stale: the believed node bounces the payload; fall back as a miss
-            self._carry(FrameKind.DATA, src, dst, size, sender, target)
-            self._carry(FrameKind.NACK_UNKNOWN, dst, src, control, target, sender)
-            metrics.control_frames["NACK_UNKNOWN"] += 1
-            latency += model.net_hop(size)
-            latency += model.net_hop(control)
-            hops, frames = 1, 2
-            target, via_home = home, True
-        if via_home:
-            # the entry was missing, stale, or claimed dst is local
+        if via_home or (outcome == "stale" and target != dst.home):
+            # a miss, or a stale entry other than the home: the sender falls back to it
             bulletin.invalidate_location(dst)
-        if target != sender:
-            self._carry(FrameKind.DATA, src, dst, size, sender, target)
-            latency += model.net_hop(size)
-            hops += 1
-            frames += 1
-        forwarded = target != receiver     # then target is the home
-        if forwarded:
-            metrics.relay(home, size)
-            self._carry(FrameKind.DATA, src, dst, size, home, receiver)
-            latency += model.net_hop(size)
-            hops += 1
-            frames += 1
-        metrics.deliver(receiver, size)
-        if home != sender and (via_home or forwarded):
-            self._carry(FrameKind.LOC_REPLY, dst, src, control, home, sender)
-            metrics.control_frames["LOC_REPLY"] += 1
-            frames += 1
+        if route[0] and route[0][-1][0] is LOC_REPLY:
             bulletin.publish_location(dst, receiver, self.cluster.next_serial())
-
-        latency += model.direct_overhead
-        return DeliveryReport(TransportKind.DIRECT, hops, latency, frames,
-                              (home,) if forwarded else ())
-
-    # -- auto -------------------------------------------------------------
+        return self._carry(DIRECT, route, src, dst, size, receiver)
 
     def send_auto(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
-        """Pick the transport the sender expects to be cheaper, judged from
-        its local knowledge only; ties go to relay.  The pick and how far its
-        estimate was from the latency charged go to the metrics."""
+        """Pick the transport the sender expects to be cheaper from its local
+        knowledge only (inf over a cap; ties go to relay).  The pick and how
+        far its estimate was from the latency charged go to the metrics."""
         self.cluster.residency(src)
         self.cluster.residency(dst)
         if size > self.config.relay_max and size > self.config.direct_max:
@@ -185,17 +138,10 @@ class Router:
                 f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
         est_relay = self._estimate_relay(src, dst, size)
         est_direct = self._estimate_direct(src, dst, size)
-        first = TransportKind.DIRECT if est_direct < est_relay else TransportKind.RELAY
-        try:
-            report = self.send(first, src, dst, size)
-        except MessageTooLargeError:
-            other = (TransportKind.RELAY if first is TransportKind.DIRECT
-                     else TransportKind.DIRECT)
-            report = self.send(other, src, dst, size)
-        if report.transport is TransportKind.DIRECT:
-            picked, estimate = "direct", est_direct
+        if est_direct < est_relay:
+            picked, estimate, report = "direct", est_direct, self.send(DIRECT, src, dst, size)
         else:
-            picked, estimate = "relay", est_relay
+            picked, estimate, report = "relay", est_relay, self.send(RELAY, src, dst, size)
         self.metrics.auto_picks[picked] += 1
         self.metrics.auto_error += abs(estimate - report.latency)
         return report
@@ -204,44 +150,86 @@ class Router:
         if size > self.config.relay_max:
             return math.inf
         sender = self.cluster.residency(src)
-        target, _, _ = self._first_target(sender, dst)
+        target = self._first_target(sender, dst)[0]
         return relay_latency(relay_legs(sender, src.home, dst.home, target), size, self.model)
 
     def _estimate_direct(self, src: GPid, dst: GPid, size: int) -> float:
-        """Price the first target :meth:`send_direct` picks, assuming the
-        belief is right; without one, the miss path through the home."""
+        """The price of the direct route to the node the sender believes dst
+        runs on: the bulletin's node, or on a miss one the home forwards to."""
         if size > self.config.direct_max:
             return math.inf
         sender = self.cluster.residency(src)
-        target, via_home, outcome = self._first_target(sender, dst)
-        if outcome == "local":
-            return self.model.shared_memory(size) + self.model.direct_overhead
-        hops = 0 if target == sender else 1     # the sender may be dst's home
-        if via_home:
-            hops += 1                           # the home forwards to the true node
-        return hops * self.model.net_hop(size) + self.model.direct_overhead
+        target, via_home, _, _ = self._first_target(sender, dst)
+        believed = None if via_home else target     # on a miss, the home forwards
+        return self._direct_route(sender, dst, size, target, via_home, believed)[1]
 
-    def _first_target(self, sender: NodeId, dst: GPid) -> tuple[NodeId, bool, str]:
-        """Where the node `sender` sends for dst first, for the direct send and
-        both of auto's estimates, whether that is dst's home on a miss, and the
-        direct outcome: ``(sender, False, "local")`` when dst is co-resident,
-        else the bulletin's node (a hit if dst runs there, else stale), else
-        ``(dst.home, True, ...)``: a miss without an entry, stale with one
-        wrongly claiming `sender`."""
+    def _first_target(self, sender: NodeId, dst: GPid) -> tuple[NodeId, bool, str, NodeId]:
+        """Where `sender` sends for dst first, whether that is dst's home on a
+        miss, the direct outcome and dst's node: ``(sender, False, "local",
+        sender)`` when co-resident, else the bulletin's node (a hit if dst runs
+        there, else stale), else ``(dst.home, True, ...)``: a miss without an
+        entry, stale with one wrongly claiming `sender`."""
         receiver = self.cluster.residency(dst)
         if receiver == sender:
-            return sender, False, "local"
+            return sender, False, "local", receiver
         hit = self.cluster.bulletins[sender].lookup_location(dst)
         if hit is None:
-            return dst.home, True, "miss"
+            return dst.home, True, "miss", receiver
         if hit[0] == sender:
-            return dst.home, True, "stale"
-        return hit[0], False, "hit" if hit[0] == receiver else "stale"
+            return dst.home, True, "stale", receiver
+        return hit[0], False, "hit" if hit[0] == receiver else "stale", receiver
 
-    def _carry(self, kind: FrameKind, src: GPid, dst: GPid, size: int,
-               frm: NodeId, to: NodeId) -> None:
-        """Account one link traversal in the metrics and the trace."""
-        self.metrics.link(frm, to, size)
-        self.metrics.handle(to)
-        if self.trace is not None:
-            self.trace.append((self.now, kind.value, str(src), str(dst), frm, to, size))
+    def _direct_route(self, sender: NodeId, dst: GPid, size: int, target: NodeId,
+                      via_home: bool, receiver: Optional[NodeId]) -> Route:
+        """The direct route from `sender` to `receiver` whose first DATA goes
+        to `target` (dst's home when `via_home`).  A `receiver` of None is a
+        node other than the home, so the home forwards to it."""
+        model = self.model
+        if receiver == sender:
+            # the hosting node sees its own residents; no lookup, no network
+            return [], model.shared_memory(size) + model.direct_overhead, ()
+        home = dst.home
+        hop = model.net_hop(size)
+        links = []
+        latency = 0.0      # legs are added in arrival order
+        if not via_home and target not in (receiver, home):
+            # stale: the believed node bounces the payload; fall back as a miss
+            links += (DATA, sender, target), (NACK_UNKNOWN, target, sender)
+            latency = hop + model.net_hop(self.config.control_size)
+            target, via_home = home, True
+        if target != sender:
+            links.append((DATA, sender, target))
+            latency += hop
+        forwarded = target != receiver     # then target is the home
+        if forwarded:
+            links.append((DATA, home, receiver))
+            latency += hop
+        if home != sender and (via_home or forwarded):
+            links.append((LOC_REPLY, home, sender))
+        return links, latency + model.direct_overhead, (home,) if forwarded else ()
+
+    def _carry(self, transport: TransportKind, route: Route, src: GPid, dst: GPid,
+               size: int, receiver: NodeId) -> DeliveryReport:
+        """Account and trace every link of `route`, then its relays and the
+        delivery to `receiver`.  DATA frames carry `size` bytes from src to
+        dst; control frames carry the control size from dst back to src."""
+        links, latency, relayed = route
+        metrics = self.metrics
+        trace = self.trace
+        hops = 0
+        for kind, frm, to in links:
+            if kind is DATA:
+                hops += 1
+                nbytes = size
+            else:
+                nbytes = self.config.control_size
+                metrics.control_frames[kind.value] += 1
+            metrics.link(frm, to, nbytes)
+            metrics.handle(to)
+            if trace is not None:
+                ends = (src, dst) if kind is DATA else (dst, src)
+                trace.append((self.now, kind.value, str(ends[0]), str(ends[1]), frm, to, nbytes))
+        for node in relayed:
+            metrics.relay(node, size)
+        metrics.deliver(receiver, size)
+        return DeliveryReport(transport, hops, latency, len(links), relayed)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -315,6 +316,14 @@ def test_auto_uses_direct_when_size_exceeds_relay_cap():
     assert rep.transport is TransportKind.DIRECT
 
 
+def test_auto_uses_relay_when_size_exceeds_direct_cap():
+    sim = build_sim(caps=TransportConfig(relay_max=2000, direct_max=1000))
+    a, b = place_pair(sim, 0, 1, 2, 3)
+    sim.converge()
+    rep = sim.router.send_auto(a, b, 1500)
+    assert rep.transport is TransportKind.RELAY
+
+
 def test_auto_rejects_when_both_caps_exceeded():
     sim = build_sim(caps=TransportConfig(relay_max=1000, direct_max=2000))
     a, b = place_pair(sim, 0, 1)
@@ -361,17 +370,38 @@ def test_auto_relay_estimate_equals_charged_relay_latency():
 
 
 def test_auto_direct_estimate_equals_charged_direct_latency():
-    # co-resident, a bulletin hit, a miss via the home, a miss from the home
-    for at_a, at_b, hit in ((4, 4, False), (2, 3, True), (2, 3, False), (1, 3, False)):
-        for size in (0, 1000):
-            sim = build_sim()
-            a, b = place_pair(sim, 0, 1, at_a, at_b)
-            if hit:
-                sim.converge()
-            else:
-                sim.cluster.bulletins[at_a].invalidate_location(b)
-            estimate = sim.router._estimate_direct(a, b, size)
-            assert estimate == sim.router.send_direct(a, b, size).latency
+    # a (home 0) and b (home 1) anywhere on 5 nodes, and every entry a's node
+    # may hold for b (None: no entry).  The estimate prices the route to the
+    # node a's node believes b runs on; on a miss (no entry, or one naming
+    # a's own node) the home forwards, so it assumes b is away from home.
+    # The charge equals the estimate exactly when that route is the one taken.
+    charged_as_estimated = 0
+    for at_a, at_b, belief, size in product(range(5), range(5), (None, *range(5)), (0, 1000)):
+        trace = []
+        sim = build_sim(nodes=5, trace=trace)
+        a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
+        bulletin = sim.cluster.bulletins[at_a]
+        bulletin.invalidate_location(b)
+        if belief is not None:
+            bulletin.publish_location(b, belief)
+        if at_a == at_b:
+            believed = []
+        elif belief is None or belief == at_a:      # via the home, which forwards
+            believed = [("DATA", at_a, 1)] * (at_a != 1) + [("DATA", 1, at_b)]
+        else:
+            believed = [("DATA", at_a, belief)]
+        price = len(believed) * HOP(size) + D if believed else SM(size) + D
+
+        estimate = sim.router._estimate_direct(a, b, size)
+        charged = sim.router.send_direct(a, b, size).latency
+
+        assert estimate == price
+        taken = [(kind, frm, to) for _, kind, _, _, frm, to, _ in trace if kind != "LOC_REPLY"]
+        assert (charged == estimate) == (taken == believed)
+        charged_as_estimated += charged == estimate
+    # local, hit, and a miss or self-claiming entry with b away from home;
+    # the rest are a miss with b at home and a stale entry naming another node
+    assert charged_as_estimated == 164
 
 
 def test_auto_picks_relay_when_cheap_home_legs_beat_direct_overhead():
