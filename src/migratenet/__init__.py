@@ -4,7 +4,7 @@ dissemination, and migration-driven load balancing."""
 
 from .balancer import BalancePolicy, JobSpec, balance_step, job_makespan
 from .cluster import (ClusterState, GPid, MigrationEvent, NodeId, ProcessRecord,
-                      Topology, collapse_path, network_hops)
+                      Topology, collapse_path)
 from .errors import (AddressInUseError, BadNodeError, BadStateError,
                      ConnRefusedError, InvalidScenarioError,
                      MessageTooLargeError, NoConvergenceError, NoSolutionError,

@@ -557,9 +557,11 @@ def gossip_stats(nodes: int = 32, seed: int = 0,
     sim = Simulation.build(Topology.mesh(nodes), None, TransportConfig(), seed, config)
     pid = sim.cluster.spawn(0, "fact")
     report = Report("gossip_stats", seed)
-    report.gossip_rows.append((0, gossip.informed_count(sim.cluster, pid), 0, 0))
-    informed = 1
+    informed = gossip.informed_count(sim.cluster, pid)
+    report.gossip_rows.append((0, informed, 0, 0))
     for _ in range(max_rounds):
+        if informed == nodes:
+            break
         round_report = gossip.gossip_round(sim.cluster, sim.rng, config)
         previous = informed
         informed = gossip.informed_count(sim.cluster, pid)
@@ -568,8 +570,6 @@ def gossip_stats(nodes: int = 32, seed: int = 0,
         if informed < previous:
             report.check("informed set is non-decreasing", False,
                          f"round {round_report.index}")
-        if informed == nodes:
-            break
     report.extra["rounds_to_full"] = str(report.gossip_rows[-1][0]) \
         if informed == nodes else "not reached"
     report.check("fact reached every node", informed == nodes,

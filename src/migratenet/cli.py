@@ -64,9 +64,7 @@ def home_leg_factor_for(slowdown: float, improvement: float) -> float:
     return ((1 + slowdown) / (1 - improvement) - 1) / 2
 
 
-def calibrate(sizes: Optional[list[int]] = None,
-              overhead_override: Optional[float] = None,
-              strict: bool = False) -> CalibrationResult:
+def calibrate(overhead_override: Optional[float] = None) -> CalibrationResult:
     """Fit the latency model to the target ratios over the default sweep.
 
     Procedure: fix the network/shared-memory conventions and solve the
@@ -79,11 +77,9 @@ def calibrate(sizes: Optional[list[int]] = None,
     fit: the overhead solved from the slowdown target and the factor from
     both targets, clamped at zero.  Both targets are out of reach only when
     the overhead is pinned (`overhead_override`) or the factor would be
-    negative (improvement < -slowdown).  With `strict`, an unsolvable fit
-    raises `NoSolutionError` carrying the nearest fit.
+    negative (improvement < -slowdown).
     """
-    if sizes is None:
-        sizes = bench.DEFAULT_SWEEP_SIZES
+    sizes = bench.DEFAULT_SWEEP_SIZES
     mean_inv_hop = sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in sizes) / len(sizes)
     if overhead_override is not None:
         overhead = overhead_override
@@ -104,29 +100,20 @@ def calibrate(sizes: Optional[list[int]] = None,
     solvable = (abs(slowdown - TARGET_SLOWDOWN) <= TOLERANCE
                 and abs(improvement - TARGET_IMPROVEMENT) <= TOLERANCE)
     nearest_factor = max(0.0, home_leg_factor_for(TARGET_SLOWDOWN, TARGET_IMPROVEMENT))
-    result = CalibrationResult(
+    return CalibrationResult(
         model, slowdown, improvement, solvable,
         nearest_overhead=TARGET_SLOWDOWN / mean_inv_hop,
         nearest_home_leg_factor=nearest_factor,
         nearest_slowdown=TARGET_SLOWDOWN,
         nearest_improvement=1 - (1 + TARGET_SLOWDOWN) / (1 + 2 * nearest_factor))
-    if strict and not solvable:
-        raise NoSolutionError(
-            f"targets (slowdown {TARGET_SLOWDOWN}, improvement {TARGET_IMPROVEMENT}) "
-            f"unreachable; nearest fit slowdown={result.nearest_slowdown:.4f}, "
-            f"improvement={result.nearest_improvement:.4f}")
-    return result
 
 
-def defaults_payload(result: CalibrationResult,
-                     sizes: Optional[list[int]] = None) -> dict:
-    if sizes is None:
-        sizes = bench.DEFAULT_SWEEP_SIZES
+def defaults_payload(result: CalibrationResult) -> dict:
     return {
         "version": DEFAULTS_VERSION,
         "model": result.model.to_dict(),
         "calibration": {
-            "sweep_sizes": list(sizes),
+            "sweep_sizes": list(bench.DEFAULT_SWEEP_SIZES),
             "target_slowdown": TARGET_SLOWDOWN,
             "target_improvement": TARGET_IMPROVEMENT,
             "tolerance": TOLERANCE,
@@ -244,7 +231,7 @@ def _run_calibrate(args) -> int:
     if not result.solvable:
         pinned = ("with direct_overhead fixed" if args.fix_overhead is not None
                   else "with a non-negative home_leg_factor")
-        print(f"E_NO_SOLUTION: both targets are unreachable together {pinned}; "
+        print(f"{NoSolutionError.code}: both targets are unreachable together {pinned}; "
               f"nearest joint fit: slowdown={result.nearest_slowdown:.4f}, "
               f"improvement={result.nearest_improvement:.4f} "
               f"(direct_overhead={result.nearest_overhead:.6g}, "

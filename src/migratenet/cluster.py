@@ -120,29 +120,12 @@ def collapse_path(raw: list[NodeId]) -> list[NodeId]:
     """Drop consecutive duplicate nodes from a path.
 
     Nothing in the package calls this; it stays as the reference oracle the
-    tests check :func:`relay_legs` against."""
+    tests check the waypoints of ``Router._relay_route`` against."""
     out: list[NodeId] = []
     for node in raw:
         if not out or out[-1] != node:
             out.append(node)
     return out
-
-
-def network_hops(path: list[NodeId]) -> int:
-    return len(path) - 1
-
-
-def relay_legs(sender: NodeId, src_home: NodeId, dst_home: NodeId,
-               receiver: NodeId) -> list[tuple[NodeId, NodeId, bool]]:
-    """Network legs of the relay route sender -> src_home -> dst_home ->
-    receiver as ``(from, to, home_leg)``, dropping legs whose ends coincide.
-
-    The first and last legs join a process's node to its home node and are
-    tagged as home legs; the middle leg joins the two homes.  No legs means
-    shared-memory delivery.
-    """
-    return [leg for leg in ((sender, src_home, True), (src_home, dst_home, False),
-                            (dst_home, receiver, True)) if leg[0] != leg[1]]
 
 
 class ClusterState:
@@ -225,14 +208,6 @@ class ClusterState:
 
     def residency(self, pid: GPid) -> NodeId:
         return self._record(pid).current
-
-    def relay_path(self, src: GPid, dst: GPid) -> list[NodeId]:
-        """Baseline route: sender node, sender home, receiver home, receiver
-        node, with consecutive duplicates collapsed.  A single-node result
-        means shared-memory delivery (zero network hops)."""
-        r1 = self.residency(src)
-        legs = relay_legs(r1, src.home, dst.home, self.residency(dst))
-        return [r1] + [to for _, to, _ in legs]
 
     def node_load(self, n: NodeId) -> float:
         self._check_node(n)

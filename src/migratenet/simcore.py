@@ -78,11 +78,12 @@ def latency_of(path: list[int], size: int, model: LatencyModel,
 
     A single-node path is a shared-memory delivery; otherwise every hop costs
     the full per-hop latency (store-and-forward).  Direct transport adds its
-    fixed per-message overhead.  Relay routes, whose home legs may cost less
-    than a full hop, are priced by :func:`relay_latency` instead.
+    fixed per-message overhead.  Routes are priced in :mod:`migratenet.transport`
+    (``Router._price``), where a relay's home legs may cost less than a hop.
 
     Nothing in the package calls this; it stays as the homogeneous per-hop
-    reference oracle the tests check :func:`relay_latency` against.
+    reference oracle the tests check the price of ``Router._relay_route``
+    against at ``home_leg_factor`` 1.
     """
     if len(path) <= 1:
         total = model.shared_memory(size)
@@ -90,23 +91,6 @@ def latency_of(path: list[int], size: int, model: LatencyModel,
         total = (len(path) - 1) * model.net_hop(size)
     if transport is TransportKind.DIRECT:
         total += model.direct_overhead
-    return total
-
-
-def relay_latency(legs: list[tuple[int, int, bool]], size: int,
-                  model: LatencyModel) -> float:
-    """Latency of a relay route given as ``(from, to, home_leg)`` legs.
-
-    No legs is a shared-memory delivery.  Each home leg costs
-    ``home_leg_factor`` hops, any other leg one full hop (store-and-forward).
-    """
-    if not legs:
-        return model.shared_memory(size)
-    hop = model.net_hop(size)
-    home = hop * model.home_leg_factor
-    total = 0.0
-    for _, _, home_leg in legs:
-        total += home if home_leg else hop
     return total
 
 

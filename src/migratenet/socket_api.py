@@ -219,8 +219,8 @@ class SocketStack:
             if h.state is SocketState.LISTENING and h.pending:
                 ready.append(h)
             elif h.state is SocketState.ESTABLISHED:
-                if any(c.ready_at <= at for c in h.recv_queue) or \
-                        (h.peer_closed and not h.recv_queue):
+                # send keeps ready_at non-decreasing: the head chunk arrives first
+                if (h.recv_queue[0].ready_at <= at if h.recv_queue else h.peer_closed):
                     ready.append(h)
         return ready
 

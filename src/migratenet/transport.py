@@ -1,16 +1,17 @@
 """Byte-transfer layer: home-node relay, direct with home fallback, and auto.
 
-A send resolves its whole *route* atomically against the current cluster
-state: the links it crosses in order as ``(frame kind, from, to)``, the
-latency from send start to payload arrival, priced while the route is built,
-and the nodes that carried the payload without terminating it.  One loop,
-:meth:`Router._carry`, accounts and traces every link of any route, and
-auto's direct estimate is the price of the route the sender believes in.
+This is the one module that builds and prices routes.  A send resolves its
+whole *route* atomically against the current cluster state: the links it
+crosses in order as ``(frame kind, from, to, cost)``, each priced when it is
+built, and the nodes that carried the payload without terminating it.
+:meth:`Router._price` adds the costs of a route's links into its latency, and
+:meth:`Router._carry` accounts and traces every link of any route.
 
-A relay route transits both endpoints' home nodes (:func:`relay_legs`, priced
-by :func:`relay_latency`).  A direct route goes to the node where the sender
-node's bulletin believes the receiver runs and falls back to the receiver's
-home node, which always knows the true location:
+A relay route (:meth:`Router._relay_route`) transits both endpoints' home
+nodes: sender -> src home -> dst home -> receiver, with legs whose ends
+coincide dropped.  A direct route (:meth:`Router._direct_route`) goes to the
+node where the sender node's bulletin believes the receiver runs and falls
+back to the receiver's home node, which always knows the true location:
 
 * local: the receiver is co-resident -> shared memory, no frames;
 * hit: the entry is right -> one DATA hop;
@@ -23,6 +24,8 @@ home node, which always knows the true location:
 The home forwards the payload when it does not host the receiver.  If the
 send went through the home or the home forwarded it, and the home is not the
 sender, the home also sends a LOC_REPLY that refreshes the sender's bulletin.
+Auto resolves the send once and prices both routes to the node the sender
+believes dst runs on.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .cluster import ClusterState, GPid, NodeId, relay_legs
+from .cluster import ClusterState, GPid, NodeId
 from .errors import MessageTooLargeError
-from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, relay_latency
+from .simcore import EventQueue, LatencyModel, Metrics, TransportKind
 
 DEFAULT_RELAY_MAX = 2 ** 30
 DEFAULT_DIRECT_MAX = 2 ** 31
@@ -51,8 +54,11 @@ class FrameKind(Enum):
 # members as globals: one Enum attribute lookup costs ~0.2 us on CPython 3.11
 DATA, LOC_REPLY, NACK_UNKNOWN = FrameKind.DATA, FrameKind.LOC_REPLY, FrameKind.NACK_UNKNOWN
 RELAY, DIRECT = TransportKind.RELAY, TransportKind.DIRECT
-# links as (kind, from, to), latency to payload arrival, nodes that relayed
-Route = tuple[list[tuple[FrameKind, NodeId, NodeId]], float, tuple[NodeId, ...]]
+# links as (kind, from, to, cost), and the nodes that relayed
+Link = tuple[FrameKind, NodeId, NodeId, float]
+Route = tuple[list[Link], tuple[NodeId, ...]]
+# _first_target's answer: first node, via dst's home, direct outcome, dst's node
+Resolved = tuple[NodeId, bool, str, NodeId]
 
 
 @dataclass(frozen=True)
@@ -103,19 +109,66 @@ class Router:
         receiver = self.cluster.residency(dst)
         if size > self.config.relay_max:
             raise MessageTooLargeError(f"{size} > relay cap {self.config.relay_max}")
-        self.metrics.sends["relay"] += 1
-        legs = relay_legs(sender, src.home, dst.home, receiver)
-        route = ([(DATA, frm, to) for frm, to, _ in legs], relay_latency(legs, size, self.model),
-                 tuple(to for _, to, _ in legs[:-1]))
-        return self._carry(RELAY, route, src, dst, size, receiver)
+        return self._relay(sender, src, dst, size, receiver)
 
     def send_direct(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
         """Node-to-node send using the sender's bulletin, home fallback on
         miss or stale entries.  At most three DATA link traversals."""
         sender = self.cluster.residency(src)
-        target, via_home, outcome, receiver = self._first_target(sender, dst)
+        resolved = self._first_target(sender, dst)
         if size > self.config.direct_max:
             raise MessageTooLargeError(f"{size} > direct cap {self.config.direct_max}")
+        return self._direct(sender, src, dst, size, resolved)
+
+    def send_auto(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
+        """Pick the transport the sender expects to be cheaper from its local
+        knowledge only (inf over a cap; ties go to relay).  The pick and how
+        far its estimate was from the latency charged go to the metrics."""
+        sender = self.cluster.residency(src)
+        resolved = self._first_target(sender, dst)
+        if size > self.config.relay_max and size > self.config.direct_max:
+            raise MessageTooLargeError(
+                f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
+        est_relay, est_direct = self._estimates(sender, src, dst, size, resolved)
+        if est_direct < est_relay:
+            picked, estimate = "direct", est_direct
+            report = self._direct(sender, src, dst, size, resolved)
+        else:
+            picked, estimate = "relay", est_relay
+            report = self._relay(sender, src, dst, size, resolved[3])
+        self.metrics.auto_picks[picked] += 1
+        self.metrics.auto_error += abs(estimate - report.latency)
+        return report
+
+    def _estimates(self, sender: NodeId, src: GPid, dst: GPid, size: int,
+                   resolved: Resolved) -> tuple[float, float]:
+        """Auto's prices of the relay and the direct route to the node the
+        sender believes dst runs on, inf over a transport's cap.  On a miss
+        that node is dst's home for the relay and, for the direct route, one
+        the home forwards to."""
+        target, via_home = resolved[0], resolved[1]
+        relay = direct = math.inf
+        if size <= self.config.relay_max:
+            links, _ = self._relay_route(sender, src.home, dst.home, target, size)
+            relay = self._price(RELAY, links, size)
+        if size <= self.config.direct_max:
+            believed = None if via_home else target
+            links, _ = self._direct_route(sender, dst, size, target, via_home, believed)
+            direct = self._price(DIRECT, links, size)
+        return relay, direct
+
+    def _relay(self, sender: NodeId, src: GPid, dst: GPid, size: int,
+               receiver: NodeId) -> DeliveryReport:
+        """Carry a relay send whose caps are checked."""
+        self.metrics.sends["relay"] += 1
+        route = self._relay_route(sender, src.home, dst.home, receiver, size)
+        return self._carry(RELAY, route, src, dst, size, receiver)
+
+    def _direct(self, sender: NodeId, src: GPid, dst: GPid, size: int,
+                resolved: Resolved) -> DeliveryReport:
+        """Carry a direct send whose caps are checked, and apply what it
+        teaches the sender's bulletin."""
+        target, via_home, outcome, receiver = resolved
         self.metrics.sends["direct"] += 1
         self.metrics.direct_outcomes[outcome] += 1
         route = self._direct_route(sender, dst, size, target, via_home, receiver)
@@ -127,43 +180,7 @@ class Router:
             bulletin.publish_location(dst, receiver, self.cluster.next_serial())
         return self._carry(DIRECT, route, src, dst, size, receiver)
 
-    def send_auto(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
-        """Pick the transport the sender expects to be cheaper from its local
-        knowledge only (inf over a cap; ties go to relay).  The pick and how
-        far its estimate was from the latency charged go to the metrics."""
-        self.cluster.residency(src)
-        self.cluster.residency(dst)
-        if size > self.config.relay_max and size > self.config.direct_max:
-            raise MessageTooLargeError(
-                f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
-        est_relay = self._estimate_relay(src, dst, size)
-        est_direct = self._estimate_direct(src, dst, size)
-        if est_direct < est_relay:
-            picked, estimate, report = "direct", est_direct, self.send(DIRECT, src, dst, size)
-        else:
-            picked, estimate, report = "relay", est_relay, self.send(RELAY, src, dst, size)
-        self.metrics.auto_picks[picked] += 1
-        self.metrics.auto_error += abs(estimate - report.latency)
-        return report
-
-    def _estimate_relay(self, src: GPid, dst: GPid, size: int) -> float:
-        if size > self.config.relay_max:
-            return math.inf
-        sender = self.cluster.residency(src)
-        target = self._first_target(sender, dst)[0]
-        return relay_latency(relay_legs(sender, src.home, dst.home, target), size, self.model)
-
-    def _estimate_direct(self, src: GPid, dst: GPid, size: int) -> float:
-        """The price of the direct route to the node the sender believes dst
-        runs on: the bulletin's node, or on a miss one the home forwards to."""
-        if size > self.config.direct_max:
-            return math.inf
-        sender = self.cluster.residency(src)
-        target, via_home, _, _ = self._first_target(sender, dst)
-        believed = None if via_home else target     # on a miss, the home forwards
-        return self._direct_route(sender, dst, size, target, via_home, believed)[1]
-
-    def _first_target(self, sender: NodeId, dst: GPid) -> tuple[NodeId, bool, str, NodeId]:
+    def _first_target(self, sender: NodeId, dst: GPid) -> Resolved:
         """Where `sender` sends for dst first, whether that is dst's home on a
         miss, the direct outcome and dst's node: ``(sender, False, "local",
         sender)`` when co-resident, else the bulletin's node (a hit if dst runs
@@ -179,45 +196,64 @@ class Router:
             return dst.home, True, "stale", receiver
         return hit[0], False, "hit" if hit[0] == receiver else "stale", receiver
 
+    def _relay_route(self, sender: NodeId, src_home: NodeId, dst_home: NodeId,
+                     receiver: NodeId, size: int) -> Route:
+        """The relay route sender -> src_home -> dst_home -> receiver, legs
+        whose ends coincide dropped.  The legs joining a process's node to its
+        home cost `home_leg_factor` hops, the leg between the homes one hop."""
+        hop = self.model.net_hop(size)
+        home = hop * self.model.home_leg_factor
+        links = [link for link in ((DATA, sender, src_home, home), (DATA, src_home, dst_home, hop),
+                                   (DATA, dst_home, receiver, home)) if link[1] != link[2]]
+        return links, tuple(link[2] for link in links[:-1])
+
     def _direct_route(self, sender: NodeId, dst: GPid, size: int, target: NodeId,
                       via_home: bool, receiver: Optional[NodeId]) -> Route:
         """The direct route from `sender` to `receiver` whose first DATA goes
         to `target` (dst's home when `via_home`).  A `receiver` of None is a
-        node other than the home, so the home forwards to it."""
-        model = self.model
+        node other than the home, so the home forwards to it.  DATA costs one
+        hop, NACK_UNKNOWN a control-size hop, and LOC_REPLY nothing: it comes
+        after arrival."""
         if receiver == sender:
             # the hosting node sees its own residents; no lookup, no network
-            return [], model.shared_memory(size) + model.direct_overhead, ()
+            return [], ()
         home = dst.home
-        hop = model.net_hop(size)
+        hop = self.model.net_hop(size)
         links = []
-        latency = 0.0      # legs are added in arrival order
         if not via_home and target not in (receiver, home):
             # stale: the believed node bounces the payload; fall back as a miss
-            links += (DATA, sender, target), (NACK_UNKNOWN, target, sender)
-            latency = hop + model.net_hop(self.config.control_size)
+            links += ((DATA, sender, target, hop),
+                      (NACK_UNKNOWN, target, sender, self.model.net_hop(self.config.control_size)))
             target, via_home = home, True
         if target != sender:
-            links.append((DATA, sender, target))
-            latency += hop
+            links.append((DATA, sender, target, hop))
         forwarded = target != receiver     # then target is the home
         if forwarded:
-            links.append((DATA, home, receiver))
-            latency += hop
+            links.append((DATA, home, receiver, hop))
         if home != sender and (via_home or forwarded):
-            links.append((LOC_REPLY, home, sender))
-        return links, latency + model.direct_overhead, (home,) if forwarded else ()
+            links.append((LOC_REPLY, home, sender, 0.0))
+        return links, (home,) if forwarded else ()
+
+    def _price(self, transport: TransportKind, links: list[Link], size: int) -> float:
+        """Latency from send start to payload arrival: the link costs added in
+        route order (no links: a shared-memory delivery), plus the fixed
+        overhead of a direct send.  An explicit loop, not `sum`, which
+        compensates its rounding on Python 3.12 and would change the floats."""
+        total = 0.0 if links else self.model.shared_memory(size)
+        for link in links:
+            total += link[3]
+        return total + self.model.direct_overhead if transport is DIRECT else total
 
     def _carry(self, transport: TransportKind, route: Route, src: GPid, dst: GPid,
                size: int, receiver: NodeId) -> DeliveryReport:
         """Account and trace every link of `route`, then its relays and the
         delivery to `receiver`.  DATA frames carry `size` bytes from src to
         dst; control frames carry the control size from dst back to src."""
-        links, latency, relayed = route
+        links, relayed = route
         metrics = self.metrics
         trace = self.trace
         hops = 0
-        for kind, frm, to in links:
+        for kind, frm, to, _ in links:
             if kind is DATA:
                 hops += 1
                 nbytes = size
@@ -232,4 +268,5 @@ class Router:
         for node in relayed:
             metrics.relay(node, size)
         metrics.deliver(receiver, size)
-        return DeliveryReport(transport, hops, latency, len(links), relayed)
+        return DeliveryReport(transport, hops, self._price(transport, links, size), len(links),
+                              relayed)

@@ -64,8 +64,7 @@ def criterion_1():
                     sim.cluster.migrate(a, r1)
                     sim.cluster.migrate(b, r2)
                     sim.converge()
-                    from migratenet.cluster import network_hops
-                    if network_hops(sim.cluster.relay_path(a, b)) != oracle_relay:
+                    if sim.router.send_relay(a, b, 1024).network_hops != oracle_relay:
                         return False, f"relay mismatch at {placement}"
                     if sim.router.send_direct(a, b, 1024).network_hops != oracle_direct:
                         return False, f"direct mismatch at {placement}"

@@ -185,6 +185,13 @@ def test_imbalance_balanced_preset_makes_no_moves():
 
 # -- gossip stats ----------------------------------------------------------------------
 
+def test_gossip_stats_one_node_is_full_at_round_zero():
+    report = bench.gossip_stats(nodes=1, seed=4)
+    assert report.passed
+    assert report.extra["rounds_to_full"] == "0"
+    assert report.gossip_rows == [(0, 1, 0, 0)]
+
+
 def test_gossip_stats_rows_and_convergence():
     report = bench.gossip_stats(nodes=16, seed=4)
     assert report.passed
@@ -242,30 +249,41 @@ def generated_scenario(seed: int) -> dict:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_counters_match_outside_classification(monkeypatch, seed):
     router = Router
-    send_direct, send_auto = router.send_direct, router.send_auto
+    send_direct, send_auto, auto_estimates = router.send_direct, router.send_auto, router._estimates
     outcomes = dict.fromkeys(("local", "hit", "miss", "stale"), 0)
     auto_error = 0.0
+    last_estimates = {}
 
-    def classified(self, src, dst, size):
+    def classify(self, src, dst):
         # the sender's bulletin entry against the true node, before the send
         sender = self.cluster.residency(src)
         true_node = self.cluster.residency(dst)
         hint = self.cluster.bulletins[sender].lookup_location(dst)
-        outcome = ("local" if true_node == sender else "miss" if hint is None
-                   else "hit" if hint[0] == true_node else "stale")
-        outcomes[outcome] += 1
+        return ("local" if true_node == sender else "miss" if hint is None
+                else "hit" if hint[0] == true_node else "stale")
+
+    def classified(self, src, dst, size):
+        outcomes[classify(self, src, dst)] += 1
         return send_direct(self, src, dst, size)
 
-    def estimated(self, src, dst, size):
+    def estimated(self, *args):
+        relay, direct = auto_estimates(self, *args)
+        last_estimates.update({TransportKind.RELAY: relay, TransportKind.DIRECT: direct})
+        return relay, direct
+
+    def picked(self, src, dst, size):
         nonlocal auto_error
-        estimates = {TransportKind.RELAY: self._estimate_relay(src, dst, size),
-                     TransportKind.DIRECT: self._estimate_direct(src, dst, size)}
+        outcome = classify(self, src, dst)
         report = send_auto(self, src, dst, size)
-        auto_error += abs(estimates[report.transport] - report.latency)
+        auto_error += abs(last_estimates[report.transport] - report.latency)
+        if report.transport is TransportKind.DIRECT:
+            # auto carries its direct picks itself, not through send_direct
+            outcomes[outcome] += 1
         return report
 
     monkeypatch.setattr(router, "send_direct", classified)
-    monkeypatch.setattr(router, "send_auto", estimated)
+    monkeypatch.setattr(router, "send_auto", picked)
+    monkeypatch.setattr(router, "_estimates", estimated)
     scenario = bench.Scenario.from_dict(generated_scenario(seed))
     report = bench.run_scenario(scenario)
     m = report.metrics

@@ -328,14 +328,6 @@ def test_calibrate_zero_overhead_is_degenerate():
     assert not result.solvable
 
 
-def test_calibrate_strict_raises_no_solution():
-    from migratenet.errors import NoSolutionError
-    with pytest.raises(NoSolutionError) as err:
-        cli.calibrate(overhead_override=0.0, strict=True)
-    assert err.value.code == "E_NO_SOLUTION"
-    assert "nearest fit" in str(err.value)
-
-
 def test_shipped_defaults_match_regenerated_calibration():
     regenerated = cli.defaults_payload(cli.calibrate())
     shipped_path = os.path.join(os.path.dirname(cli.__file__), "defaults.json")

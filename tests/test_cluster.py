@@ -1,12 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from migratenet.cluster import (ClusterState, GPid, Topology, collapse_path, network_hops,
-                               relay_legs)
+from conftest import TEST_MODEL
+from migratenet.cluster import ClusterState, GPid, Topology, collapse_path
 from migratenet.errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
+from migratenet.transport import DATA, Router
 
 
 def cluster(n=6) -> ClusterState:
@@ -119,30 +121,34 @@ def test_locate_unknown():
         state.locate_authoritative(GPid(1, 1))
 
 
-# -- relay_path ----------------------------------------------------------------
+# -- relay route ---------------------------------------------------------------
+
+def relay_path(state: ClusterState, src: GPid, dst: GPid) -> list:
+    """The nodes the relay route from src to dst visits, as the router builds it."""
+    sender = state.residency(src)
+    links, _ = Router(state, TEST_MODEL)._relay_route(sender, src.home, dst.home,
+                                                      state.residency(dst), 0)
+    return [sender] + [to for _, _, to, _ in links]
+
 
 def test_relay_path_all_distinct_three_hops():
     state = cluster()
     src, dst = state.spawn(0), state.spawn(1)
     state.migrate(src, 2)
     state.migrate(dst, 3)
-    path = state.relay_path(src, dst)
-    assert path == [2, 0, 1, 3]
-    assert network_hops(path) == 3
+    assert relay_path(state, src, dst) == [2, 0, 1, 3]
 
 
 def test_relay_path_unmigrated_collapses_to_one_hop():
     state = cluster()
     src, dst = state.spawn(0), state.spawn(1)
-    assert state.relay_path(src, dst) == [0, 1]
+    assert relay_path(state, src, dst) == [0, 1]
 
 
 def test_relay_path_same_process_everything_coincides():
     state = cluster()
     src, dst = state.spawn(2), state.spawn(2)
-    path = state.relay_path(src, dst)
-    assert path == [2]
-    assert network_hops(path) == 0
+    assert relay_path(state, src, dst) == [2]
 
 
 def test_relay_path_coresident_distinct_homes_still_transits_homes():
@@ -152,7 +158,7 @@ def test_relay_path_coresident_distinct_homes_still_transits_homes():
     src, dst = state.spawn(0), state.spawn(1)
     state.migrate(src, 4)
     state.migrate(dst, 4)
-    assert state.relay_path(src, dst) == [4, 0, 1, 4]
+    assert relay_path(state, src, dst) == [4, 0, 1, 4]
 
 
 @settings(max_examples=200)
@@ -163,19 +169,22 @@ def test_collapse_path_oracle(raw):
     assert all(a != b for a, b in zip(collapsed, collapsed[1:]))
     assert collapsed[0] == raw[0] and collapsed[-1] == raw[-1]
     # independent hop oracle: hops == count of unequal consecutive pairs
-    assert network_hops(collapsed) == sum(1 for a, b in zip(raw, raw[1:]) if a != b)
+    assert len(collapsed) - 1 == sum(1 for a, b in zip(raw, raw[1:]) if a != b)
 
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))
 def test_relay_legs_walk_the_collapsed_path_and_tag_home_legs(waypoints):
     sender, src_home, dst_home, receiver = waypoints
-    legs = relay_legs(sender, src_home, dst_home, receiver)
-    assert [sender] + [to for _, to, _ in legs] == collapse_path(waypoints)
-    # only the leg between the two homes is charged as a full hop
-    inter_home = [(frm, to) for frm, to, home_leg in legs if not home_leg]
+    router = Router(cluster(4), replace(TEST_MODEL, home_leg_factor=0.25))
+    links, relayed = router._relay_route(sender, src_home, dst_home, receiver, 0)
+    assert [sender] + [to for _, _, to, _ in links] == collapse_path(waypoints)
+    assert all(kind is DATA for kind, *_ in links)
+    assert relayed == tuple(to for _, _, to, _ in links[:-1])
+    # only the leg between the two homes is charged as a full hop (1.0 at size 0)
+    inter_home = [(frm, to) for _, frm, to, cost in links if cost == 1.0]
     assert inter_home == ([(src_home, dst_home)] if src_home != dst_home else [])
-    assert sum(home_leg for *_, home_leg in legs) == \
+    assert sum(cost == 0.25 for *_, cost in links) == \
         (sender != src_home) + (dst_home != receiver)
 
 

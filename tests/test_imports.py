@@ -1,0 +1,65 @@
+"""Every module of the package uses each name it imports.
+
+Parsed with `ast`, so nothing is imported or run.  Re-exports in
+``__init__.py`` are exempt, and a name used only inside a string annotation
+counts as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import migratenet
+
+MODULES = sorted(p for p in Path(migratenet.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, those inside string annotations included."""
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_string_annotations_count_as_uses():
+    tree = ast.parse("from typing import TYPE_CHECKING\n"
+                     "if TYPE_CHECKING:\n    from x import A, B\n"
+                     "def f(a: 'A') -> 'list[B]': ...\n")
+    assert not set(imported_names(tree)) - used_names(tree)
+    assert "C" not in used_names(ast.parse("import C\n"))

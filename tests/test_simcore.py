@@ -5,7 +5,7 @@ import pytest
 from conftest import TEST_MODEL, build_sim, place_pair
 from migratenet.errors import TimeTravelError
 from migratenet.simcore import (EventQueue, LatencyModel, Metrics, TransportKind,
-                                latency_of, load_model, relay_latency)
+                                latency_of, load_model)
 
 
 # -- latency model -------------------------------------------------------------
@@ -64,13 +64,20 @@ def test_relay_latency_charges_home_legs_at_the_factor():
     s = 200
     hop = TEST_MODEL.alpha_net + s / TEST_MODEL.beta_net
     model = replace(TEST_MODEL, home_leg_factor=0.25)
-    legs = [(2, 0, True), (0, 1, False), (1, 3, True)]
-    assert relay_latency(legs, s, model) == hop * 0.25 + hop + hop * 0.25
-    assert relay_latency(legs[1:2], s, model) == hop
-    assert relay_latency([], s, model) == model.shared_memory(s)
+    router = build_sim(model=model).router
+
+    def price(sender, src_home, dst_home, receiver):
+        links, _ = router._relay_route(sender, src_home, dst_home, receiver, s)
+        return router._price(TransportKind.RELAY, links, s)
+
+    assert price(2, 0, 1, 3) == hop * 0.25 + hop + hop * 0.25
+    assert price(0, 0, 1, 1) == hop     # only the leg between the homes
+    assert price(2, 2, 2, 2) == model.shared_memory(s)
     # factor 1 is the homogeneous per-hop model
-    assert relay_latency(legs, s, TEST_MODEL) == latency_of([2, 0, 1, 3], s, TEST_MODEL,
-                                                            TransportKind.RELAY)
+    flat = build_sim().router
+    links, _ = flat._relay_route(2, 0, 1, 3, s)
+    assert flat._price(TransportKind.RELAY, links, s) == latency_of([2, 0, 1, 3], s, TEST_MODEL,
+                                                                     TransportKind.RELAY)
 
 
 def test_packaged_defaults_load():

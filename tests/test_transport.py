@@ -5,14 +5,20 @@ import pytest
 
 from conftest import TEST_MODEL, build_sim, place_pair
 from migratenet.errors import MessageTooLargeError, NoSuchProcessError
-from migratenet.cluster import GPid
-from migratenet.gossip import force_convergence
+from migratenet.cluster import ClusterState, GPid
+from migratenet.gossip import Bulletin, force_convergence
 from migratenet.simcore import TransportKind
-from migratenet.transport import TransportConfig
+from migratenet.transport import Router, TransportConfig
 
 HOP = lambda s: TEST_MODEL.alpha_net + s / TEST_MODEL.beta_net
 SM = lambda s: TEST_MODEL.alpha_sm + s / TEST_MODEL.beta_sm
 D = TEST_MODEL.direct_overhead
+
+
+def estimates(router, src, dst, size) -> tuple[float, float]:
+    """Auto's relay and direct estimates for one send, resolved as auto does."""
+    sender = router.cluster.residency(src)
+    return router._estimates(sender, src, dst, size, router._first_target(sender, dst))
 
 
 # -- relay ---------------------------------------------------------------------
@@ -365,7 +371,7 @@ def test_auto_relay_estimate_equals_charged_relay_latency():
             sim = build_sim(model=model)
             a, b = place_pair(sim, 0, 1, 2, at_b)
             sim.converge()
-            estimate = sim.router._estimate_relay(a, b, size)
+            estimate = estimates(sim.router, a, b, size)[0]
             assert estimate == sim.router.send_relay(a, b, size).latency
 
 
@@ -392,7 +398,7 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
             believed = [("DATA", at_a, belief)]
         price = len(believed) * HOP(size) + D if believed else SM(size) + D
 
-        estimate = sim.router._estimate_direct(a, b, size)
+        estimate = estimates(sim.router, a, b, size)[1]
         charged = sim.router.send_direct(a, b, size).latency
 
         assert estimate == price
@@ -402,6 +408,28 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
     # local, hit, and a miss or self-claiming entry with b away from home;
     # the rest are a miss with b at home and a stale entry naming another node
     assert charged_as_estimated == 164
+
+
+def test_auto_direct_send_resolves_once(monkeypatch):
+    sim = build_sim()
+    a, b = place_pair(sim, 0, 1, 2, 3)
+    sim.converge()
+    calls = {"residency": 0, "_first_target": 0, "lookup_location": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ClusterState, "residency")
+    counted(Router, "_first_target")
+    counted(Bulletin, "lookup_location")
+    rep = sim.router.send_auto(a, b, 1000)
+    assert rep.transport is TransportKind.DIRECT
+    assert calls == {"residency": 2, "_first_target": 1, "lookup_location": 1}
 
 
 def test_auto_picks_relay_when_cheap_home_legs_beat_direct_overhead():
