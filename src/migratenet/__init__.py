@@ -7,9 +7,8 @@ from .cluster import (ClusterState, GPid, MigrationEvent, NodeId, ProcessRecord,
                       Topology, collapse_path)
 from .errors import (AddressInUseError, BadNodeError, BadStateError,
                      ConnRefusedError, InvalidScenarioError,
-                     MessageTooLargeError, NoConvergenceError, NoSolutionError,
-                     NoSuchProcessError, SimulatorError, TimeTravelError,
-                     WouldBlockError)
+                     MessageTooLargeError, NoConvergenceError, NoSuchProcessError,
+                     SimulatorError, TimeTravelError, WouldBlockError)
 from .gossip import (Bulletin, GossipConfig, GossipDigest, LoadEntry,
                      LocationEntry, RoundReport, gossip_round, make_digest, merge)
 from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, latency_of, load_model

@@ -289,28 +289,32 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     if scenario.pre_converge:
         report.convergence_rounds = sim.converge()
 
-    horizon = 0.0
-    for m in scenario.migrations:
-        horizon = max(horizon, m.time)
-        sim.queue.schedule(m.time, lambda m=m: sim.cluster.migrate(pids[m.pid], m.to))
-    for t in scenario.traffic:
-        for k in range(t.count):
-            at = t.time + k * t.interval
-            horizon = max(horizon, at)
+    # the whole timeline as (time, action, arg) rows on the queue's tape, in
+    # the order the rows count as scheduled: migrations, sends, gossip rounds
+    cluster, router, rows = sim.cluster, sim.router, report.latency_rows
+    series = {kind: kind.value for kind in TransportKind}
 
-            def fire(t=t, at=at):
-                rep = sim.router.send(t.transport, pids[t.src], pids[t.dst], t.size)
-                report.latency_rows.append((t.size, rep.latency, t.transport.value))
+    def migrate(m: MigrationSpec) -> None:
+        cluster.migrate(pids[m.pid], m.to)
 
-            sim.queue.schedule(at, fire)
+    def send(t: TrafficSpec) -> None:
+        rep = router.send(t.transport, pids[t.src], pids[t.dst], t.size)
+        rows.append((t.size, rep.latency, series[t.transport]))
 
+    def gossip_round(config: GossipConfig) -> None:
+        sim.metrics.add_round(gossip.gossip_round(cluster, sim.rng, config))
+
+    timeline = [(m.time, migrate, m) for m in scenario.migrations]
+    timeline += [(t.time + k * t.interval, send, t)
+                 for t in scenario.traffic for k in range(t.count)]
+    horizon = max((at for at, _, _ in timeline), default=0.0)
     period = 1.0 / scenario.gossip_config.rounds_per_second
     next_round = period
     while next_round <= horizon:
-        sim.queue.schedule(next_round, lambda: sim.metrics.add_round(
-            gossip.gossip_round(sim.cluster, sim.rng, scenario.gossip_config)))
+        timeline.append((next_round, gossip_round, scenario.gossip_config))
         next_round += period
 
+    sim.queue.lay(timeline)
     sim.metrics.events = sim.queue.run()
     report.metrics = sim.metrics.snapshot()
     report.extra["sends"] = str(len(report.latency_rows))

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bench
-from .errors import InvalidScenarioError, NoSolutionError, SimulatorError
+from .errors import E_NO_SOLUTION, InvalidScenarioError, SimulatorError
 from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, LatencyModel, check, load_model
 
 SEED_ENV = "MIGRATENET_SEED"
@@ -231,7 +231,7 @@ def _run_calibrate(args) -> int:
     if not result.solvable:
         pinned = ("with direct_overhead fixed" if args.fix_overhead is not None
                   else "with a non-negative home_leg_factor")
-        print(f"{NoSolutionError.code}: both targets are unreachable together {pinned}; "
+        print(f"{E_NO_SOLUTION}: both targets are unreachable together {pinned}; "
               f"nearest joint fit: slowdown={result.nearest_slowdown:.4f}, "
               f"improvement={result.nearest_improvement:.4f} "
               f"(direct_overhead={result.nearest_overhead:.6g}, "

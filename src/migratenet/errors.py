@@ -4,6 +4,10 @@ Every error carries a stable ``code`` string so scenario reports and CLI
 diagnostics can refer to failures without parsing messages.
 """
 
+# `calibrate`'s code when both targets are out of reach together; it is a
+# reported outcome (exit 1), not an exception
+E_NO_SOLUTION = "E_NO_SOLUTION"
+
 
 class SimulatorError(Exception):
     code = "E_GENERIC"
@@ -49,10 +53,6 @@ class InvalidScenarioError(SimulatorError, ValueError):
     """A scenario, config file or CLI value the simulator rejects.  It is
     also a `ValueError`, so code that catches bad values catches it too."""
     code = "E_INVALID_SCENARIO"
-
-
-class NoSolutionError(SimulatorError):
-    code = "E_NO_SOLUTION"
 
 
 class NoConvergenceError(SimulatorError):

@@ -265,10 +265,17 @@ def is_converged(state: "ClusterState") -> bool:
 def converge(state: "ClusterState", rng: random.Random,
              config: GossipConfig = GossipConfig(), max_rounds: int = 1000) -> int:
     """Run rounds until `is_converged`; returns the number of rounds used.
-    Raises `NoConvergenceError` when `max_rounds` rounds are not enough."""
+    Raises `NoConvergenceError` when `max_rounds` rounds are not enough, and
+    at once, before any round, when every exchange is dropped."""
     for done in range(max_rounds + 1):
         if is_converged(state):
             return done
+        if config.drop_probability >= 1.0 and state.node_count >= 2:
+            # rng.random() < 1.0 always holds, so no bulletin can learn
+            # anything; entries never expire and ageing cannot converge them
+            raise NoConvergenceError(
+                f"every gossip exchange is dropped (drop_probability "
+                f"{config.drop_probability}), so gossip cannot converge")
         gossip_round(state, rng, config)
     raise NoConvergenceError(f"gossip failed to converge within {max_rounds} rounds")
 

@@ -1,8 +1,9 @@
 """Discrete-event engine, parametric latency model, and metrics collection.
 
-Everything here is deterministic: the event queue orders strictly by
-(time, insertion sequence), and the latency model is pure arithmetic, so a
-(scenario, seed) pair always reproduces bit-identical outputs.
+Everything here is deterministic: the event queue runs events in (time,
+scheduling order), entries laid on its tape counting as scheduled first,
+and the latency model is pure arithmetic, so a (scenario, seed) pair always
+reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional, get_type_hints
+from typing import Any, Callable, Iterable, Optional, get_type_hints
 
 from .errors import InvalidScenarioError, TimeTravelError
 
@@ -203,21 +205,43 @@ def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None
 
 
 class EventQueue:
-    """Deterministic event queue: dequeues strictly by (time, insertion seq)."""
+    """Deterministic event queue: runs events in (time, scheduling order).
+
+    Events come from two sources.  `schedule` pushes one action on a heap,
+    so actions can schedule further actions.  `lay` puts a whole timeline of
+    `(time, fn, arg)` rows on a pre-sorted tape in one step, with no heap
+    push or pop per row.  A tape can be laid only on an empty queue, so its
+    entries count as scheduled before every heap event: at equal times the
+    tape runs first.
+    """
 
     def __init__(self):
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
+        self._tape: list[tuple[float, Callable[[Any], None], Any]] = []
+        self._pos = 0   # the next tape entry to run
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._tape) - self._pos
 
     def schedule(self, t: float, action: Callable[[], None]) -> None:
         if not t >= self.now:   # NaN too: it would never come due
             raise TimeTravelError(f"schedule at {t} before now={self.now}")
         heapq.heappush(self._heap, (t, self._seq, action))
         self._seq += 1
+
+    def lay(self, entries: Iterable[tuple[float, Callable[[Any], None], Any]]) -> None:
+        """Lay `(time, fn, arg)` rows on the tape; each runs as `fn(arg)` at
+        its time, rows of equal time in the order given."""
+        if len(self):
+            raise TimeTravelError(f"lay on a queue that still holds {len(self)} events")
+        tape = sorted(entries, key=itemgetter(0))   # stable: ties keep their order
+        now = self.now
+        for t, _, _ in tape:
+            if not t >= now:    # NaN too, as in `schedule`
+                raise TimeTravelError(f"lay at {t} before now={now}")
+        self._tape, self._pos = tape, 0
 
     def run_until(self, t_end: float) -> int:
         """Execute all events with time <= t_end; the clock ends at t_end."""
@@ -230,14 +254,28 @@ class EventQueue:
         return self._dispatch(math.inf)
 
     def _dispatch(self, t_end: float) -> int:
-        """Execute events in order while the earliest is due by `t_end`;
-        returns how many ran."""
+        """Execute events in order while the earliest is due by `t_end`,
+        merging the tape with the heap; returns how many ran."""
         count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            t, _, action = heapq.heappop(self._heap)
-            self.now = t
-            action()
+        heap = self._heap
+        while True:
+            tape, pos = self._tape, self._pos   # an action may lay a new tape
+            if pos < len(tape) and (not heap or tape[pos][0] <= heap[0][0]):
+                t, fn, arg = tape[pos]
+                if t > t_end:
+                    break
+                self._pos = pos + 1
+                self.now = t
+                fn(arg)
+            elif heap and heap[0][0] <= t_end:
+                t, _, action = heapq.heappop(heap)
+                self.now = t
+                action()
+            else:
+                break
             count += 1
+        if self._pos == len(self._tape):     # drained: let the rows go
+            self._tape, self._pos = [], 0
         return count
 
 

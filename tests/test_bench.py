@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_MODEL
-from migratenet import bench
+from migratenet import bench, gossip
 from migratenet.errors import InvalidScenarioError
 from migratenet.simcore import TransportKind, load_model
 from migratenet.transport import Router
@@ -298,6 +298,86 @@ def test_counters_match_outside_classification(monkeypatch, seed):
     assert m.control_frames["NACK_UNKNOWN"] > 0 and m.control_frames["LOC_REPLY"] > 0
     assert m.gossip_totals["rounds"] == 19      # every 0.1 s up to the last send, after 1.9 s
     assert m.events == m.gossip_totals["rounds"] + len(scenario.migrations) + sum(asked.values())
+
+
+# -- the event tape --------------------------------------------------------------
+
+def heap_run_scenario(scenario: bench.Scenario) -> bench.Report:
+    """Reference for `run_scenario`: the same timeline scheduled on the
+    queue's heap, one closure and one heap event per migration, send and
+    gossip round, in the same order."""
+    sim = bench.Simulation.build(scenario.topology, scenario.model, scenario.caps,
+                                 scenario.seed, scenario.gossip_config)
+    pids = {spec.id: sim.cluster.spawn(spec.home, spec.job, spec.work)
+            for spec in scenario.processes}
+    report = bench.Report(scenario.name, scenario.seed)
+    if scenario.pre_converge:
+        report.convergence_rounds = sim.converge()
+
+    horizon = 0.0
+    for m in scenario.migrations:
+        horizon = max(horizon, m.time)
+        sim.queue.schedule(m.time, lambda m=m: sim.cluster.migrate(pids[m.pid], m.to))
+    for t in scenario.traffic:
+        for k in range(t.count):
+            at = t.time + k * t.interval
+            horizon = max(horizon, at)
+
+            def fire(t=t, at=at):
+                rep = sim.router.send(t.transport, pids[t.src], pids[t.dst], t.size)
+                report.latency_rows.append((t.size, rep.latency, t.transport.value))
+
+            sim.queue.schedule(at, fire)
+
+    period = 1.0 / scenario.gossip_config.rounds_per_second
+    next_round = period
+    while next_round <= horizon:
+        sim.queue.schedule(next_round, lambda: sim.metrics.add_round(
+            gossip.gossip_round(sim.cluster, sim.rng, scenario.gossip_config)))
+        next_round += period
+
+    sim.metrics.events = sim.queue.run()
+    report.metrics = sim.metrics.snapshot()
+    return report
+
+
+def tied_scenario(seed: int) -> dict:
+    """Sends, migrations and lossy gossip rounds on shared times: every
+    migration and most bursts of sends (`count` > 1 at `interval` 0) land on
+    a gossip round's time, so the order of ties decides what each send meets."""
+    rng = random.Random(seed)
+    nodes, rounds_per_second = 6, 10.0
+    ids = [f"p{i}" for i in range(10)]
+    round_times, at = [], 1.0 / rounds_per_second
+    for _ in range(12):     # accumulated as run_scenario accumulates them
+        round_times.append(at)
+        at += 1.0 / rounds_per_second
+    return {
+        "version": 1, "name": "tied", "seed": seed, "pre_converge": False,
+        "topology": {"kind": "mesh", "nodes": nodes},
+        "processes": [{"id": pid, "home": rng.randrange(nodes)} for pid in ids],
+        "migrations": [{"time": t, "pid": rng.choice(ids), "to": rng.randrange(nodes)}
+                       for t in round_times for _ in range(2)],
+        "traffic": [{"time": rng.choice([0.0, *round_times]), "src": src, "dst": dst,
+                     "transport": rng.choice(("relay", "direct", "auto")),
+                     "size": rng.choice((64, 4096, 1 << 20)),
+                     "count": rng.randint(1, 4), "interval": rng.choice((0.0, 0.0, 0.05))}
+                    for src, dst in (rng.sample(ids, 2) for _ in range(150))],
+        "gossip": {"bound": 4, "drop_probability": 0.2, "rounds_per_second": rounds_per_second},
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_scenario_matches_heap_reference_on_tied_times(seed):
+    scenario = bench.Scenario.from_dict(tied_scenario(seed))
+    expected = heap_run_scenario(scenario)
+    report = bench.run_scenario(scenario)
+    assert report.latency_rows == expected.latency_rows
+    assert report.metrics.rows() == expected.metrics.rows()
+    m = report.metrics
+    sends = sum(t.count for t in scenario.traffic)
+    assert m.events == expected.metrics.events
+    assert m.events == m.gossip_totals["rounds"] + len(scenario.migrations) + sends
 
 
 def test_metrics_file_size_does_not_grow_with_sends(tmp_path):

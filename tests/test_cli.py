@@ -91,7 +91,7 @@ def test_run_bad_gossip_block_exits_2(tmp_path, capsys, gossip, needle):
 
 
 def test_run_without_convergence_exits_2(tmp_path, capsys):
-    # every exchange is lost, so pre-convergence runs out of rounds
+    # every exchange is lost, so pre-convergence fails before any round
     data = dict(SCENARIO, gossip={"drop_probability": 1.0})
     assert cli.main(["run", write_scenario(tmp_path, data),
                      "--out", str(tmp_path / "out")]) == 2

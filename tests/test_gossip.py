@@ -330,6 +330,18 @@ def test_converge_raises_coded_error_when_rounds_run_out():
     assert err.value.code == "E_NO_CONVERGENCE"
 
 
+def test_converge_raises_at_once_when_every_exchange_is_dropped():
+    state = ClusterState(Topology.mesh(4))
+    state.spawn(0)
+    with pytest.raises(NoConvergenceError, match="every gossip exchange is dropped"):
+        converge(state, random.Random(0), GossipConfig(drop_probability=1.0))
+    assert state.gossip_rounds == 0
+    rounds = converge(state, random.Random(0))
+    # a converged cluster needs no round, whatever the drop probability
+    assert converge(state, random.Random(0), GossipConfig(drop_probability=1.0)) == 0
+    assert state.gossip_rounds == rounds
+
+
 def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
                                 seed: int = 2024) -> str:
     """SHA-256 over every round report and the sorted contents of every

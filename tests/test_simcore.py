@@ -146,6 +146,91 @@ def test_events_can_schedule_events():
     assert seen == ["inner"] and q.now == 2.0
 
 
+def test_laid_entries_run_in_time_order_ties_as_given():
+    q = EventQueue()
+    seen = []
+    q.lay([(2.0, seen.append, "a"), (1.0, seen.append, "b"), (2.0, seen.append, "c")])
+    assert q.run() == 3
+    assert seen == ["b", "a", "c"] and q.now == 2.0
+
+
+def test_laid_entry_runs_before_heap_event_at_equal_time():
+    q = EventQueue()
+    seen = []
+    q.lay([(1.0, seen.append, "tape"), (3.0, seen.append, "tape late")])
+    q.schedule(1.0, lambda: seen.append("heap"))
+    q.schedule(2.0, lambda: seen.append("heap early"))
+    assert q.run() == 4
+    assert seen == ["tape", "heap", "heap early", "tape late"]
+
+
+def test_event_pushed_by_tape_action_runs_after_that_times_tape():
+    q = EventQueue()
+    seen = []
+
+    def push(label):
+        seen.append(label)
+        q.schedule(q.now, lambda: seen.append("pushed"))
+
+    q.lay([(1.0, push, "a"), (1.0, seen.append, "b"), (2.0, seen.append, "c")])
+    assert q.run() == 4
+    assert seen == ["a", "b", "pushed", "c"]
+
+
+def test_lay_rejects_a_non_empty_queue():
+    q = EventQueue()
+    q.schedule(1.0, lambda: None)
+    with pytest.raises(TimeTravelError):
+        q.lay([(2.0, print, None)])
+    q.run()
+    q.lay([(2.0, print, None)])
+    with pytest.raises(TimeTravelError):   # the tape is not yet run
+        q.lay([(3.0, print, None)])
+
+
+@pytest.mark.parametrize("t", [4.0, float("nan")])
+def test_lay_rejects_times_before_now_and_nan(t):
+    q = EventQueue()
+    q.run_until(5.0)
+    with pytest.raises(TimeTravelError):
+        q.lay([(6.0, print, None), (t, print, None)])
+    assert len(q) == 0
+
+
+def test_run_until_stops_inside_the_tape_and_resumes():
+    q = EventQueue()
+    seen = []
+    q.lay([(1.0, seen.append, 1), (2.0, seen.append, 2), (3.0, seen.append, 3)])
+    assert len(q) == 3
+    assert q.run_until(1.5) == 1
+    assert seen == [1] and q.now == 1.5 and len(q) == 2
+    q.schedule(2.5, lambda: seen.append(2.5))
+    assert len(q) == 3
+    assert q.run_until(3.0) == 3
+    assert seen == [1, 2, 2.5, 3] and len(q) == 0
+
+
+def test_len_counts_tape_entries_not_yet_run():
+    q = EventQueue()
+    lengths = []
+    q.lay([(float(t), lambda _: lengths.append(len(q)), None) for t in range(4)])
+    q.run()
+    assert lengths == [3, 2, 1, 0]
+
+
+def test_an_action_can_lay_the_next_tape():
+    q = EventQueue()
+    seen = []
+
+    def last(label):
+        seen.append(label)
+        q.lay([(q.now + 1.0, seen.append, "next")])   # the queue is empty now
+
+    q.lay([(1.0, last, "first")])
+    assert q.run() == 2
+    assert seen == ["first", "next"] and q.now == 2.0 and len(q) == 0
+
+
 def test_replay_with_same_seed_is_bit_identical():
     def run():
         sim = build_sim(seed=42)
