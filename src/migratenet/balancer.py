@@ -8,7 +8,6 @@ node, so a job is only as fast as its most crowded member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .cluster import ClusterState, GPid, MigrationEvent
 
@@ -16,38 +15,27 @@ from .cluster import ClusterState, GPid, MigrationEvent
 @dataclass(frozen=True)
 class JobSpec:
     job: str
-    members: tuple[tuple[GPid, float], ...]   # (pid, work per phase)
-    phases: int = 1
+    members: tuple[tuple[GPid, float], ...]   # (pid, work in the job's one phase)
 
     def __post_init__(self):
-        if self.phases < 1:
-            raise ValueError("phases must be >= 1")
         if any(work <= 0 for _, work in self.members):
             raise ValueError("member work must be > 0")
 
 
-@dataclass(frozen=True)
-class BalancePolicy:
-    threshold: float = 0.0
-    max_moves: Optional[int] = None   # total cap per step; None = unlimited
-
-
-def balance_step(state: ClusterState, policy: BalancePolicy = BalancePolicy()) -> list[MigrationEvent]:
+def balance_step(state: ClusterState) -> list[MigrationEvent]:
     """One balancing pass: each node, in index order, consults its own
     bulletin and offloads its smallest process to the least-loaded node it
     knows of.
 
     A move happens only when it actually helps: the believed target load plus
-    the moved work must undercut the sender's true load by more than the
-    threshold.  A node accepts at most one immigrant per step, which keeps
-    several senders from dog-piling the same idle node on one stale view.
+    the moved work must be below the sender's true load.  A node accepts at
+    most one immigrant per step, which keeps several senders from dog-piling
+    the same idle node on one stale view.
     Ties pick the lowest target node id, then the lowest (home, seq) pid.
     """
     moves: list[MigrationEvent] = []
     received: set[int] = set()
     for node in range(state.node_count):
-        if policy.max_moves is not None and len(moves) >= policy.max_moves:
-            break
         if not state.resident[node]:
             continue
         view = state.bulletins[node].load_view()
@@ -59,7 +47,7 @@ def balance_step(state: ClusterState, policy: BalancePolicy = BalancePolicy()) -
         candidate = min(state.resident[node],
                         key=lambda pid: (state.procs[pid].work, pid.home, pid.seq))
         work = state.procs[candidate].work
-        if state.node_load(node) - (believed + work) > policy.threshold:
+        if state.node_load(node) - (believed + work) > 0.0:
             event = state.migrate(candidate, target)
             if event is not None:
                 moves.append(event)
@@ -68,17 +56,14 @@ def balance_step(state: ClusterState, policy: BalancePolicy = BalancePolicy()) -
 
 
 def job_makespan(state: ClusterState, job: JobSpec) -> float:
-    """Completion time of a synchronous job: per phase every member runs for
-    work x (residents on its node), and the phase lasts as long as the
-    slowest member."""
-    total = 0.0
-    for _ in range(job.phases):
-        phase = 0.0
-        for pid, work in job.members:
-            node = state.residency(pid)
-            phase = max(phase, work * state.resident_count(node))
-        total += phase
-    return total
+    """Completion time of a synchronous job: every member runs for work x
+    (residents on its node), and the job lasts as long as the slowest
+    member."""
+    phase = 0.0
+    for pid, work in job.members:
+        node = state.residency(pid)
+        phase = max(phase, work * state.resident_count(node))
+    return phase
 
 
 def optimal_joint_makespan(jobs: list[JobSpec], node_count: int) -> float:
@@ -107,7 +92,7 @@ def optimal_joint_makespan(jobs: list[JobSpec], node_count: int) -> float:
             for idx, (name, work) in enumerate(members):
                 if name == job.job:
                     phase = max(phase, work * occupancy[assignment[idx]])
-            worst = max(worst, phase * job.phases)
+            worst = max(worst, phase)
         return worst
 
     assignment = [0] * len(members)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -260,6 +261,13 @@ class Scenario:
             for label, pid in (("src", t.src), ("dst", t.dst)):
                 if pid not in ids:
                     raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
+            try:    # the last send's time, as `run_scenario` lays it
+                last = t.time + (t.count - 1) * t.interval
+            except OverflowError:   # a count beyond float range
+                last = math.inf
+            if not math.isfinite(last):
+                raise InvalidScenarioError(
+                    f"traffic[{i}]: last send at time + (count - 1) * interval is not finite")
 
         gossip_config = read(need(data, "gossip", dict, "scenario", {}), GossipConfig,
                              "gossip", LIMITS[GossipConfig])
@@ -494,7 +502,6 @@ def ring_load(spokes: int = 8, size: int = 4096,
 
 
 def imbalance_test(model: Optional[LatencyModel] = None, seed: int = 0,
-                   policy: balancer.BalancePolicy = balancer.BalancePolicy(),
                    preset: str = "imbalanced", trace_enabled: bool = False) -> Report:
     """Two 3-process jobs crowded onto four of six nodes; balancing to a
     fixpoint should spread them out and beat the 2x-of-optimal bound.
@@ -526,7 +533,7 @@ def imbalance_test(model: Optional[LatencyModel] = None, seed: int = 0,
     moves = []
     for _ in range(32):
         sim.converge()
-        step = balancer.balance_step(sim.cluster, policy)
+        step = balancer.balance_step(sim.cluster)
         if not step:
             break
         moves.extend(step)

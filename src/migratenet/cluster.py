@@ -1,10 +1,10 @@
-"""Cluster ground truth: nodes, topology, process residency, home registries.
+"""Cluster ground truth: nodes, topology and process residency.
 
 The home node of a process is fixed at spawn time and is part of its global
-id.  Every home keeps an authoritative registry of where its processes
-currently run; `migrate` updates that registry in the same step, so a home
-lookup is never stale.  Gossip bulletins (see :mod:`migratenet.gossip`) carry
-the *rumored* locations and are allowed to lag.
+id.  A home answers where its processes run from ground truth (`residency`),
+so a home lookup is never stale; there is no registry to keep in step.
+Gossip bulletins (see :mod:`migratenet.gossip`) carry the *rumored*
+locations and are allowed to lag.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class Topology:
     """Cluster shape.
 
     Any node can exchange frames with any other regardless of shape; the
-    topology only labels structure for load accounting (in particular the
-    center of a ring-with-center, which plays the home node in the ring
-    benchmark).  Explicit edge lists are validated for connectivity.
+    topology only labels structure for load accounting (the ring benchmark
+    homes its processes on node 0, the center of a ring-with-center).
+    Explicit edge lists are validated for connectivity.
     """
     kind: str
     nodes: int
@@ -92,11 +92,6 @@ class Topology:
             raise InvalidScenarioError("topology.edges: graph is not connected")
         return topo
 
-    @property
-    def center(self) -> Optional[NodeId]:
-        """Node 0 for ring-with-center topologies, None otherwise."""
-        return 0 if self.kind == RING_WITH_CENTER else None
-
     def _connected(self) -> bool:
         if self.nodes == 1:
             return True
@@ -116,18 +111,6 @@ class Topology:
         return len(seen) == self.nodes
 
 
-def collapse_path(raw: list[NodeId]) -> list[NodeId]:
-    """Drop consecutive duplicate nodes from a path.
-
-    Nothing in the package calls this; it stays as the reference oracle the
-    tests check the waypoints of ``Router._relay_route`` against."""
-    out: list[NodeId] = []
-    for node in raw:
-        if not out or out[-1] != node:
-            out.append(node)
-    return out
-
-
 class ClusterState:
     """Mutable ground truth for one simulated cluster.
 
@@ -139,7 +122,6 @@ class ClusterState:
         self.topology = topology
         n = topology.nodes
         self.resident: list[set[GPid]] = [set() for _ in range(n)]
-        self.registry: list[dict[GPid, NodeId]] = [{} for _ in range(n)]
         self.procs: dict[GPid, ProcessRecord] = {}
         self.bulletins: list[Bulletin] = [Bulletin(owner=i) for i in range(n)]
         self.gossip_rounds = 0
@@ -177,15 +159,13 @@ class ClusterState:
         self._next_seq[home] += 1
         self.procs[pid] = ProcessRecord(pid, home, job, work)
         self.resident[home].add(pid)
-        self.registry[home][pid] = home
         self.bulletins[home].publish_location(pid, home, self.next_serial())
         self.bulletins[home].publish_load(self.node_load(home), self.next_serial())
         return pid
 
     def migrate(self, pid: GPid, to: NodeId) -> Optional[MigrationEvent]:
-        """Move a running process; the home registry is updated in the same
-        step so the home stays authoritative.  Moving to the current node is
-        a no-op and returns None."""
+        """Move a running process.  Moving to the current node is a no-op and
+        returns None."""
         rec = self._record(pid)
         self._check_node(to)
         src = rec.current
@@ -194,19 +174,14 @@ class ClusterState:
         self.resident[src].discard(pid)
         self.resident[to].add(pid)
         rec.current = to
-        self.registry[pid.home][pid] = to
         # the hosting node learns arrivals first-hand; both ends republish load
         self.bulletins[to].publish_location(pid, to, self.next_serial())
         self.bulletins[to].publish_load(self.node_load(to), self.next_serial())
         self.bulletins[src].publish_load(self.node_load(src), self.next_serial())
         return MigrationEvent(pid, src, to)
 
-    def locate_authoritative(self, pid: GPid) -> NodeId:
-        """Home-registry lookup; never stale by the migrate postcondition."""
-        self._record(pid)
-        return self.registry[pid.home][pid]
-
     def residency(self, pid: GPid) -> NodeId:
+        """The node pid runs on: what its home answers, never stale."""
         return self._record(pid).current
 
     def node_load(self, n: NodeId) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NoConvergenceError
 
@@ -30,29 +30,9 @@ if TYPE_CHECKING:
     from .cluster import ClusterState, GPid, NodeId
 
 
-# kind tags used for deterministic digest ordering: locations sort before loads
-KIND_LOCATION = 0
-KIND_LOAD = 1
-
 DEFAULT_BOUND = 64
 
 _birth = itemgetter(1)   # the birth of a stored entry
-
-
-@dataclass(frozen=True)
-class LocationEntry:
-    pid: "GPid"
-    node: "NodeId"
-    age: int
-    serial: int = 0
-
-
-@dataclass(frozen=True)
-class LoadEntry:
-    node: "NodeId"
-    load: float
-    age: int
-    serial: int = 0
 
 
 @dataclass(frozen=True)
@@ -65,16 +45,6 @@ class GossipDigest:
 
     def __len__(self) -> int:
         return len(self.location_items) + len(self.load_items)
-
-    @property
-    def locations(self) -> tuple[LocationEntry, ...]:
-        return tuple(LocationEntry(pid, node, self.clock - birth, serial)
-                     for pid, (node, birth, serial) in self.location_items)
-
-    @property
-    def loads(self) -> tuple[LoadEntry, ...]:
-        return tuple(LoadEntry(node, load, self.clock - birth, serial)
-                     for node, (load, birth, serial) in self.load_items)
 
 
 @dataclass(frozen=True)
@@ -138,14 +108,6 @@ class Bulletin:
         """Snapshot of all known node loads as node -> (load, age)."""
         return {n: (load, self.clock - birth)
                 for n, (load, birth, _) in self._loads.items()}
-
-    def location_entries(self) -> Iterator[LocationEntry]:
-        for pid, (node, birth, serial) in self._locations.items():
-            yield LocationEntry(pid, node, self.clock - birth, serial)
-
-    def load_entries(self) -> Iterator[LoadEntry]:
-        for node, (load, birth, serial) in self._loads.items():
-            yield LoadEntry(node, load, self.clock - birth, serial)
 
 
 def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
@@ -276,20 +238,6 @@ def converge(state: "ClusterState", rng: random.Random,
             raise NoConvergenceError(
                 f"every gossip exchange is dropped (drop_probability "
                 f"{config.drop_probability}), so gossip cannot converge")
-        gossip_round(state, rng, config)
+        if done < max_rounds:   # the last pass only checks the last round
+            gossip_round(state, rng, config)
     raise NoConvergenceError(f"gossip failed to converge within {max_rounds} rounds")
-
-
-def force_convergence(state: "ClusterState") -> None:
-    """Write ground truth into every bulletin (age 0).
-
-    Test/setup shortcut for experiments where gossip itself is not under
-    study; benchmark templates converge via real rounds instead.
-    """
-    truth_load = [state.node_load(n) for n in range(state.node_count)]
-    serial = state.next_serial()
-    for b in state.bulletins:
-        for pid, rec in state.procs.items():
-            b.publish_location(pid, rec.current, serial)
-        for n in range(state.node_count):
-            b._loads[n] = (truth_load[n], b.clock, serial)

@@ -74,28 +74,6 @@ class LatencyModel:
         return read(d, cls, where)
 
 
-def latency_of(path: list[int], size: int, model: LatencyModel,
-               transport: TransportKind) -> float:
-    """Latency of one message over a collapsed path.
-
-    A single-node path is a shared-memory delivery; otherwise every hop costs
-    the full per-hop latency (store-and-forward).  Direct transport adds its
-    fixed per-message overhead.  Routes are priced in :mod:`migratenet.transport`
-    (``Router._price``), where a relay's home legs may cost less than a hop.
-
-    Nothing in the package calls this; it stays as the homogeneous per-hop
-    reference oracle the tests check the price of ``Router._relay_route``
-    against at ``home_leg_factor`` 1.
-    """
-    if len(path) <= 1:
-        total = model.shared_memory(size)
-    else:
-        total = (len(path) - 1) * model.net_hop(size)
-    if transport is TransportKind.DIRECT:
-        total += model.direct_overhead
-    return total
-
-
 def load_model(path: Optional[str] = None) -> LatencyModel:
     """Load the latency model from a defaults file (the packaged calibrated
     defaults when no path is given); a malformed file raises

@@ -208,19 +208,18 @@ class SocketStack:
             return None
         return got
 
-    def select(self, handles: Iterable[SocketHandle],
-               now: Optional[float] = None) -> list[SocketHandle]:
-        """Handles that are readable at `now` (default: current sim time):
-        established with arrived data (or a drained stream whose peer closed),
-        or listening with pending accepts."""
-        at = self.now if now is None else now
+    def select(self, handles: Iterable[SocketHandle]) -> list[SocketHandle]:
+        """Handles that are readable at the current sim time: established
+        with arrived data (or a drained stream whose peer closed), or
+        listening with pending accepts."""
+        now = self.now
         ready = []
         for h in handles:
             if h.state is SocketState.LISTENING and h.pending:
                 ready.append(h)
             elif h.state is SocketState.ESTABLISHED:
                 # send keeps ready_at non-decreasing: the head chunk arrives first
-                if (h.recv_queue[0].ready_at <= at if h.recv_queue else h.peer_closed):
+                if (h.recv_queue[0].ready_at <= now if h.recv_queue else h.peer_closed):
                     ready.append(h)
         return ready
 

@@ -38,3 +38,15 @@ def place_pair(sim: Simulation, home_a: int, home_b: int,
 
 def fresh_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+def force_convergence(state) -> None:
+    """Write ground truth into every bulletin (age 0): a set-up shortcut for
+    tests where gossip itself is not under study."""
+    truth_load = [state.node_load(n) for n in range(state.node_count)]
+    serial = state.next_serial()
+    for b in state.bulletins:
+        for pid, rec in state.procs.items():
+            b.publish_location(pid, rec.current, serial)
+        for n in range(state.node_count):
+            b._loads[n] = (truth_load[n], b.clock, serial)

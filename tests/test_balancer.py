@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from conftest import build_sim
-from migratenet.balancer import (BalancePolicy, JobSpec, balance_step,
-                                 job_makespan, optimal_joint_makespan)
+from conftest import build_sim, force_convergence
+from migratenet.balancer import JobSpec, balance_step, job_makespan, optimal_joint_makespan
 from migratenet.cluster import ClusterState, Topology
 from migratenet.errors import NoSuchProcessError
-from migratenet.gossip import force_convergence
 
 
 def spawn_job(state, name, placement, work=1.0):
@@ -45,13 +43,6 @@ def test_spread_is_optimal_against_assignment_enumeration():
     job = spawn_job(state, "J", [0, 1, 2, 3])
     assert job_makespan(state, job) == best
     assert optimal_joint_makespan([job], 4) == best
-
-
-def test_phases_multiply():
-    state = ClusterState(Topology.mesh(2))
-    pid = state.spawn(0, "J", 2.0)
-    job = JobSpec("J", ((pid, 2.0),), phases=3)
-    assert job_makespan(state, job) == 6.0
 
 
 def test_congestion_counts_other_jobs_processes():
@@ -95,21 +86,6 @@ def test_two_crowded_nodes_spill_onto_idle_ones():
     assert after < before
     assert {(m.src, m.dst) for m in moves} == {(0, 4), (1, 5)}
     assert max(sim.cluster.resident_count(n) for n in range(6)) == 1
-
-
-def test_max_moves_cap():
-    sim = build_sim(nodes=6)
-    spawn_job(sim.cluster, "A", [0, 0, 1, 1])
-    sim.converge()
-    assert len(balance_step(sim.cluster, BalancePolicy(max_moves=1))) == 1
-
-
-def test_threshold_suppresses_marginal_moves():
-    sim = build_sim(nodes=2)
-    spawn_job(sim.cluster, "A", [0, 0])
-    sim.converge()
-    assert balance_step(sim.cluster, BalancePolicy(threshold=5.0)) == []
-    assert len(balance_step(sim.cluster, BalancePolicy(threshold=0.0))) == 1
 
 
 def test_never_moves_to_a_node_believed_more_loaded_than_self():

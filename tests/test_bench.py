@@ -62,6 +62,16 @@ def test_scenario_round_trip():
     (lambda d: d["traffic"].append({"time": 3.0, "src": "p0", "dst": "p1",
                                     "transport": "warp", "size": 1}),
      "traffic[2].transport"),
+    # the last send's time overflows, so a run's horizon would be infinite:
+    # through a large time, and through a count beyond float range
+    (lambda d: d["traffic"].append({"time": 1e308, "src": "p0", "dst": "p1",
+                                    "transport": "relay", "size": 1,
+                                    "count": 2, "interval": 1e308}),
+     "traffic[2]: last send"),
+    (lambda d: d["traffic"].append({"time": 0.0, "src": "p0", "dst": "p1",
+                                    "transport": "relay", "size": 1,
+                                    "count": 10 ** 400, "interval": 1.0}),
+     "traffic[2]: last send at time + (count - 1) * interval"),
 ])
 def test_scenario_validation_reports_field_paths(mutate, needle):
     data = json.loads(json.dumps(VALID_SCENARIO))

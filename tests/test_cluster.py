@@ -6,13 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_MODEL
-from migratenet.cluster import ClusterState, GPid, Topology, collapse_path
+from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
 from migratenet.transport import DATA, Router
 
 
 def cluster(n=6) -> ClusterState:
     return ClusterState(Topology.mesh(n))
+
+
+def collapse_path(raw: list) -> list:
+    """Drop consecutive duplicate nodes from a path: the oracle the waypoints
+    of ``Router._relay_route`` are checked against."""
+    out = []
+    for node in raw:
+        if not out or out[-1] != node:
+            out.append(node)
+    return out
 
 
 # -- spawn -------------------------------------------------------------------
@@ -54,13 +64,14 @@ def test_spawn_publishes_location_in_home_bulletin():
 
 
 # -- migrate ------------------------------------------------------------------
+# a home answers where its process runs from ground truth: `residency`
 
 def test_migrate_updates_registry_and_resident_set():
     state = cluster()
     pid = state.spawn(0)
     event = state.migrate(pid, 4)
     assert (event.src, event.dst) == (0, 4)
-    assert state.registry[0][pid] == 4
+    assert state.residency(pid) == state.procs[pid].current == 4
     assert pid in state.resident[4] and pid not in state.resident[0]
     assert pid.home == 0
 
@@ -68,9 +79,9 @@ def test_migrate_updates_registry_and_resident_set():
 def test_migrate_to_current_node_is_noop():
     state = cluster()
     pid = state.spawn(1)
-    before = state.registry[1][pid]
+    before = state.residency(pid)
     assert state.migrate(pid, 1) is None
-    assert state.registry[1][pid] == before
+    assert state.residency(pid) == before == 1
 
 
 def test_migrate_unknown_process():
@@ -86,19 +97,19 @@ def test_migrate_bad_target():
         state.migrate(pid, -1)
 
 
-# -- locate_authoritative ------------------------------------------------------
+# -- locate: the home's answer ------------------------------------------------
 
 def test_locate_unmigrated():
     state = cluster()
     pid = state.spawn(2)
-    assert state.locate_authoritative(pid) == 2
+    assert state.residency(pid) == 2
 
 
 def test_locate_follows_migration():
     state = cluster()
     pid = state.spawn(0)
     state.migrate(pid, 5)
-    assert state.locate_authoritative(pid) == 5
+    assert state.residency(pid) == 5
 
 
 def test_locate_matches_replay_oracle_after_chained_migrations():
@@ -112,13 +123,13 @@ def test_locate_matches_replay_oracle_after_chained_migrations():
     oracle = {}
     for p, node in log:
         oracle[p] = node
-    assert state.locate_authoritative(pid) == oracle[pid] == 1
+    assert state.residency(pid) == oracle[pid] == 1
 
 
 def test_locate_unknown():
     state = cluster()
     with pytest.raises(NoSuchProcessError):
-        state.locate_authoritative(GPid(1, 1))
+        state.residency(GPid(1, 1))
 
 
 # -- relay route ---------------------------------------------------------------
@@ -221,24 +232,27 @@ def test_registry_consistency_and_conservation_random_ops():
     pids = [state.spawn(rng.randrange(6), work=rng.choice([0.5, 1.0, 2.0]))
             for _ in range(8)]
     homes = {p: p.home for p in pids}
+    oracle = {p: p.home for p in pids}   # last write per pid wins
     for _ in range(200):
         pid = rng.choice(pids)
-        state.migrate(pid, rng.randrange(6))
+        oracle[pid] = rng.randrange(6)
+        state.migrate(pid, oracle[pid])
         assert len(state.procs) == 8
         total = sum(len(s) for s in state.resident)
         assert total == 8
         for p in pids:
-            where = state.locate_authoritative(p)
+            where = state.residency(p)
+            assert where == oracle[p]
             assert p in state.resident[where]
             assert p.home == homes[p]
 
 
 # -- topology --------------------------------------------------------------------
 
-def test_ring_with_center_labels_node_zero():
-    topo = Topology.ring_with_center(9)
-    assert topo.center == 0
-    assert Topology.mesh(4).center is None
+def test_ring_with_center_needs_two_nodes():
+    assert Topology.ring_with_center(2).nodes == 2
+    with pytest.raises(InvalidScenarioError, match="ring_with_center needs >= 2 nodes"):
+        Topology.ring_with_center(1)
 
 
 def test_explicit_topology_validates_connectivity():

@@ -9,12 +9,26 @@ from conftest import build_sim
 from migratenet import gossip
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import NoConvergenceError, SimulatorError
-from migratenet.gossip import (KIND_LOAD, KIND_LOCATION, Bulletin, GossipConfig,
-                               converge, gossip_round, informed_count, is_converged,
-                               make_digest, merge)
+from migratenet.gossip import (Bulletin, GossipConfig, converge, gossip_round,
+                               informed_count, is_converged, make_digest, merge)
 
 P = GPid(0, 0)
 Q = GPid(1, 0)
+
+
+def aged(source) -> list[tuple]:
+    """The raw entries of a bulletin or a digest as ``(age, kind, key, value,
+    serial)``, age being ``clock - birth``: kind 0 is a location keyed
+    ``(home, seq)``, kind 1 a load, so a sort ranks younger first and
+    locations before loads."""
+    if isinstance(source, Bulletin):
+        locations, loads = source._locations.items(), source._loads.items()
+    else:
+        locations, loads = source.location_items, source.load_items
+    return ([(source.clock - birth, 0, (pid.home, pid.seq), node, serial)
+             for pid, (node, birth, serial) in locations] +
+            [(source.clock - birth, 1, node, load, serial)
+             for node, (load, birth, serial) in loads])
 
 
 # -- publish / age -----------------------------------------------------------
@@ -75,10 +89,8 @@ def test_digest_picks_youngest_against_sort_oracle():
     digest = make_digest(b, bound)
     assert len(digest) == bound
     # independent oracle: flatten and sort by age
-    ages = sorted([e.age for e in b.location_entries()] +
-                  [e.age for e in b.load_entries()])
-    picked_ages = sorted([e.age for e in digest.locations] +
-                         [e.age for e in digest.loads])
+    ages = sorted(e[0] for e in aged(b))
+    picked_ages = sorted(e[0] for e in aged(digest))
     assert picked_ages == ages[:bound]
     excluded_min = min(ages[bound:])
     assert all(a <= excluded_min for a in picked_ages)
@@ -93,7 +105,7 @@ def test_digest_tie_break_is_deterministic():
     second = make_digest(b, 3)
     assert first == second
     # locations order before loads at equal age
-    assert len(first.locations) == 3 and not first.loads
+    assert len(first.location_items) == 3 and not first.load_items
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,16 +122,9 @@ def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads
     b.clock = 3
     b._locations = {GPid(*key): entry for key, entry in locations.items()}
     b._loads = dict(loads)
-    oracle = sorted([(e.age, KIND_LOCATION, e.pid, e.node, e.serial)
-                     for e in b.location_entries()] +
-                    [(e.age, KIND_LOAD, e.node, e.load, e.serial)
-                     for e in b.load_entries()])[:bound]
+    oracle = sorted(aged(b))[:bound]
     digest = make_digest(b, bound)
-    picked = sorted([(e.age, KIND_LOCATION, e.pid, e.node, e.serial)
-                     for e in digest.locations] +
-                    [(e.age, KIND_LOAD, e.node, e.load, e.serial)
-                     for e in digest.loads])
-    assert picked == oracle
+    assert sorted(aged(digest)) == oracle
     assert len(digest) == len(oracle)
 
 
@@ -139,15 +144,10 @@ def test_digest_matches_sort_oracle_at_churn_scale(births, n_loads, bound, rnd):
             b._loads[i] = (i / 4, births[i], i % 4)
         else:
             b._locations[GPid(i % 32, i // 32)] = (i % 32, births[i], i % 4)
-    oracle = sorted([(e.age, KIND_LOCATION, e.pid, e.node, e.serial)
-                     for e in b.location_entries()] +
-                    [(e.age, KIND_LOAD, e.node, e.load, e.serial)
-                     for e in b.load_entries()])[:bound]
+    oracle = sorted(aged(b))[:bound]
     digest = make_digest(b, bound)
-    picked = ({(e.age, KIND_LOCATION, e.pid, e.node, e.serial) for e in digest.locations} |
-              {(e.age, KIND_LOAD, e.node, e.load, e.serial) for e in digest.loads})
     assert len(digest) == len(oracle)
-    assert picked == set(oracle)
+    assert set(aged(digest)) == set(oracle)
 
 
 def test_cut_digest_fills_tied_room_with_locations_by_key():
@@ -330,6 +330,35 @@ def test_converge_raises_coded_error_when_rounds_run_out():
     assert err.value.code == "E_NO_CONVERGENCE"
 
 
+def test_converge_raises_after_exactly_max_rounds():
+    # 68 facts on 8 nodes: five rounds are not enough
+    state = ClusterState(Topology.mesh(8))
+    for i in range(60):
+        state.spawn(i % 8)
+    with pytest.raises(NoConvergenceError, match="within 5 rounds"):
+        converge(state, random.Random(0), max_rounds=5)
+    assert state.gossip_rounds == 5
+
+
+def test_converge_checks_the_last_round():
+    def cluster():
+        sim = build_sim(nodes=8, seed=3)
+        for n in range(8):
+            sim.cluster.spawn(n)
+        return sim
+
+    sim = cluster()
+    rounds = converge(sim.cluster, sim.rng)
+    assert rounds >= 1
+    # a cap of exactly the rounds needed converges on the last round
+    sim = cluster()
+    assert converge(sim.cluster, sim.rng, max_rounds=rounds) == rounds
+    sim = cluster()
+    with pytest.raises(NoConvergenceError):
+        converge(sim.cluster, sim.rng, max_rounds=rounds - 1)
+    assert sim.cluster.gossip_rounds == rounds - 1
+
+
 def test_converge_raises_at_once_when_every_exchange_is_dropped():
     state = ClusterState(Topology.mesh(4))
     state.spawn(0)
@@ -386,10 +415,8 @@ def test_seeded_rounds_match_golden_digests(monkeypatch):
         digest = make_digest(bulletin, bound)
         built += 1
         cut += len(bulletin) > bound
-        digests.update(repr(sorted(
-            [(KIND_LOCATION, (e.pid.home, e.pid.seq), e.node, e.age, e.serial)
-             for e in digest.locations] +
-            [(KIND_LOAD, e.node, e.load, e.age, e.serial) for e in digest.loads])).encode())
+        digests.update(repr(sorted((kind, key, value, age, serial)
+                                   for age, kind, key, value, serial in aged(digest))).encode())
         return digest
 
     monkeypatch.setattr(gossip, "make_digest", recording_make_digest)

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every public
+function or class it defines has a caller outside the tests.
 
 Parsed with `ast`, so nothing is imported or run.  Re-exports in
 ``__init__.py`` are exempt, and a name used only inside a string annotation
@@ -14,6 +15,8 @@ import migratenet
 
 MODULES = sorted(p for p in Path(migratenet.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+# the benchmark drives the package from outside it; its calls count as uses
+PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +66,27 @@ def test_string_annotations_count_as_uses():
                      "def f(a: 'A') -> 'list[B]': ...\n")
     assert not set(imported_names(tree)) - used_names(tree)
     assert "C" not in used_names(ast.parse("import C\n"))
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """The names `used_names` finds, and every attribute read (``mod.name``)."""
+    return used_names(tree) | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    assert PERFBENCH, "perfbench/ not found beside tests/"
+    loaded = set()
+    for path in MODULES + PERFBENCH:
+        loaded |= loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [f"{path.name}: {node.name}" for path in MODULES
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in loaded]
+    assert not unused, f"public names only the tests use: {unused}"
+
+
+def test_attribute_reads_count_as_loads():
+    tree = ast.parse("import m\nm.f()\nx = m.C\nm.g = 1\n")
+    assert {"m", "f", "C"} <= loaded_names(tree) and "g" not in loaded_names(tree)

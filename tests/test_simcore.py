@@ -4,8 +4,24 @@ import pytest
 
 from conftest import TEST_MODEL, build_sim, place_pair
 from migratenet.errors import TimeTravelError
-from migratenet.simcore import (EventQueue, LatencyModel, Metrics, TransportKind,
-                                latency_of, load_model)
+from migratenet.simcore import EventQueue, LatencyModel, Metrics, TransportKind, load_model
+
+
+def latency_of(path: list, size: int, model: LatencyModel, transport: TransportKind) -> float:
+    """Latency of one message over a collapsed path under the homogeneous
+    per-hop model: the route-price oracle for ``Router._price`` at
+    ``home_leg_factor`` 1.
+
+    A single-node path is a shared-memory delivery; otherwise every hop costs
+    the full per-hop latency (store-and-forward).  Direct transport adds its
+    fixed per-message overhead."""
+    if len(path) <= 1:
+        total = model.shared_memory(size)
+    else:
+        total = (len(path) - 1) * model.net_hop(size)
+    if transport is TransportKind.DIRECT:
+        total += model.direct_overhead
+    return total
 
 
 # -- latency model -------------------------------------------------------------

@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from conftest import TEST_MODEL, build_sim, place_pair
+from conftest import TEST_MODEL, build_sim, force_convergence, place_pair
 from migratenet.errors import MessageTooLargeError, NoSuchProcessError
 from migratenet.cluster import ClusterState, GPid
-from migratenet.gossip import Bulletin, force_convergence
+from migratenet.gossip import Bulletin
 from migratenet.simcore import TransportKind
 from migratenet.transport import Router, TransportConfig
 
