@@ -297,7 +297,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     if scenario.pre_converge:
         report.convergence_rounds = sim.converge()
 
-    # the whole timeline as (time, action, arg) rows on the queue's tape, in
+    # the whole timeline as (time, action, arg) rows laid on the queue, in
     # the order the rows count as scheduled: migrations, sends, gossip rounds
     cluster, router, rows = sim.cluster, sim.router, report.latency_rows
     series = {kind: kind.value for kind in TransportKind}
@@ -324,7 +324,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
 
     sim.queue.lay(timeline)
     sim.metrics.events = sim.queue.run()
-    report.metrics = sim.metrics.snapshot()
+    report.metrics = sim.metrics
     report.extra["sends"] = str(len(report.latency_rows))
     return report
 
@@ -370,7 +370,7 @@ def latency_sweep(sizes: Optional[list[int]] = None,
                 values.append(rep.latency)
                 report.latency_rows.append((size, rep.latency, series))
             curves[series] = values
-        report.metrics = sim.metrics.snapshot()
+        report.metrics = sim.metrics
 
     local_relay = curves["local-relay"]
     migrated_relay = curves["migrated-relay"]
@@ -441,7 +441,7 @@ def limit_test(model: Optional[LatencyModel] = None, seed: int = 0,
     except MessageTooLargeError:
         rejected = True
     report.check("relay rejects cap+1 with E_MSG_TOO_LARGE", rejected)
-    report.metrics = sim.metrics.snapshot()
+    report.metrics = sim.metrics
     return report
 
 
@@ -497,7 +497,7 @@ def ring_load(spokes: int = 8, size: int = 4096,
     report.extra["direct_converged_center_bytes"] = str(converged_center)
     report.convergence_rounds = rounds
     report.check("direct converged: center fully bypassed", converged_center == 0)
-    report.metrics = sim.metrics.snapshot()
+    report.metrics = sim.metrics
     return report
 
 
@@ -557,7 +557,7 @@ def imbalance_test(model: Optional[LatencyModel] = None, seed: int = 0,
                      f"{before} -> {after}")
         report.check("final makespan within 2x of brute-force optimum",
                      after <= 2 * optimum, f"{after} vs 2*{optimum}")
-    report.metrics = sim.metrics.snapshot()
+    report.metrics = sim.metrics
     return report
 
 
@@ -585,5 +585,5 @@ def gossip_stats(nodes: int = 32, seed: int = 0,
         if informed == nodes else "not reached"
     report.check("fact reached every node", informed == nodes,
                  f"{informed}/{nodes}")
-    report.metrics = sim.metrics.snapshot()
+    report.metrics = sim.metrics
     return report

@@ -1,17 +1,17 @@
 """Discrete-event engine, parametric latency model, and metrics collection.
 
 Everything here is deterministic: the event queue runs events in (time,
-scheduling order), entries laid on its tape counting as scheduled first,
-and the latency model is pure arithmetic, so a (scenario, seed) pair always
+scheduling order), laid rows counting as scheduled in the order given, and
+the latency model is pure arithmetic, so a (scenario, seed) pair always
 reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import sys
+from bisect import insort
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
@@ -185,41 +185,36 @@ def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None
 class EventQueue:
     """Deterministic event queue: runs events in (time, scheduling order).
 
-    Events come from two sources.  `schedule` pushes one action on a heap,
-    so actions can schedule further actions.  `lay` puts a whole timeline of
-    `(time, fn, arg)` rows on a pre-sorted tape in one step, with no heap
-    push or pop per row.  A tape can be laid only on an empty queue, so its
-    entries count as scheduled before every heap event: at equal times the
-    tape runs first.
+    The queue is one list of `(time, fn, arg)` rows sorted by time and a read
+    position.  `lay` sorts a whole timeline onto an empty queue in one step;
+    `schedule` inserts one action after every row of equal time, so actions
+    can schedule further actions.
     """
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
-        self._tape: list[tuple[float, Callable[[Any], None], Any]] = []
-        self._pos = 0   # the next tape entry to run
+        self._rows: list[tuple[float, Callable[[Any], None], Any]] = []
+        self._pos = 0   # the next row to run
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._tape) - self._pos
+        return len(self._rows) - self._pos
 
     def schedule(self, t: float, action: Callable[[], None]) -> None:
         if not t >= self.now:   # NaN too: it would never come due
             raise TimeTravelError(f"schedule at {t} before now={self.now}")
-        heapq.heappush(self._heap, (t, self._seq, action))
-        self._seq += 1
+        insort(self._rows, (t, _call, action), lo=self._pos, key=itemgetter(0))
 
     def lay(self, entries: Iterable[tuple[float, Callable[[Any], None], Any]]) -> None:
-        """Lay `(time, fn, arg)` rows on the tape; each runs as `fn(arg)` at
+        """Lay `(time, fn, arg)` rows on the queue; each runs as `fn(arg)` at
         its time, rows of equal time in the order given."""
         if len(self):
             raise TimeTravelError(f"lay on a queue that still holds {len(self)} events")
-        tape = sorted(entries, key=itemgetter(0))   # stable: ties keep their order
+        rows = sorted(entries, key=itemgetter(0))   # stable: ties keep their order
         now = self.now
-        for t, _, _ in tape:
+        for t, _, _ in rows:
             if not t >= now:    # NaN too, as in `schedule`
                 raise TimeTravelError(f"lay at {t} before now={now}")
-        self._tape, self._pos = tape, 0
+        self._rows, self._pos = rows, 0
 
     def run_until(self, t_end: float) -> int:
         """Execute all events with time <= t_end; the clock ends at t_end."""
@@ -232,29 +227,28 @@ class EventQueue:
         return self._dispatch(math.inf)
 
     def _dispatch(self, t_end: float) -> int:
-        """Execute events in order while the earliest is due by `t_end`,
-        merging the tape with the heap; returns how many ran."""
+        """Execute events in order while the next is due by `t_end`; returns
+        how many ran."""
         count = 0
-        heap = self._heap
         while True:
-            tape, pos = self._tape, self._pos   # an action may lay a new tape
-            if pos < len(tape) and (not heap or tape[pos][0] <= heap[0][0]):
-                t, fn, arg = tape[pos]
-                if t > t_end:
-                    break
-                self._pos = pos + 1
-                self.now = t
-                fn(arg)
-            elif heap and heap[0][0] <= t_end:
-                t, _, action = heapq.heappop(heap)
-                self.now = t
-                action()
-            else:
+            rows, pos = self._rows, self._pos   # an action may lay new rows
+            if pos == len(rows) or rows[pos][0] > t_end:
                 break
+            t, fn, arg = rows[pos]
+            self._pos = pos + 1
+            self.now = t
+            fn(arg)
             count += 1
-        if self._pos == len(self._tape):     # drained: let the rows go
-            self._tape, self._pos = [], 0
+        # let the rows already run go, so a queue that never drains holds at
+        # most twice the events still due
+        if self._pos > len(self._rows) // 2:
+            del self._rows[:self._pos]
+            self._pos = 0
         return count
+
+
+def _call(action: Callable[[], None]) -> None:
+    action()
 
 
 def _counters(*keys: str):
@@ -325,6 +319,8 @@ class Metrics:
         totals["entries_moved"] += report.entries_moved
 
     def snapshot(self) -> "Metrics":
+        """A copy whose counters can be edited without touching these
+        (``perfbench/selftest.py`` spoils such copies)."""
         return replace(self, **{f.name: value.copy() for f in fields(self)
                                 if isinstance(value := getattr(self, f.name), dict)})
 

@@ -5,10 +5,10 @@ namespace and every frame is addressed to a process id, so migrating either
 endpoint never disturbs an established connection.  All calls are
 non-blocking; readiness is polled with :meth:`SocketStack.select`.
 
-Payloads are byte *sizes* with per-connection sequence numbers, not real
-buffers.  Delivered chunks become readable once the simulation clock passes
-their arrival time; arrival times are monotone per connection, so the stream
-stays FIFO even when a later send is routed faster than an earlier one.
+Payloads are byte *sizes*, not real buffers.  Delivered chunks become
+readable once the simulation clock passes their arrival time; arrival times
+are monotone per connection, so the stream stays FIFO even when a later send
+is routed faster than an earlier one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class SocketState(Enum):
 
 @dataclass
 class Chunk:
-    seq: int
     size: int
     ready_at: float
 
@@ -54,7 +53,6 @@ class SocketHandle:
     pending: list[int] = field(default_factory=list)   # handle ids awaiting accept
     peer_closed: bool = False
     last_error: Optional[str] = None
-    send_seq: int = 0
     _ready_watermark: float = 0.0
 
 
@@ -184,8 +182,7 @@ class SocketStack:
         report = self.router.send(h.transport, h.owner, peer.owner, size)
         ready = max(self.now + report.latency, peer._ready_watermark)
         peer._ready_watermark = ready
-        peer.recv_queue.append(Chunk(h.send_seq, size, ready))
-        h.send_seq += 1
+        peer.recv_queue.append(Chunk(size, ready))
         return report
 
     def recv(self, h: SocketHandle, max_bytes: int) -> Optional[int]:

@@ -80,21 +80,14 @@ class DeliveryReport:
 class Router:
     """Dispatches sends over one cluster, charging latency and metrics."""
 
-    def __init__(self, cluster: ClusterState, model: LatencyModel,
-                 metrics: Optional[Metrics] = None,
-                 clock: Optional[EventQueue] = None,
-                 config: TransportConfig = TransportConfig(),
-                 trace: Optional[list] = None):
+    def __init__(self, cluster: ClusterState, model: LatencyModel, metrics: Metrics,
+                 clock: EventQueue, config: TransportConfig, trace: Optional[list]):
         self.cluster = cluster
         self.model = model
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = metrics
         self.clock = clock
         self.config = config
         self.trace = trace
-
-    @property
-    def now(self) -> float:
-        return self.clock.now if self.clock is not None else 0.0
 
     def send(self, kind: TransportKind, src: GPid, dst: GPid, size: int) -> DeliveryReport:
         if kind is RELAY:
@@ -264,7 +257,7 @@ class Router:
             metrics.handle(to)
             if trace is not None:
                 ends = (src, dst) if kind is DATA else (dst, src)
-                trace.append((self.now, kind.value, str(ends[0]), str(ends[1]), frm, to, nbytes))
+                trace.append((self.clock.now, kind.value, str(ends[0]), str(ends[1]), frm, to, nbytes))
         for node in relayed:
             metrics.relay(node, size)
         metrics.deliver(receiver, size)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import TEST_MODEL
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
-from migratenet.transport import DATA, Router
+from migratenet.simcore import EventQueue, Metrics
+from migratenet.transport import DATA, Router, TransportConfig
 
 
 def cluster(n=6) -> ClusterState:
@@ -137,8 +138,8 @@ def test_locate_unknown():
 def relay_path(state: ClusterState, src: GPid, dst: GPid) -> list:
     """The nodes the relay route from src to dst visits, as the router builds it."""
     sender = state.residency(src)
-    links, _ = Router(state, TEST_MODEL)._relay_route(sender, src.home, dst.home,
-                                                      state.residency(dst), 0)
+    links, _ = Router(state, TEST_MODEL, Metrics(), EventQueue(), TransportConfig(),
+                      None)._relay_route(sender, src.home, dst.home, state.residency(dst), 0)
     return [sender] + [to for _, _, to, _ in links]
 
 
@@ -187,7 +188,8 @@ def test_collapse_path_oracle(raw):
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))
 def test_relay_legs_walk_the_collapsed_path_and_tag_home_legs(waypoints):
     sender, src_home, dst_home, receiver = waypoints
-    router = Router(cluster(4), replace(TEST_MODEL, home_leg_factor=0.25))
+    router = Router(cluster(4), replace(TEST_MODEL, home_leg_factor=0.25), Metrics(),
+                    EventQueue(), TransportConfig(), None)
     links, relayed = router._relay_route(sender, src_home, dst_home, receiver, 0)
     assert [sender] + [to for _, _, to, _ in links] == collapse_path(waypoints)
     assert all(kind is DATA for kind, *_ in links)

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import TEST_MODEL, build_sim, place_pair
 from migratenet.errors import TimeTravelError
@@ -245,6 +247,57 @@ def test_an_action_can_lay_the_next_tape():
     q.lay([(1.0, last, "first")])
     assert q.run() == 2
     assert seen == ["first", "next"] and q.now == 2.0 and len(q) == 0
+
+
+# an event: its delay after the clock when it is scheduled, and the events
+# its action schedules when it runs
+OFFSETS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+EVENTS = st.recursive(st.tuples(OFFSETS, st.just(())),
+                      lambda kids: st.tuples(OFFSETS, st.lists(kids, max_size=3)),
+                      max_leaves=8)
+OPS = st.lists(st.one_of(st.tuples(st.just("lay"), st.lists(EVENTS, max_size=6)),
+                         st.tuples(st.just("schedule"), EVENTS),
+                         st.tuples(st.just("run_until"), OFFSETS)), max_size=12)
+
+
+@given(OPS)
+def test_run_order_is_time_then_scheduling_order(ops):
+    q = EventQueue()
+    ran = []        # (time, scheduling number) of each event, as it runs
+    scheduled = 0
+
+    def fire(arg):
+        t, number, kids = arg
+        assert q.now == t
+        ran.append((t, number))
+        for kid in kids:
+            schedule(kid)
+
+    def event(spec):
+        nonlocal scheduled
+        scheduled += 1
+        return (q.now + spec[0], scheduled, spec[1])
+
+    def schedule(spec):
+        arg = event(spec)
+        q.schedule(arg[0], lambda: fire(arg))
+
+    for op, value in ops:
+        if op == "lay" and len(q):
+            with pytest.raises(TimeTravelError):
+                q.lay([(q.now, fire, None)])
+        elif op == "lay":
+            q.lay([(arg[0], fire, arg) for arg in map(event, value)])
+        elif op == "schedule":
+            schedule(value)
+        else:
+            before, t_end = len(ran), q.now + value
+            assert q.run_until(t_end) == len(ran) - before
+            assert q.now == t_end and all(t <= t_end for t, _ in ran)
+        assert len(q) == scheduled - len(ran)
+    q.run()
+    assert len(q) == 0 and len(ran) == scheduled
+    assert ran == sorted(ran)
 
 
 def test_replay_with_same_seed_is_bit_identical():
