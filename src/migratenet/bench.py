@@ -204,8 +204,9 @@ class Scenario:
         """Validate a scenario mapping; every fault is an
         `InvalidScenarioError` naming its field.  Each block is read through
         its dataclass (:func:`read`); checked here is what no dataclass can
-        say: the version, the topology and the references between blocks.
-        A `model` block overrides `base` (default: the packaged model)."""
+        say: the version, the name, the topology and the references between
+        blocks.  A `model` block overrides `base` (default: the packaged
+        model)."""
         if not isinstance(data, dict):
             raise InvalidScenarioError("scenario: expected a JSON object")
         version = data.get("version")
@@ -213,6 +214,10 @@ class Scenario:
             raise InvalidScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
         expect_keys(data, ("version", "name", "seed", "topology", "processes", "migrations",
                            "traffic", "gossip", "pre_converge", "model", "caps"), "scenario")
+        name = need(data, "name", str, "scenario")
+        if any(c in name for c in "/\\\0"):   # it prefixes the report file names
+            raise InvalidScenarioError(
+                f"scenario.name: must not contain '/', '\\' or NUL, got {name!r}")
 
         topo = need(data, "topology", dict, "scenario")
         expect_keys(topo, [f.name for f in fields(Topology)], "topology")
@@ -275,25 +280,22 @@ class Scenario:
         model = read(block, LatencyModel, "model", base=base or load_model()) if block else base
         caps = read(need(data, "caps", dict, "scenario", {}), TransportConfig, "caps",
                     LIMITS[TransportConfig])
-        return cls(need(data, "name", str, "scenario"), topology, processes, migrations,
-                   traffic, gossip_config,
+        return cls(name, topology, processes, migrations, traffic, gossip_config,
                    need(data, "pre_converge", bool, "scenario", cls.pre_converge),
                    need(data, "seed", int, "scenario", cls.seed), model, caps)
 
 
-def run_scenario(scenario: Scenario, seed: Optional[int] = None,
-                 trace_enabled: bool = False) -> Report:
-    """Execute a declarative scenario; same (scenario, seed) in, same report
-    out, bit for bit."""
-    used_seed = scenario.seed if seed is None else seed
+def run_scenario(scenario: Scenario, trace_enabled: bool = False) -> Report:
+    """Execute a declarative scenario; same scenario in, same report out,
+    bit for bit."""
     trace: Optional[list] = [] if trace_enabled else None
     sim = Simulation.build(scenario.topology, scenario.model, scenario.caps,
-                           used_seed, scenario.gossip_config, trace)
+                           scenario.seed, scenario.gossip_config, trace)
     pids: dict[str, GPid] = {}
     for spec in scenario.processes:
         pids[spec.id] = sim.cluster.spawn(spec.home, spec.job, spec.work)
 
-    report = Report(scenario.name, used_seed, trace=trace)
+    report = Report(scenario.name, scenario.seed, trace=trace)
     if scenario.pre_converge:
         report.convergence_rounds = sim.converge()
 
@@ -333,11 +335,10 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
 # built-in experiment templates
 
 def _pair_sim(migrated: bool, model: Optional[LatencyModel], seed: int,
-              caps: TransportConfig = TransportConfig(),
               trace: Optional[list] = None) -> tuple[Simulation, GPid, GPid]:
     """Two processes homed on nodes 0 and 1 of a 4-node mesh; `migrated`
     moves them to nodes 2 and 3.  Gossip is run to convergence."""
-    sim = Simulation.build(Topology.mesh(4), model, caps, seed, trace=trace)
+    sim = Simulation.build(Topology.mesh(4), model, seed=seed, trace=trace)
     a = sim.cluster.spawn(0, "pair")
     b = sim.cluster.spawn(1, "pair")
     if migrated:
@@ -403,13 +404,12 @@ def latency_sweep(sizes: Optional[list[int]] = None,
     return report
 
 
-def limit_test(model: Optional[LatencyModel] = None, seed: int = 0,
-               caps: TransportConfig = TransportConfig(),
-               trace_enabled: bool = False) -> Report:
+def limit_test(seed: int = 0, trace_enabled: bool = False) -> Report:
     """Binary-search the maximum deliverable message size per transport and
     check the direct cap is exactly twice the relay cap."""
     trace: Optional[list] = [] if trace_enabled else None
-    sim, a, b = _pair_sim(True, model, seed, caps, trace=trace)
+    sim, a, b = _pair_sim(True, None, seed, trace=trace)
+    caps = sim.router.config
 
     def max_deliverable(transport: TransportKind) -> int:
         lo, hi = 0, max(caps.relay_max, caps.direct_max) * 4
@@ -445,8 +445,7 @@ def limit_test(model: Optional[LatencyModel] = None, seed: int = 0,
     return report
 
 
-def ring_load(spokes: int = 8, size: int = 4096,
-              model: Optional[LatencyModel] = None, seed: int = 0,
+def ring_load(spokes: int = 8, size: int = 4096, seed: int = 0,
               trace_enabled: bool = False) -> Report:
     """All-pairs traffic between processes homed on a ring's center and
     migrated to distinct outer nodes; measures how much payload the center
@@ -454,8 +453,7 @@ def ring_load(spokes: int = 8, size: int = 4096,
     trace: Optional[list] = [] if trace_enabled else None
 
     def build() -> tuple[Simulation, list[GPid]]:
-        sim = Simulation.build(Topology.ring_with_center(spokes + 1), model,
-                               TransportConfig(), seed, trace=trace)
+        sim = Simulation.build(Topology.ring_with_center(spokes + 1), seed=seed, trace=trace)
         procs = [sim.cluster.spawn(0, "ring") for _ in range(spokes)]
         for i, pid in enumerate(procs):
             sim.cluster.migrate(pid, i + 1)
@@ -501,13 +499,13 @@ def ring_load(spokes: int = 8, size: int = 4096,
     return report
 
 
-def imbalance_test(model: Optional[LatencyModel] = None, seed: int = 0,
-                   preset: str = "imbalanced", trace_enabled: bool = False) -> Report:
+def imbalance_test(seed: int = 0, preset: str = "imbalanced",
+                   trace_enabled: bool = False) -> Report:
     """Two 3-process jobs crowded onto four of six nodes; balancing to a
     fixpoint should spread them out and beat the 2x-of-optimal bound.
     The "balanced" preset starts at one process per node instead."""
     trace: Optional[list] = [] if trace_enabled else None
-    sim = Simulation.build(Topology.mesh(6), model, TransportConfig(), seed, trace=trace)
+    sim = Simulation.build(Topology.mesh(6), seed=seed, trace=trace)
     if preset == "imbalanced":
         placement_a = [0, 0, 2]
         placement_b = [1, 1, 3]

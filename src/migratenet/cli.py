@@ -34,6 +34,9 @@ SM_BETA_FACTOR = 10.0         # beta_sm  = beta_net * 10
 TARGET_SLOWDOWN = 0.17        # mean direct / local-relay - 1
 TARGET_IMPROVEMENT = 0.52     # mean 1 - direct / migrated-relay
 TOLERANCE = 0.01
+# mean of 1 / (one network hop) over the default sweep's sizes
+MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in bench.DEFAULT_SWEEP_SIZES)
+                / len(bench.DEFAULT_SWEEP_SIZES))
 
 # value rules of the flags that stand for no scenario field (see simcore.check)
 FINITE_NON_NEGATIVE = (0, sys.float_info.max, "must be finite and non-negative")
@@ -46,10 +49,6 @@ class CalibrationResult:
     achieved_slowdown: float
     achieved_improvement: float
     solvable: bool
-    nearest_overhead: float
-    nearest_home_leg_factor: float
-    nearest_slowdown: float
-    nearest_improvement: float
 
 
 def home_leg_factor_for(slowdown: float, improvement: float) -> float:
@@ -64,6 +63,16 @@ def home_leg_factor_for(slowdown: float, improvement: float) -> float:
     return ((1 + slowdown) / (1 - improvement) - 1) / 2
 
 
+def nearest_fit() -> dict[str, float]:
+    """The unpinned joint fit: the overhead solved from the slowdown target
+    and the home-leg factor from both targets, clamped at zero."""
+    factor = max(0.0, home_leg_factor_for(TARGET_SLOWDOWN, TARGET_IMPROVEMENT))
+    return {"direct_overhead": TARGET_SLOWDOWN / MEAN_INV_HOP,
+            "home_leg_factor": factor,
+            "slowdown": TARGET_SLOWDOWN,
+            "improvement": 1 - (1 + TARGET_SLOWDOWN) / (1 + 2 * factor)}
+
+
 def calibrate(overhead_override: Optional[float] = None) -> CalibrationResult:
     """Fit the latency model to the target ratios over the default sweep.
 
@@ -73,18 +82,15 @@ def calibrate(overhead_override: Optional[float] = None) -> CalibrationResult:
     ``overhead * mean(1 / hop)`` whatever the home-leg factor; solve the
     factor in closed form from it (:func:`home_leg_factor_for`), then verify
     both targets by actually running the sweep.  `solvable` reports whether
-    verification passed.  The `nearest_*` fields describe the unpinned joint
-    fit: the overhead solved from the slowdown target and the factor from
-    both targets, clamped at zero.  Both targets are out of reach only when
-    the overhead is pinned (`overhead_override`) or the factor would be
-    negative (improvement < -slowdown).
+    verification passed.  Both targets are out of reach (see
+    :func:`nearest_fit`) only when the overhead is pinned
+    (`overhead_override`) or the factor would be negative
+    (improvement < -slowdown).
     """
-    sizes = bench.DEFAULT_SWEEP_SIZES
-    mean_inv_hop = sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in sizes) / len(sizes)
     if overhead_override is not None:
         overhead = overhead_override
     else:
-        overhead = TARGET_SLOWDOWN / mean_inv_hop
+        overhead = TARGET_SLOWDOWN / MEAN_INV_HOP
     model = LatencyModel(
         alpha_net=CAL_ALPHA_NET,
         beta_net=CAL_BETA_NET,
@@ -92,20 +98,14 @@ def calibrate(overhead_override: Optional[float] = None) -> CalibrationResult:
         beta_sm=CAL_BETA_NET * SM_BETA_FACTOR,
         direct_overhead=overhead,
     )
-    factor = home_leg_factor_for(overhead * mean_inv_hop, TARGET_IMPROVEMENT)
+    factor = home_leg_factor_for(overhead * MEAN_INV_HOP, TARGET_IMPROVEMENT)
     model = replace(model, home_leg_factor=max(0.0, factor))
-    report = bench.latency_sweep(sizes, model)
+    report = bench.latency_sweep(bench.DEFAULT_SWEEP_SIZES, model)
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
     solvable = (abs(slowdown - TARGET_SLOWDOWN) <= TOLERANCE
                 and abs(improvement - TARGET_IMPROVEMENT) <= TOLERANCE)
-    nearest_factor = max(0.0, home_leg_factor_for(TARGET_SLOWDOWN, TARGET_IMPROVEMENT))
-    return CalibrationResult(
-        model, slowdown, improvement, solvable,
-        nearest_overhead=TARGET_SLOWDOWN / mean_inv_hop,
-        nearest_home_leg_factor=nearest_factor,
-        nearest_slowdown=TARGET_SLOWDOWN,
-        nearest_improvement=1 - (1 + TARGET_SLOWDOWN) / (1 + 2 * nearest_factor))
+    return CalibrationResult(model, slowdown, improvement, solvable)
 
 
 def defaults_payload(result: CalibrationResult) -> dict:
@@ -120,12 +120,7 @@ def defaults_payload(result: CalibrationResult) -> dict:
             "achieved_slowdown": result.achieved_slowdown,
             "achieved_improvement": result.achieved_improvement,
             "solvable": result.solvable,
-            "nearest_fit": {
-                "direct_overhead": result.nearest_overhead,
-                "home_leg_factor": result.nearest_home_leg_factor,
-                "slowdown": result.nearest_slowdown,
-                "improvement": result.nearest_improvement,
-            },
+            "nearest_fit": nearest_fit(),
         },
     }
 
@@ -141,14 +136,19 @@ def write_defaults(result: CalibrationResult, path) -> Path:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV} or 0)")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--trace", action="store_true",
+    # chained parents; each command takes the shortest chain its output reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="out", help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help=f"RNG seed (default: for run the scenario's seed, "
+                             f"otherwise ${SEED_ENV} or 0)")
+    traced = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    traced.add_argument("--trace", action="store_true",
                         help="also write a per-frame trace CSV")
-    common.add_argument("--config", default=None,
-                        help="latency defaults file (default: packaged defaults)")
+    modeled = argparse.ArgumentParser(add_help=False, parents=[traced])
+    modeled.add_argument("--config", default=None,
+                         help="latency defaults file (default: packaged defaults)")
 
     parser = argparse.ArgumentParser(
         prog="migratenet",
@@ -156,30 +156,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "messaging, gossip dissemination, load balancing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="run a scenario file")
+    p = sub.add_parser("run", parents=[modeled], help="run a scenario file")
     p.add_argument("scenario", help="path to a scenario JSON file")
 
-    p = sub.add_parser("sweep", parents=[common], help="latency vs size sweep")
+    p = sub.add_parser("sweep", parents=[modeled], help="latency vs size sweep")
     p.add_argument("--sizes", default=None,
                    help="comma-separated byte sizes (default: 1KiB..64MiB doublings)")
 
-    sub.add_parser("limit", parents=[common], help="maximum message size test")
+    sub.add_parser("limit", parents=[traced], help="maximum message size test")
 
-    p = sub.add_parser("ring", parents=[common], help="home-node bypass on a ring")
+    p = sub.add_parser("ring", parents=[traced], help="home-node bypass on a ring")
     p.add_argument("--spokes", type=int, default=8)
     p.add_argument("--size", type=int, default=4096)
 
-    p = sub.add_parser("imbalance", parents=[common], help="load-balancing test")
+    p = sub.add_parser("imbalance", parents=[traced], help="load-balancing test")
     p.add_argument("--preset", choices=["imbalanced", "balanced"], default="imbalanced")
 
-    p = sub.add_parser("gossip-stats", parents=[common],
+    p = sub.add_parser("gossip-stats", parents=[seeded],
                        help="dissemination statistics for one fresh fact")
     p.add_argument("--nodes", type=int, default=32)
     p.add_argument("--max-rounds", type=int, default=50)
     p.add_argument("--drop", type=float, default=0.0,
                    help="per-exchange drop probability")
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[out],
                        help="fit the latency model to the target ratios")
     p.add_argument("--defaults-out", default=None,
                    help="where to write the defaults file "
@@ -231,11 +231,12 @@ def _run_calibrate(args) -> int:
     if not result.solvable:
         pinned = ("with direct_overhead fixed" if args.fix_overhead is not None
                   else "with a non-negative home_leg_factor")
+        fit = nearest_fit()
         print(f"{E_NO_SOLUTION}: both targets are unreachable together {pinned}; "
-              f"nearest joint fit: slowdown={result.nearest_slowdown:.4f}, "
-              f"improvement={result.nearest_improvement:.4f} "
-              f"(direct_overhead={result.nearest_overhead:.6g}, "
-              f"home_leg_factor={result.nearest_home_leg_factor:.6g})",
+              f"nearest joint fit: slowdown={fit['slowdown']:.4f}, "
+              f"improvement={fit['improvement']:.4f} "
+              f"(direct_overhead={fit['direct_overhead']:.6g}, "
+              f"home_leg_factor={fit['home_leg_factor']:.6g})",
               file=sys.stderr)
         return 1
     return 0
@@ -252,12 +253,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "calibrate":
             return _run_calibrate(args)
 
-        model = load_model(args.config) if args.config else None
-        seed = _resolve_seed(args)
-
+        seed = _resolve_seed(args)   # unused by run: --seed, else the scenario's seed
         if args.command == "run":
             # the scenario's model block overrides the --config model
-            scenario = bench.Scenario.load(args.scenario, model)
+            base = load_model(args.config) if args.config else None
+            scenario = bench.Scenario.load(args.scenario, base)
             if args.seed is not None:
                 scenario.seed = args.seed
             report = bench.run_scenario(scenario, trace_enabled=args.trace)
@@ -265,16 +265,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             sizes = None
             if args.sizes:
                 sizes = [_size(s, "--sizes") for s in args.sizes.split(",")]
+            model = load_model(args.config) if args.config else None
             report = bench.latency_sweep(sizes, model, seed, trace_enabled=args.trace)
         elif args.command == "limit":
-            report = bench.limit_test(model, seed, trace_enabled=args.trace)
+            report = bench.limit_test(seed, trace_enabled=args.trace)
         elif args.command == "ring":
             report = bench.ring_load(check(args.spokes, AT_LEAST_TWO, "--spokes"),
-                                     _size(args.size, "--size"), model, seed,
+                                     _size(args.size, "--size"), seed,
                                      trace_enabled=args.trace)
         elif args.command == "imbalance":
-            report = bench.imbalance_test(model, seed, preset=args.preset,
-                                          trace_enabled=args.trace)
+            report = bench.imbalance_test(seed, preset=args.preset, trace_enabled=args.trace)
         else:   # gossip-stats
             config = bench.GossipConfig(drop_probability=check(
                 args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))

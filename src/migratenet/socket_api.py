@@ -53,7 +53,6 @@ class SocketHandle:
     pending: list[int] = field(default_factory=list)   # handle ids awaiting accept
     peer_closed: bool = False
     last_error: Optional[str] = None
-    _ready_watermark: float = 0.0
 
 
 class SocketStack:
@@ -180,9 +179,9 @@ class SocketStack:
         if peer.state is SocketState.CLOSED:
             raise BadStateError("peer endpoint is closed")
         report = self.router.send(h.transport, h.owner, peer.owner, size)
-        ready = max(self.now + report.latency, peer._ready_watermark)
-        peer._ready_watermark = ready
-        peer.recv_queue.append(Chunk(size, ready))
+        # FIFO: not before the queued tail (a drained queue's last chunk left by now)
+        queue, ready = peer.recv_queue, self.now + report.latency
+        queue.append(Chunk(size, max(ready, queue[-1].ready_at) if queue else ready))
         return report
 
     def recv(self, h: SocketHandle, max_bytes: int) -> Optional[int]:

@@ -81,6 +81,13 @@ def test_scenario_validation_reports_field_paths(mutate, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "nul\0byte"])
+def test_scenario_name_with_a_path_separator_is_rejected(name):
+    # the name prefixes the report file names, so it must stay one file name
+    with pytest.raises(InvalidScenarioError, match="scenario.name: must not contain"):
+        bench.Scenario.from_dict(dict(VALID_SCENARIO, name=name))
+
+
 def test_scenario_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -117,7 +124,8 @@ def test_run_scenario_deterministic_files(tmp_path):
 
 def test_run_scenario_seed_override_changes_only_seed_field():
     scenario = bench.Scenario.from_dict(VALID_SCENARIO)
-    report = bench.run_scenario(scenario, seed=99)
+    scenario.seed = 99
+    report = bench.run_scenario(scenario)
     assert report.seed == 99
 
 
@@ -155,21 +163,10 @@ def test_sweep_rejects_empty_sizes():
         bench.latency_sweep([], TEST_MODEL)
 
 
-# -- limit test -----------------------------------------------------------------------
-
-def test_limit_finds_exact_caps():
-    from migratenet.transport import TransportConfig
-    report = bench.limit_test(TEST_MODEL, caps=TransportConfig(relay_max=1000,
-                                                               direct_max=2000))
-    assert report.passed
-    assert report.extra["relay_max"] == "1000"
-    assert report.extra["direct_max"] == "2000"
-
-
 # -- ring load -----------------------------------------------------------------------
 
 def test_ring_load_center_accounting():
-    report = bench.ring_load(spokes=5, size=1000, model=TEST_MODEL)
+    report = bench.ring_load(spokes=5, size=1000)
     assert report.passed, [a for a in report.assertions if not a.passed]
     pairs = 5 * 4
     assert report.extra["relay_center_bytes"] == str(pairs * 1000)
@@ -180,7 +177,7 @@ def test_ring_load_center_accounting():
 # -- imbalance ------------------------------------------------------------------------
 
 def test_imbalance_report():
-    report = bench.imbalance_test(TEST_MODEL)
+    report = bench.imbalance_test()
     assert report.passed
     assert float(report.extra["makespan_after"]) < float(report.extra["makespan_before"])
     assert float(report.extra["makespan_after"]) <= \
@@ -188,7 +185,7 @@ def test_imbalance_report():
 
 
 def test_imbalance_balanced_preset_makes_no_moves():
-    report = bench.imbalance_test(TEST_MODEL, preset="balanced")
+    report = bench.imbalance_test(preset="balanced")
     assert report.passed
     assert report.extra["migrations"] == "none"
 
@@ -226,7 +223,7 @@ def test_report_file_schemas(tmp_path):
 
 
 def test_trace_file_written_when_enabled(tmp_path):
-    report = bench.ring_load(spokes=3, size=100, model=TEST_MODEL, trace_enabled=True)
+    report = bench.ring_load(spokes=3, size=100, trace_enabled=True)
     files = {p.name: p for p in report.write(tmp_path)}
     lines = files["ring_load_trace.csv"].read_text().splitlines()
     assert lines[0] == "time,kind,src,dst,from_node,to_node,size"

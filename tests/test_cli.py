@@ -160,6 +160,28 @@ def test_unknown_subcommand_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--config", "model.json"], ["ring", "--config", "model.json"],
+    ["imbalance", "--config", "model.json"], ["gossip-stats", "--config", "model.json"],
+    ["calibrate", "--config", "model.json"], ["gossip-stats", "--trace"],
+    ["calibrate", "--trace"], ["calibrate", "--seed", "3"],
+])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    # each command takes only the flags its output reads
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir"])
+def test_run_scenario_name_with_a_path_separator_exits_2(tmp_path, capsys, name):
+    scenario = write_scenario(tmp_path, dict(SCENARIO, name=name))
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and "scenario.name" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
+
+
 def test_run_valid_scenario_exits_0(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", write_scenario(tmp_path), "--out", str(out)]) == 0
@@ -199,6 +221,16 @@ def test_gossip_stats_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
     rows = (tmp_path / "a" / "gossip_stats_gossip.csv").read_text().splitlines()
     assert rows[0] == "round,informed_count,frames,entries_moved"
+
+
+def test_run_seed_is_the_flag_then_the_scenario_seed(tmp_path, capsys, monkeypatch):
+    # $MIGRATENET_SEED does not apply to run: the scenario carries its own seed
+    monkeypatch.setenv(cli.SEED_ENV, "11")
+    scenario = write_scenario(tmp_path)
+    for label, flags, seed in (("flag", ["--seed", "7"], 7), ("scenario", [], 3)):
+        out = tmp_path / label
+        assert cli.main(["run", scenario, "--out", str(out)] + flags) == 0
+        assert f"\nseed: {seed}\n" in (out / "cli_demo_summary.txt").read_text()
 
 
 def test_trace_flag_writes_trace_csv(tmp_path, capsys):
