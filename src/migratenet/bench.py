@@ -13,8 +13,9 @@ the blocks ``processes``, ``migrations`` and ``traffic`` (lists of
 :class:`ProcessSpec`, :class:`MigrationSpec` and :class:`TrafficSpec`),
 ``gossip`` (:class:`GossipConfig`), ``model`` (overrides of the base
 :class:`LatencyModel`) and ``caps`` (:class:`TransportConfig`).  A block's
-keys, types and defaults are its dataclass's fields, and `LIMITS` holds
-their value rules; migration times must not decrease.
+keys, types and defaults are the fields of its class (a named tuple for the
+list rows, a dataclass for the others), and `LIMITS` holds their value
+rules; migration times must not decrease.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import balancer, gossip
 from .cluster import ClusterState, GPid, Topology
@@ -139,23 +140,20 @@ class Report:
 # ---------------------------------------------------------------------------
 # declarative scenarios
 
-@dataclass(frozen=True)
-class ProcessSpec:
+class ProcessSpec(NamedTuple):
     id: str
     home: int
     job: str = "job"
     work: float = 1.0
 
 
-@dataclass(frozen=True)
-class MigrationSpec:
+class MigrationSpec(NamedTuple):
     time: float
     pid: str
     to: int
 
 
-@dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(NamedTuple):
     time: float
     src: str
     dst: str
@@ -203,8 +201,8 @@ class Scenario:
     def from_dict(cls, data: dict, base: Optional[LatencyModel] = None) -> "Scenario":
         """Validate a scenario mapping; every fault is an
         `InvalidScenarioError` naming its field.  Each block is read through
-        its dataclass (:func:`read`); checked here is what no dataclass can
-        say: the version, the name, the topology and the references between
+        its class (:func:`read`); checked here is what no field type can say:
+        the version, the name, the topology and the references between
         blocks.  A `model` block overrides `base` (default: the packaged
         model)."""
         if not isinstance(data, dict):

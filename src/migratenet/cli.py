@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bench
-from .errors import E_NO_SOLUTION, InvalidScenarioError, SimulatorError
+from .errors import E_IO, E_NO_SOLUTION, InvalidScenarioError, SimulatorError
 from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, LatencyModel, check, load_model
 
 SEED_ENV = "MIGRATENET_SEED"
@@ -191,10 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
+    """A template's seed: --seed, else $MIGRATENET_SEED, else 0."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise InvalidScenarioError(f"${SEED_ENV}: expected an integer, got {env!r}") from None
 
 
 def _size(text, flag: str) -> int:
@@ -253,15 +257,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "calibrate":
             return _run_calibrate(args)
 
-        seed = _resolve_seed(args)   # unused by run: --seed, else the scenario's seed
         if args.command == "run":
             # the scenario's model block overrides the --config model
             base = load_model(args.config) if args.config else None
             scenario = bench.Scenario.load(args.scenario, base)
-            if args.seed is not None:
+            if args.seed is not None:   # else the scenario's seed
                 scenario.seed = args.seed
-            report = bench.run_scenario(scenario, trace_enabled=args.trace)
-        elif args.command == "sweep":
+            return _emit(bench.run_scenario(scenario, trace_enabled=args.trace), args.out)
+
+        seed = _resolve_seed(args)
+        if args.command == "sweep":
             sizes = None
             if args.sizes:
                 sizes = [_size(s, "--sizes") for s in args.sizes.split(",")]
@@ -281,8 +286,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = bench.gossip_stats(check(args.nodes, AT_LEAST_ONE, "--nodes"), seed, config,
                                         check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
         return _emit(report, args.out)
-    except (SimulatorError, OSError, ValueError) as exc:
+    except (SimulatorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written; names its path
+        print(f"error: {E_IO}: {exc}", file=sys.stderr)
         return 2
 
 

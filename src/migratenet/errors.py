@@ -7,6 +7,8 @@ diagnostics can refer to failures without parsing messages.
 # `calibrate`'s code when both targets are out of reach together; it is a
 # reported outcome (exit 1), not an exception
 E_NO_SOLUTION = "E_NO_SOLUTION"
+# the CLI's code for a file it cannot read or write (an `OSError`; exit 2)
+E_IO = "E_IO"
 
 
 class SimulatorError(Exception):

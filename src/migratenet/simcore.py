@@ -15,6 +15,7 @@ from bisect import insort
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
+from inspect import signature
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, get_type_hints
@@ -137,24 +138,27 @@ def expect_keys(raw, names, where: str) -> None:
             raise InvalidScenarioError(f"{where}.{key}: unknown field")
 
 
-_PLANS: dict = {}   # dataclass -> (field names, one step per field, limits)
+_PLANS: dict = {}   # schema -> (field names, one step per field, limits)
 
 
 def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None):
-    """Build the dataclass `schema` from the JSON object `raw` found at `where`.
+    """Build `schema`, a dataclass or a named tuple, from the JSON object
+    `raw` found at `where`.
 
-    The keys must be fields of `schema`; each value is read as its field's
-    type under :func:`need`'s rules (an enum by value) and must pass its rule
-    in `limits`.  An absent field takes its value from `base` if given, else
-    its default.  Every fault is an `InvalidScenarioError` naming its field.
+    The keys must be parameters of `schema`'s constructor; each value is read
+    as its annotated type under :func:`need`'s rules (an int as a float, an
+    enum by value) and must pass its rule in `limits`.  An absent field takes
+    its value from `base` if given, else its default.  Every fault is an
+    `InvalidScenarioError` naming its field.
     """
     plan = _PLANS.get(schema)
     if plan is None or plan[2] is not limits:   # first read, or other limits
         hints = get_type_hints(schema)
-        plan = _PLANS[schema] = (frozenset(f.name for f in fields(schema)), tuple(
-            (f.name, hints[f.name], f.default,
-             {m.value: m for m in hints[f.name]} if issubclass(hints[f.name], Enum) else None,
-             (limits or {}).get(f.name)) for f in fields(schema)), limits)
+        params = signature(schema).parameters
+        plan = _PLANS[schema] = (frozenset(params), tuple(
+            (name, hints[name], MISSING if p.default is p.empty else p.default,
+             {m.value: m for m in hints[name]} if issubclass(hints[name], Enum) else None,
+             (limits or {}).get(name)) for name, p in params.items()), limits)
     names, steps, _ = plan
     if type(raw) is not dict or not names.issuperset(raw):
         expect_keys(raw, names, where)
@@ -262,7 +266,8 @@ class Metrics:
     of what each layer did.
 
     Nothing here grows with the number of sends: a report's latency rows are
-    the one per-send record.  The fixed counters are written after the
+    the one per-send record.  `Router._carry` writes the per-node and
+    per-link counters.  The fixed counters are written after the
     per-node and per-link rows, in this order, even when they are zero:
 
     * `sends`: sends carried by each transport, auto's picks included;
@@ -294,20 +299,6 @@ class Metrics:
     gossip_totals: dict[str, int] = _counters("rounds", "exchanges", "dropped", "frames",
                                               "entries_moved")
     events: int = 0
-
-    def relay(self, node: int, size: int) -> None:
-        self.relayed_bytes[node] = self.relayed_bytes.get(node, 0) + size
-
-    def deliver(self, node: int, size: int) -> None:
-        self.delivered_bytes[node] = self.delivered_bytes.get(node, 0) + size
-        self.payload_delivered += size
-
-    def handle(self, node: int) -> None:
-        self.frames_handled[node] = self.frames_handled.get(node, 0) + 1
-
-    def link(self, frm: int, to: int, size: int) -> None:
-        key = (frm, to)
-        self.link_bytes[key] = self.link_bytes.get(key, 0) + size
 
     def add_round(self, report) -> None:
         """Add one gossip round's `RoundReport` to `gossip_totals`."""

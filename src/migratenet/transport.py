@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cluster import ClusterState, GPid, NodeId
 from .errors import MessageTooLargeError
@@ -68,8 +68,7 @@ class TransportConfig:
     control_size: int = DEFAULT_CONTROL_SIZE   # fixed size of control frames
 
 
-@dataclass(frozen=True)
-class DeliveryReport:
+class DeliveryReport(NamedTuple):
     transport: TransportKind           # mechanism actually used
     network_hops: int                  # DATA link traversals, wasted ones included
     latency: float                     # send start to payload arrival
@@ -244,7 +243,7 @@ class Router:
         dst; control frames carry the control size from dst back to src."""
         links, relayed = route
         metrics = self.metrics
-        trace = self.trace
+        link_bytes, handled, trace = metrics.link_bytes, metrics.frames_handled, self.trace
         hops = 0
         for kind, frm, to, _ in links:
             if kind is DATA:
@@ -253,13 +252,14 @@ class Router:
             else:
                 nbytes = self.config.control_size
                 metrics.control_frames[kind.value] += 1
-            metrics.link(frm, to, nbytes)
-            metrics.handle(to)
+            link_bytes[frm, to] = link_bytes.get((frm, to), 0) + nbytes
+            handled[to] = handled.get(to, 0) + 1
             if trace is not None:
                 ends = (src, dst) if kind is DATA else (dst, src)
                 trace.append((self.clock.now, kind.value, str(ends[0]), str(ends[1]), frm, to, nbytes))
         for node in relayed:
-            metrics.relay(node, size)
-        metrics.deliver(receiver, size)
+            metrics.relayed_bytes[node] = metrics.relayed_bytes.get(node, 0) + size
+        metrics.delivered_bytes[receiver] = metrics.delivered_bytes.get(receiver, 0) + size
+        metrics.payload_delivered += size
         return DeliveryReport(transport, hops, self._price(transport, links, size), len(links),
                               relayed)

@@ -46,6 +46,23 @@ def test_scenario_round_trip():
     assert s.gossip_config.bound == 32
 
 
+def test_scenario_rows_are_immutable_and_hold_their_declared_types():
+    # every send laid from a row shares it, so no row may change after reading;
+    # and a named tuple does not convert, so the reader must: 0 is read as 0.0
+    data = json.loads(json.dumps(VALID_SCENARIO))
+    data["traffic"][0]["time"] = 0
+    data["migrations"][0]["time"] = 0
+    s = bench.Scenario.from_dict(data)
+    for row in (s.processes[0], s.migrations[0], s.traffic[0]):
+        for name in row._fields:
+            with pytest.raises(AttributeError):
+                setattr(row, name, getattr(row, name))
+    assert type(s.traffic[0].time) is float and s.traffic[0].time == 0.0
+    assert type(s.migrations[0].time) is float
+    assert type(s.traffic[1].interval) is float and type(s.traffic[1].count) is int
+    assert type(s.processes[0].work) is float
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.update(version=2), "version"),
     (lambda d: d.pop("name"), "scenario.name"),

@@ -233,6 +233,28 @@ def test_run_seed_is_the_flag_then_the_scenario_seed(tmp_path, capsys, monkeypat
         assert f"\nseed: {seed}\n" in (out / "cli_demo_summary.txt").read_text()
 
 
+def test_malformed_seed_variable_fails_only_the_commands_that_read_it(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, "abc")
+    assert cli.main(["run", write_scenario(tmp_path), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert cli.main(["limit", "--out", str(tmp_path / "limit")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and f"${cli.SEED_ENV}" in err
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["run", "{tmp}/missing.json"], "missing.json"),
+    (["run", "{scenario}", "--config", "{tmp}/missing_defaults.json"], "missing_defaults.json"),
+    (["limit", "--out", "{scenario}"], "scenario.json"),
+])
+def test_file_error_exits_2_with_the_io_code_and_its_path(tmp_path, capsys, argv, path):
+    scenario = write_scenario(tmp_path)
+    assert cli.main([a.format(tmp=tmp_path, scenario=scenario) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E_IO: ") and path in err
+
+
 def test_trace_flag_writes_trace_csv(tmp_path, capsys):
     assert cli.main(["run", write_scenario(tmp_path), "--trace",
                      "--out", str(tmp_path / "out")]) == 0
