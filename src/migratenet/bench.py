@@ -7,9 +7,9 @@ A :class:`Scenario` is a declarative experiment (JSON-friendly) that
 assertion from raw simulation output.
 
 Scenario file schema (version 1): one JSON object with ``version`` (1),
-``name``, ``seed``, ``pre_converge``, a ``topology`` (``kind`` one of mesh,
-ring_with_center or explicit; ``nodes``; ``edges`` for explicit only) and
-the blocks ``processes``, ``migrations`` and ``traffic`` (lists of
+``name``, ``seed``, ``pre_converge``, a ``topology`` (``kind`` ``mesh``, the
+one kind: every node reaches every other; ``nodes``, 1 to 65,536) and the
+blocks ``processes``, ``migrations`` and ``traffic`` (lists of
 :class:`ProcessSpec`, :class:`MigrationSpec` and :class:`TrafficSpec`),
 ``gossip`` (:class:`GossipConfig`), ``model`` (overrides of the base
 :class:`LatencyModel`) and ``caps`` (:class:`TransportConfig`).  A block's
@@ -218,22 +218,12 @@ class Scenario:
                 f"scenario.name: must not contain '/', '\\' or NUL, got {name!r}")
 
         topo = need(data, "topology", dict, "scenario")
-        expect_keys(topo, [f.name for f in fields(Topology)], "topology")
+        expect_keys(topo, ("kind", "nodes"), "topology")
         kind = need(topo, "kind", str, "topology")
+        if kind != "mesh":
+            raise InvalidScenarioError(f"topology.kind: expected 'mesh', got {kind!r}")
         nodes = need(topo, "nodes", int, "topology")
-        if kind == "mesh":
-            topology = Topology.mesh(nodes)
-        elif kind == "ring_with_center":
-            topology = Topology.ring_with_center(nodes)
-        elif kind == "explicit":
-            edges = need(topo, "edges", list, "topology")
-            for i, e in enumerate(edges):
-                if not (isinstance(e, list) and len(e) == 2
-                        and all(type(n) is int for n in e)):
-                    raise InvalidScenarioError(f"topology.edges[{i}]: expected [node, node]")
-            topology = Topology.explicit(nodes, edges)
-        else:
-            raise InvalidScenarioError(f"topology.kind: unknown kind {kind!r}")
+        topology = Topology.mesh(nodes)
 
         processes = [read(raw, ProcessSpec, f"processes[{i}]", LIMITS[ProcessSpec])
                      for i, raw in enumerate(need(data, "processes", list, "scenario"))]
@@ -445,13 +435,13 @@ def limit_test(seed: int = 0, trace_enabled: bool = False) -> Report:
 
 def ring_load(spokes: int = 8, size: int = 4096, seed: int = 0,
               trace_enabled: bool = False) -> Report:
-    """All-pairs traffic between processes homed on a ring's center and
-    migrated to distinct outer nodes; measures how much payload the center
-    carries for each transport."""
+    """All-pairs traffic between `spokes` processes homed on node 0 (the
+    center) and migrated to nodes 1..spokes, one each; measures how much
+    payload the center carries for each transport."""
     trace: Optional[list] = [] if trace_enabled else None
 
     def build() -> tuple[Simulation, list[GPid]]:
-        sim = Simulation.build(Topology.ring_with_center(spokes + 1), seed=seed, trace=trace)
+        sim = Simulation.build(Topology.mesh(spokes + 1), seed=seed, trace=trace)
         procs = [sim.cluster.spawn(0, "ring") for _ in range(spokes)]
         for i, pid in enumerate(procs):
             sim.cluster.migrate(pid, i + 1)

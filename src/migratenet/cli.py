@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import bench
 from .errors import E_IO, E_NO_SOLUTION, InvalidScenarioError, SimulatorError
-from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, LatencyModel, check, load_model
+from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, NODE_COUNT, LatencyModel, check, load_model
 
 SEED_ENV = "MIGRATENET_SEED"
 
@@ -40,7 +40,8 @@ MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in bench.DEFA
 
 # value rules of the flags that stand for no scenario field (see simcore.check)
 FINITE_NON_NEGATIVE = (0, sys.float_info.max, "must be finite and non-negative")
-AT_LEAST_TWO = (2, math.inf, "must be >= 2")
+# a ring has a node per spoke and its center
+SPOKES = (2, NODE_COUNT[1] - 1, f"must be >= 2 and <= {NODE_COUNT[1] - 1}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("limit", parents=[traced], help="maximum message size test")
 
-    p = sub.add_parser("ring", parents=[traced], help="home-node bypass on a ring")
+    p = sub.add_parser("ring", parents=[traced],
+                       help="home-node bypass: processes homed on node 0")
     p.add_argument("--spokes", type=int, default=8)
     p.add_argument("--size", type=int, default=4096)
 
@@ -257,35 +259,38 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "calibrate":
             return _run_calibrate(args)
 
+        # check every input first, then make --out, then simulate: a bad
+        # input leaves no directory behind, and a bad --out costs no run
         if args.command == "run":
             # the scenario's model block overrides the --config model
             base = load_model(args.config) if args.config else None
             scenario = bench.Scenario.load(args.scenario, base)
             if args.seed is not None:   # else the scenario's seed
                 scenario.seed = args.seed
-            return _emit(bench.run_scenario(scenario, trace_enabled=args.trace), args.out)
-
-        seed = _resolve_seed(args)
-        if args.command == "sweep":
-            sizes = None
-            if args.sizes:
-                sizes = [_size(s, "--sizes") for s in args.sizes.split(",")]
-            model = load_model(args.config) if args.config else None
-            report = bench.latency_sweep(sizes, model, seed, trace_enabled=args.trace)
-        elif args.command == "limit":
-            report = bench.limit_test(seed, trace_enabled=args.trace)
-        elif args.command == "ring":
-            report = bench.ring_load(check(args.spokes, AT_LEAST_TWO, "--spokes"),
-                                     _size(args.size, "--size"), seed,
-                                     trace_enabled=args.trace)
-        elif args.command == "imbalance":
-            report = bench.imbalance_test(seed, preset=args.preset, trace_enabled=args.trace)
-        else:   # gossip-stats
-            config = bench.GossipConfig(drop_probability=check(
-                args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))
-            report = bench.gossip_stats(check(args.nodes, AT_LEAST_ONE, "--nodes"), seed, config,
-                                        check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
-        return _emit(report, args.out)
+            job = partial(bench.run_scenario, scenario, trace_enabled=args.trace)
+        else:
+            seed = _resolve_seed(args)
+            if args.command == "sweep":
+                sizes = None
+                if args.sizes:
+                    sizes = [_size(s, "--sizes") for s in args.sizes.split(",")]
+                model = load_model(args.config) if args.config else None
+                job = partial(bench.latency_sweep, sizes, model, seed, trace_enabled=args.trace)
+            elif args.command == "limit":
+                job = partial(bench.limit_test, seed, trace_enabled=args.trace)
+            elif args.command == "ring":
+                job = partial(bench.ring_load, check(args.spokes, SPOKES, "--spokes"),
+                              _size(args.size, "--size"), seed, trace_enabled=args.trace)
+            elif args.command == "imbalance":
+                job = partial(bench.imbalance_test, seed, preset=args.preset,
+                              trace_enabled=args.trace)
+            else:   # gossip-stats
+                config = bench.GossipConfig(drop_probability=check(
+                    args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))
+                job = partial(bench.gossip_stats, check(args.nodes, NODE_COUNT, "--nodes"), seed,
+                              config, check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return _emit(job(), args.out)
     except (SimulatorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Cluster ground truth: nodes, topology and process residency.
+"""Cluster ground truth: the node count and process residency.
 
 The home node of a process is fixed at spawn time and is part of its global
 id.  A home answers where its processes run from ground truth (`residency`),
@@ -9,12 +9,12 @@ locations and are allowed to lag.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
+from .errors import BadNodeError, NoSuchProcessError
 from .gossip import Bulletin
+from .simcore import NODE_COUNT, check
 
 NodeId = int
 
@@ -45,70 +45,18 @@ class MigrationEvent:
     dst: NodeId
 
 
-MESH = "mesh"
-RING_WITH_CENTER = "ring_with_center"
-EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class Topology:
-    """Cluster shape.
+    """Cluster size, built by `mesh`, which holds `nodes` to `NODE_COUNT`.
 
-    Any node can exchange frames with any other regardless of shape; the
-    topology only labels structure for load accounting (the ring benchmark
-    homes its processes on node 0, the center of a ring-with-center).
-    Explicit edge lists are validated for connectivity.
+    Any node exchanges frames with any other, each at the cost of one hop,
+    as in a MOSIX cluster over TCP/IP; so a cluster is its node count.
     """
-    kind: str
     nodes: int
-    edges: Optional[frozenset[tuple[NodeId, NodeId]]] = None
 
     @classmethod
     def mesh(cls, nodes: int) -> "Topology":
-        if nodes < 1:
-            raise InvalidScenarioError("topology.nodes: must be >= 1")
-        return cls(MESH, nodes)
-
-    @classmethod
-    def ring_with_center(cls, nodes: int) -> "Topology":
-        if nodes < 2:
-            raise InvalidScenarioError("topology.nodes: ring_with_center needs >= 2 nodes")
-        return cls(RING_WITH_CENTER, nodes)
-
-    @classmethod
-    def explicit(cls, nodes: int, edges) -> "Topology":
-        if nodes < 1:
-            raise InvalidScenarioError("topology.nodes: must be >= 1")
-        norm = set()
-        for e in edges:
-            a, b = e
-            if not (0 <= a < nodes and 0 <= b < nodes):
-                raise InvalidScenarioError(f"topology.edges: node out of range in {e!r}")
-            if a == b:
-                raise InvalidScenarioError(f"topology.edges: self-loop {e!r}")
-            norm.add((min(a, b), max(a, b)))
-        topo = cls(EXPLICIT, nodes, frozenset(norm))
-        if not topo._connected():
-            raise InvalidScenarioError("topology.edges: graph is not connected")
-        return topo
-
-    def _connected(self) -> bool:
-        if self.nodes == 1:
-            return True
-        if len(self.edges or ()) < self.nodes - 1:
-            return False    # no connected graph has fewer edges; never build a huge map
-        adj: dict[NodeId, list[NodeId]] = {n: [] for n in range(self.nodes)}
-        for a, b in self.edges or ():
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for peer in adj[queue.popleft()]:
-                if peer not in seen:
-                    seen.add(peer)
-                    queue.append(peer)
-        return len(seen) == self.nodes
+        return cls(check(nodes, NODE_COUNT, "topology.nodes"))
 
 
 class ClusterState:
@@ -119,8 +67,7 @@ class ClusterState:
     """
 
     def __init__(self, topology: Topology):
-        self.topology = topology
-        n = topology.nodes
+        self.node_count = n = topology.nodes
         self.resident: list[set[GPid]] = [set() for _ in range(n)]
         self.procs: dict[GPid, ProcessRecord] = {}
         self.bulletins: list[Bulletin] = [Bulletin(owner=i) for i in range(n)]
@@ -129,10 +76,6 @@ class ClusterState:
         self._publish_serial = 0
         for i in range(n):
             self.bulletins[i].publish_load(0.0, self.next_serial())
-
-    @property
-    def node_count(self) -> int:
-        return self.topology.nodes
 
     def next_serial(self) -> int:
         """Monotone publication stamp ordering same-round-window publishes."""

@@ -118,6 +118,8 @@ def need(mapping, key: str, kind: type, where: str, default=MISSING):
 # value rules (lo, hi, fault): a value passes when lo <= value <= hi
 NON_NEGATIVE = (0, math.inf, "must be non-negative")
 AT_LEAST_ONE = (1, math.inf, "must be >= 1")
+# a cluster holds about 760 B per node before anything runs: 50 MB at most
+NODE_COUNT = (1, 2 ** 16, "must be >= 1 and <= 65536")
 UNIT_INTERVAL = (0, 1, "must be in [0, 1]")
 POSITIVE = (math.ulp(0.0), math.inf, "must be > 0")   # the least float above 0
 

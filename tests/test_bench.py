@@ -420,7 +420,7 @@ def test_metrics_file_size_does_not_grow_with_sends(tmp_path):
 
 FULL_SCENARIO = dict(
     VALID_SCENARIO,
-    topology={"kind": "explicit", "nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+    topology={"kind": "mesh", "nodes": 4},
     processes=[{"id": "p0", "home": 0, "job": "A", "work": 1.5},
                {"id": "p1", "home": 1, "job": "B", "work": 0}],
     gossip={"bound": 32, "drop_probability": 0.1, "rounds_per_second": 20.0},

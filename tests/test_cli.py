@@ -133,10 +133,13 @@ def _set(path, value):
     (_set(["traffic", 0, "time"], True), "traffic[0].time"),
     (_set(["traffic", 0, "interval"], -0.5), "traffic[0].interval"),
     (_set(["traffic", 0, "count"], 2.5), "traffic[0].count"),
-    (_set(["topology"], {"kind": "explicit", "nodes": 4, "edges": [[0, 1], 5]}),
-     "topology.edges[1]"),
-    (_set(["topology"], {"kind": "explicit", "nodes": 10 ** 400, "edges": [[0, 1]]}),
-     "topology.edges"),
+    (_set(["topology"], {"kind": "explicit", "nodes": 4}),
+     "topology.kind: expected 'mesh', got 'explicit'"),
+    (_set(["topology"], {"kind": "ring_with_center", "nodes": 4}),
+     "topology.kind: expected 'mesh', got 'ring_with_center'"),
+    (_set(["topology"], {"kind": "mesh", "nodes": 4, "edges": [[0, 1]]}),
+     "topology.edges: unknown field"),
+    (_set(["topology"], {"kind": "mesh", "nodes": 10 ** 400}), "topology.nodes"),
     (_set(["pre_convergee"], False), "scenario.pre_convergee: unknown field"),
     (_set(["topology", "nodez"], 4), "topology.nodez: unknown field"),
     (_set(["processes", 1, "hom"], 1), "processes[1].hom: unknown field"),
@@ -255,6 +258,16 @@ def test_file_error_exits_2_with_the_io_code_and_its_path(tmp_path, capsys, argv
     assert err.startswith("error: E_IO: ") and path in err
 
 
+def test_run_makes_its_out_directory_before_simulating(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated although --out is a file")
+    monkeypatch.setattr(bench, "run_scenario", no_run)
+    scenario = write_scenario(tmp_path)
+    assert cli.main(["run", scenario, "--out", scenario]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E_IO: ") and "scenario.json" in err
+
+
 def test_trace_flag_writes_trace_csv(tmp_path, capsys):
     assert cli.main(["run", write_scenario(tmp_path), "--trace",
                      "--out", str(tmp_path / "out")]) == 0
@@ -314,6 +327,8 @@ def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle)
     (["calibrate", "--fix-overhead", "inf"], "--fix-overhead: must be finite and non-negative"),
     (["gossip-stats", "--nodes", "0"], "--nodes: must be >= 1"),
     (["gossip-stats", "--nodes", "-3"], "--nodes: must be >= 1"),
+    (["gossip-stats", "--nodes", "70000"], "--nodes: must be >= 1 and <= 65536"),
+    (["ring", "--spokes", "65536"], "--spokes: must be >= 2 and <= 65535"),
 ])
 def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle):
     # a flag that stands for a scenario field obeys that field's rule

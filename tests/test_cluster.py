@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -251,20 +252,14 @@ def test_registry_consistency_and_conservation_random_ops():
 
 # -- topology --------------------------------------------------------------------
 
-def test_ring_with_center_needs_two_nodes():
-    assert Topology.ring_with_center(2).nodes == 2
-    with pytest.raises(InvalidScenarioError, match="ring_with_center needs >= 2 nodes"):
-        Topology.ring_with_center(1)
+@pytest.mark.parametrize("nodes", [0, -1, 2 ** 16 + 1, pytest.param(10 ** 400, id="10**400")])
+def test_mesh_node_count_is_bounded(nodes):
+    # checked before any per-node state exists: 10**400 nodes would never finish
+    with pytest.raises(InvalidScenarioError, match=re.escape(
+            "topology.nodes: must be >= 1 and <= 65536")):
+        Topology.mesh(nodes)
 
 
-def test_explicit_topology_validates_connectivity():
-    Topology.explicit(3, [(0, 1), (1, 2)])   # fine
-    with pytest.raises(InvalidScenarioError):
-        Topology.explicit(4, [(0, 1), (2, 3)])
-
-
-def test_explicit_topology_rejects_bad_edges():
-    with pytest.raises(InvalidScenarioError):
-        Topology.explicit(3, [(0, 5)])
-    with pytest.raises(InvalidScenarioError):
-        Topology.explicit(3, [(1, 1), (0, 1), (1, 2)])
+def test_mesh_takes_both_bounds():
+    assert Topology.mesh(1).nodes == 1
+    assert Topology.mesh(2 ** 16).nodes == 2 ** 16
