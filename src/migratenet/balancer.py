@@ -41,7 +41,7 @@ def balance_step(state: ClusterState) -> list[MigrationEvent]:
         view = state.bulletins[node].load_view()
         if not view:
             continue
-        target, (believed, _) = min(view.items(), key=lambda kv: (kv[1][0], kv[0]))
+        target, believed = min(view.items(), key=lambda kv: (kv[1], kv[0]))
         if target == node or target in received:
             continue
         candidate = min(state.resident[node],

@@ -39,7 +39,6 @@ from .transport import Router, TransportConfig
 
 SCENARIO_VERSION = 1
 DEFAULT_SWEEP_SIZES = [2 ** k for k in range(10, 27)]   # 1 KiB .. 64 MiB
-CONVERGE_CAP = 1000
 
 
 @dataclass
@@ -66,7 +65,7 @@ class Simulation:
         return cls(cluster, queue, metrics, router, random.Random(seed), gossip_config)
 
     def converge(self) -> int:
-        return gossip.converge(self.cluster, self.rng, self.gossip_config, CONVERGE_CAP)
+        return gossip.converge(self.cluster, self.rng, self.gossip_config)
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,16 @@ class Scenario:
         nodes = need(topo, "nodes", int, "topology")
         topology = Topology.mesh(nodes)
 
-        processes = [read(raw, ProcessSpec, f"processes[{i}]", LIMITS[ProcessSpec])
-                     for i, raw in enumerate(need(data, "processes", list, "scenario"))]
+        def rows(key: str, schema: type, *default) -> list:
+            raws = need(data, key, list, "scenario", *default)
+            try:    # a failed row is read again, to name it by its index
+                return [read(raw, schema, key, LIMITS.get(schema)) for raw in raws]
+            except InvalidScenarioError:
+                for i, raw in enumerate(raws):
+                    read(raw, schema, f"{key}[{i}]", LIMITS.get(schema))
+                raise
+
+        processes = rows("processes", ProcessSpec)
         ids = set()
         for i, p in enumerate(processes):
             if p.id in ids:
@@ -235,8 +242,7 @@ class Scenario:
             if not 0 <= p.home < nodes:
                 raise InvalidScenarioError(f"processes[{i}].home: node {p.home} out of range")
 
-        migrations = [read(raw, MigrationSpec, f"migrations[{i}]")
-                      for i, raw in enumerate(need(data, "migrations", list, "scenario", []))]
+        migrations = rows("migrations", MigrationSpec, [])
         last_time = 0.0
         for i, m in enumerate(migrations):
             if m.pid not in ids:
@@ -248,8 +254,7 @@ class Scenario:
                     f"migrations[{i}].time: times must be non-negative and non-decreasing")
             last_time = m.time
 
-        traffic = [read(raw, TrafficSpec, f"traffic[{i}]", LIMITS[TrafficSpec])
-                   for i, raw in enumerate(need(data, "traffic", list, "scenario", []))]
+        traffic = rows("traffic", TrafficSpec, [])
         for i, t in enumerate(traffic):
             for label, pid in (("src", t.src), ("dst", t.dst)):
                 if pid not in ids:

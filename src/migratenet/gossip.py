@@ -1,20 +1,15 @@
 """Bounded rumor-mongering dissemination of process locations and node loads.
 
-Each node keeps a :class:`Bulletin` of aged facts.  Once per round every node
-pairs up with one uniformly random peer and the two swap bounded digests
-(push-pull).  A fact's age counts rounds since its original publication;
-merging keeps the strictly younger copy, so a republished fact displaces
-every stale copy as it spreads.
-
-Internally an entry stores the bulletin clock value at which it was born;
-its age is recomputed as ``clock - birth``, which makes the per-round ageing
-of a whole bulletin O(1).  A digest is a raw snapshot of such entries plus
-the sender's clock: the receiver shifts each birth onto its own clock and
-compares births, so no per-entry object is built on the hot path.  A
-bulletin larger than the digest bound is cut at a birth threshold found by
-sorting the plain birth integers, not by ranking whole entries; the entries
-of each kind ship in bulletin order, since no reader of a digest depends on
-its order.
+Each node keeps a :class:`Bulletin` of facts, each stamped once, at its
+publication, by `ClusterState.stamp`: the cluster's gossip round (its birth;
+no bulletin keeps a clock) and a serial.  Once per round every node pairs up
+with one uniformly random peer and the two swap bounded digests (push-pull);
+merging keeps the copy with the later stamp, so a republished fact displaces
+every stale copy as it spreads.  A digest is a raw snapshot of stored
+entries, so no per-entry object is built on the hot path.  A bulletin larger
+than the digest bound is cut at a birth threshold found by sorting the plain
+birth integers, not by ranking whole entries; the entries of each kind ship
+in bulletin order, since no reader of a digest depends on its order.
 """
 
 from __future__ import annotations
@@ -38,8 +33,7 @@ _birth = itemgetter(1)   # the birth of a stored entry
 @dataclass(frozen=True)
 class GossipDigest:
     """Snapshot of bulletin entries as stored: ``(pid, (node, birth, serial))``
-    and ``(node, (load, birth, serial))``, births on the sender's `clock`."""
-    clock: int
+    and ``(node, (load, birth, serial))``."""
     location_items: tuple[tuple["GPid", tuple["NodeId", int, int]], ...]
     load_items: tuple[tuple["NodeId", tuple[float, int, int]], ...]
 
@@ -64,16 +58,11 @@ class RoundReport:
 
 
 class Bulletin:
-    """One node's local database of aged location and load facts.
-
-    Publications carry a monotone `serial` (handed out by the cluster) so two
-    publications falling inside the same round window can still be ordered;
-    age stays the round-granular freshness measure.
-    """
+    """One node's local database of location and load facts, each stored as
+    ``(value, birth, serial)`` under the stamp of its publication."""
 
     def __init__(self, owner: "NodeId"):
         self.owner = owner
-        self.clock = 0
         # pid -> (node, birth, serial); node -> (load, birth, serial)
         self._locations: dict["GPid", tuple["NodeId", int, int]] = {}
         self._loads: dict["NodeId", tuple[float, int, int]] = {}
@@ -81,33 +70,24 @@ class Bulletin:
     def __len__(self) -> int:
         return len(self._locations) + len(self._loads)
 
-    def advance(self) -> None:
-        """Age every entry by one round."""
-        self.clock += 1
+    def publish_location(self, pid: "GPid", node: "NodeId", birth: int, serial: int) -> None:
+        """Record pid's location with a fresh stamp, replacing any copy."""
+        self._locations[pid] = (node, birth, serial)
 
-    def publish_location(self, pid: "GPid", node: "NodeId", serial: int = 0) -> None:
-        """Record pid's location as a fresh (age 0) fact, replacing any copy."""
-        self._locations[pid] = (node, self.clock, serial)
-
-    def publish_load(self, load: float, serial: int = 0) -> None:
-        """Record the owner's own load as a fresh fact."""
-        self._loads[self.owner] = (load, self.clock, serial)
+    def publish_load(self, load: float, birth: int, serial: int) -> None:
+        """Record the owner's own load with a fresh stamp."""
+        self._loads[self.owner] = (load, birth, serial)
 
     def invalidate_location(self, pid: "GPid") -> None:
         self._locations.pop(pid, None)
 
-    def lookup_location(self, pid: "GPid") -> Optional[tuple["NodeId", int]]:
-        """Return (node, age) for pid if known, possibly stale; None if unknown."""
-        hit = self._locations.get(pid)
-        if hit is None:
-            return None
-        node, birth, _ = hit
-        return node, self.clock - birth
+    def lookup_location(self, pid: "GPid") -> Optional[tuple["NodeId", int, int]]:
+        """The stored (node, birth, serial) for pid, possibly stale, or None."""
+        return self._locations.get(pid)
 
-    def load_view(self) -> dict["NodeId", tuple[float, int]]:
-        """Snapshot of all known node loads as node -> (load, age)."""
-        return {n: (load, self.clock - birth)
-                for n, (load, birth, _) in self._loads.items()}
+    def load_view(self) -> dict["NodeId", float]:
+        """Snapshot of all known node loads as node -> load."""
+        return {n: entry[0] for n, entry in self._loads.items()}
 
 
 def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
@@ -124,8 +104,8 @@ def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
         raise ValueError("digest bound must be >= 1")
     locations, loads = bulletin._locations, bulletin._loads
     if len(locations) + len(loads) <= bound:
-        return GossipDigest(bulletin.clock, tuple(locations.items()), tuple(loads.items()))
-    # a larger birth is a younger age on the one clock
+        return GossipDigest(tuple(locations.items()), tuple(loads.items()))
+    # a larger birth is a later publication
     births = [*map(_birth, locations.values()), *map(_birth, loads.values())]
     births.sort()
     cut = births[-bound]
@@ -136,24 +116,20 @@ def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
         tied = sorted(key for key, entry in table.items() if entry[1] == cut)[:room]
         items += [(key, table[key]) for key in tied]
         room -= len(tied)
-    return GossipDigest(bulletin.clock, tuple(picked[0]), tuple(picked[1]))
+    return GossipDigest(tuple(picked[0]), tuple(picked[1]))
 
 
-def _fold(table: dict, items: tuple, shift: int, owner: Optional["NodeId"]) -> int:
-    """Merge raw `items` into `table`, skipping the key `owner`; births move
-    by `shift` onto the receiver's clock.  A larger birth (younger age) wins;
-    equal births fall back to the publication serial, which orders
-    publications that landed in the same round window; equal on both counts
-    keeps the resident copy."""
+def _fold(table: dict, items: tuple, owner: Optional["NodeId"]) -> int:
+    """Merge raw `items` into `table`, skipping the key `owner`: the later
+    (birth, serial) stamp wins, and an equal one keeps the resident copy."""
     accepted = 0
     for key, entry in items:
         resident = table.get(key)
-        if (resident is entry and not shift) or key == owner:
+        if resident is entry or key == owner:
             continue
-        birth = entry[1] + shift
-        if (resident is None or birth > resident[1]
-                or (birth == resident[1] and entry[2] > resident[2])):
-            table[key] = (entry[0], birth, entry[2]) if shift else entry
+        if (resident is None or entry[1] > resident[1]
+                or (entry[1] == resident[1] and entry[2] > resident[2])):
+            table[key] = entry
             accepted += 1
     return accepted
 
@@ -165,24 +141,21 @@ def merge(bulletin: Bulletin, digest: GossipDigest) -> int:
     `_fold`; plain copies of the same fact never displace each other).
     Facts the owner publishes about itself are never overwritten by hearsay.
     """
-    shift = bulletin.clock - digest.clock
-    return (_fold(bulletin._locations, digest.location_items, shift, None)
-            + _fold(bulletin._loads, digest.load_items, shift, bulletin.owner))
+    return (_fold(bulletin._locations, digest.location_items, None)
+            + _fold(bulletin._loads, digest.load_items, bulletin.owner))
 
 
 def gossip_round(state: "ClusterState", rng: random.Random,
                  config: GossipConfig = GossipConfig()) -> RoundReport:
     """Run one synchronous gossip round over the whole cluster.
 
-    All ages advance first.  Then each node, in index order, picks one
-    uniformly random peer other than itself and the pair swaps digests both
-    ways; later exchanges within the round see the effect of earlier ones.
-    A whole exchange is lost with probability `drop_probability` (its two
-    frames still count as emitted).  A one-node cluster only ages.
+    The cluster's round counter advances first.  Then each node, in index
+    order, picks one uniformly random peer other than itself and the pair
+    swaps digests both ways; later exchanges within the round see the effect
+    of earlier ones.  A whole exchange is lost with probability
+    `drop_probability` (its two frames still count as emitted).
     """
     n = state.node_count
-    for b in state.bulletins:
-        b.advance()
     state.gossip_rounds += 1
     exchanges = dropped = frames = moved = 0
     if n >= 2:
@@ -219,7 +192,7 @@ def is_converged(state: "ClusterState") -> bool:
                 return False
         view = b.load_view()
         for n in range(state.node_count):
-            if n not in view or view[n][0] != truth_load[n]:
+            if n not in view or view[n] != truth_load[n]:
                 return False
     return True
 
@@ -234,7 +207,7 @@ def converge(state: "ClusterState", rng: random.Random,
             return done
         if config.drop_probability >= 1.0 and state.node_count >= 2:
             # rng.random() < 1.0 always holds, so no bulletin can learn
-            # anything; entries never expire and ageing cannot converge them
+            # anything, and entries never expire
             raise NoConvergenceError(
                 f"every gossip exchange is dropped (drop_probability "
                 f"{config.drop_probability}), so gossip cannot converge")

@@ -41,12 +41,12 @@ def fresh_rng(seed: int = 0) -> random.Random:
 
 
 def force_convergence(state) -> None:
-    """Write ground truth into every bulletin (age 0): a set-up shortcut for
-    tests where gossip itself is not under study."""
+    """Write ground truth into every bulletin under one fresh stamp: a set-up
+    shortcut for tests where gossip itself is not under study."""
     truth_load = [state.node_load(n) for n in range(state.node_count)]
-    serial = state.next_serial()
+    stamp = state.stamp()
     for b in state.bulletins:
         for pid, rec in state.procs.items():
-            b.publish_location(pid, rec.current, serial)
+            b.publish_location(pid, rec.current, *stamp)
         for n in range(state.node_count):
-            b._loads[n] = (truth_load[n], b.clock, serial)
+            b._loads[n] = (truth_load[n], *stamp)

@@ -101,7 +101,7 @@ def test_never_moves_to_a_node_believed_more_loaded_than_self():
         moves = balance_step(sim.cluster)
         for m in moves:
             view = views[m.src]
-            assert view[m.dst][0] <= view[m.src][0]
+            assert view[m.dst] <= view[m.src]
 
 
 def test_lyapunov_descent_under_converged_views():

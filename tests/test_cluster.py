@@ -62,7 +62,7 @@ def test_spawn_bad_node():
 def test_spawn_publishes_location_in_home_bulletin():
     state = cluster()
     pid = state.spawn(2)
-    assert state.bulletins[2].lookup_location(pid) == (2, 0)
+    assert state.bulletins[2].lookup_location(pid)[:2] == (2, state.gossip_rounds)
 
 
 # -- migrate ------------------------------------------------------------------

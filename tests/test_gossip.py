@@ -16,7 +16,7 @@ P = GPid(0, 0)
 Q = GPid(1, 0)
 
 
-def aged(source) -> list[tuple]:
+def aged(source, clock: int) -> list[tuple]:
     """The raw entries of a bulletin or a digest as ``(age, kind, key, value,
     serial)``, age being ``clock - birth``: kind 0 is a location keyed
     ``(home, seq)``, kind 1 a load, so a sort ranks younger first and
@@ -25,52 +25,71 @@ def aged(source) -> list[tuple]:
         locations, loads = source._locations.items(), source._loads.items()
     else:
         locations, loads = source.location_items, source.load_items
-    return ([(source.clock - birth, 0, (pid.home, pid.seq), node, serial)
+    return ([(clock - birth, 0, (pid.home, pid.seq), node, serial)
              for pid, (node, birth, serial) in locations] +
-            [(source.clock - birth, 1, node, load, serial)
+            [(clock - birth, 1, node, load, serial)
              for node, (load, birth, serial) in loads])
 
 
-# -- publish / age -----------------------------------------------------------
+# -- publish / lookup ----------------------------------------------------------
 
 def test_publish_into_empty_bulletin():
     b = Bulletin(owner=0)
-    b.publish_location(P, 4)
+    b.publish_location(P, 4, 0, 1)
     assert len(b) == 1
-    assert b.lookup_location(P) == (4, 0)
+    assert b.lookup_location(P) == (4, 0, 1)
 
 
 def test_publish_refreshes_aged_entry():
     b = Bulletin(owner=0)
-    b.publish_location(P, 1)
-    for _ in range(7):
-        b.advance()
-    assert b.lookup_location(P) == (1, 7)
-    b.publish_location(P, 2)
-    assert b.lookup_location(P) == (2, 0)
-
-
-def test_age_counts_rounds_since_publication():
-    b = Bulletin(owner=0)
-    b.publish_location(P, 3)
-    for _ in range(3):
-        b.advance()
-    assert b.lookup_location(P) == (3, 3)
+    b.publish_location(P, 1, 0, 1)
+    b.publish_location(P, 2, 7, 2)
+    assert len(b) == 1
+    assert b.lookup_location(P) == (2, 7, 2)
 
 
 def test_lookup_never_heard_pid():
     assert Bulletin(owner=0).lookup_location(P) is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(("spawn", "migrate", "round", "send")),
+                              st.integers(0, 5), st.integers(0, 5)), max_size=40))
+def test_every_stamp_is_greater_than_the_one_before(ops):
+    # merge keeps the copy with the greater (birth, serial), so a fact
+    # published later must carry a greater stamp, whatever runs in between
+    sim = build_sim(nodes=6)
+    stamps = []
+    stamp = sim.cluster.stamp
+
+    def recording_stamp():
+        stamps.append(stamp())
+        return stamps[-1]
+
+    sim.cluster.stamp = recording_stamp
+    pids = [sim.cluster.spawn(0)]
+    for op, x, y in ops:
+        if op == "spawn":
+            pids.append(sim.cluster.spawn(x))
+        elif op == "migrate":
+            sim.cluster.migrate(pids[x % len(pids)], y)
+        elif op == "round":
+            gossip_round(sim.cluster, sim.rng)
+        else:
+            sim.router.send_direct(pids[x % len(pids)], pids[y % len(pids)], 64)
+    assert all(a < b for a, b in zip(stamps, stamps[1:]))
+
+
 # -- make_digest ---------------------------------------------------------------
 
 def fat_bulletin(n_locations=6, n_loads=4) -> Bulletin:
+    """Location i born in round i, load i born i rounds before round
+    `n_locations`."""
     b = Bulletin(owner=0)
     for i in range(n_locations):
-        b.publish_location(GPid(0, i), i % 3)
-        b.advance()
+        b.publish_location(GPid(0, i), i % 3, i, 0)
     for i in range(n_loads):
-        b._loads[i] = (float(i), b.clock - i, 0)
+        b._loads[i] = (float(i), n_locations - i, 0)
     return b
 
 
@@ -89,8 +108,8 @@ def test_digest_picks_youngest_against_sort_oracle():
     digest = make_digest(b, bound)
     assert len(digest) == bound
     # independent oracle: flatten and sort by age
-    ages = sorted(e[0] for e in aged(b))
-    picked_ages = sorted(e[0] for e in aged(digest))
+    ages = sorted(e[0] for e in aged(b, 60))
+    picked_ages = sorted(e[0] for e in aged(digest, 60))
     assert picked_ages == ages[:bound]
     excluded_min = min(ages[bound:])
     assert all(a <= excluded_min for a in picked_ages)
@@ -99,12 +118,12 @@ def test_digest_picks_youngest_against_sort_oracle():
 def test_digest_tie_break_is_deterministic():
     b = Bulletin(owner=0)
     for i in range(5):
-        b.publish_location(GPid(1, i), i)   # all age 0
-    b.publish_load(2.0)
+        b.publish_location(GPid(1, i), i, 0, 0)   # all born in round 0
+    b.publish_load(2.0, 0, 0)
     first = make_digest(b, 3)
     second = make_digest(b, 3)
     assert first == second
-    # locations order before loads at equal age
+    # locations order before loads at equal birth
     assert len(first.location_items) == 3 and not first.load_items
 
 
@@ -119,12 +138,11 @@ def test_digest_tie_break_is_deterministic():
 def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads, bound):
     # births from a 4-round window, so many entries share an age
     b = Bulletin(owner=0)
-    b.clock = 3
     b._locations = {GPid(*key): entry for key, entry in locations.items()}
     b._loads = dict(loads)
-    oracle = sorted(aged(b))[:bound]
+    oracle = sorted(aged(b, 3))[:bound]
     digest = make_digest(b, bound)
-    assert sorted(aged(digest)) == oracle
+    assert sorted(aged(digest, 3)) == oracle
     assert len(digest) == len(oracle)
 
 
@@ -136,7 +154,6 @@ def test_digest_matches_sort_oracle_at_churn_scale(births, n_loads, bound, rnd):
     # 60-200 entries with births over a 1,000-round window, inserted in a
     # shuffled order: most digests are cut, and few entries share a birth
     b = Bulletin(owner=0)
-    b.clock = 1000
     order = list(range(len(births)))
     rnd.shuffle(order)
     for i in order:
@@ -144,17 +161,16 @@ def test_digest_matches_sort_oracle_at_churn_scale(births, n_loads, bound, rnd):
             b._loads[i] = (i / 4, births[i], i % 4)
         else:
             b._locations[GPid(i % 32, i // 32)] = (i % 32, births[i], i % 4)
-    oracle = sorted(aged(b))[:bound]
+    oracle = sorted(aged(b, 1000))[:bound]
     digest = make_digest(b, bound)
     assert len(digest) == len(oracle)
-    assert set(aged(digest)) == set(oracle)
+    assert set(aged(digest, 1000)) == set(oracle)
 
 
 def test_cut_digest_fills_tied_room_with_locations_by_key():
     # two entries born after the cut, then six locations and two loads born at
     # it, locations inserted in descending key order; room for three of them
     b = Bulletin(owner=0)
-    b.clock = 10
     b._locations = {GPid(9, 0): (1, 9, 0)}
     b._loads = {3: (1.0, 8, 0)}
     for seq in range(5, -1, -1):
@@ -171,46 +187,39 @@ def test_cut_digest_fills_tied_room_with_locations_by_key():
 
 def test_merge_younger_wins():
     b = Bulletin(owner=0)
-    b.publish_location(P, 1)
-    for _ in range(5):
-        b.advance()
+    b.publish_location(P, 1, 0, 9)
     other = Bulletin(owner=1)
-    for _ in range(3):
-        other.advance()
-    other.publish_location(P, 2)
-    for _ in range(2):
-        other.advance()
-        b.advance()   # keep clocks aligned as gossip_round does
+    other.publish_location(P, 2, 3, 1)   # born later, whatever the serial
     accepted = merge(b, make_digest(other, 10))
     assert accepted == 1
-    assert b.lookup_location(P) == (2, 2)
+    assert b.lookup_location(P) == (2, 3, 1)
 
 
 def test_merge_tie_keeps_resident():
     b = Bulletin(owner=0)
-    b.publish_location(P, 1)
+    b.publish_location(P, 1, 0, 0)
     other = Bulletin(owner=1)
-    other.publish_location(P, 2)   # same age (0), same serial (0)
+    other.publish_location(P, 2, 0, 0)   # same birth, same serial
     assert merge(b, make_digest(other, 10)) == 0
-    assert b.lookup_location(P) == (1, 0)
+    assert b.lookup_location(P) == (1, 0, 0)
 
 
 def test_merge_equal_age_newer_serial_wins():
-    # two publications inside the same round window are ordered by serial
+    # two publications inside the same round are ordered by serial
     b = Bulletin(owner=0)
-    b.publish_location(P, 1, serial=3)
+    b.publish_location(P, 1, 0, 3)
     other = Bulletin(owner=1)
-    other.publish_location(P, 2, serial=4)
+    other.publish_location(P, 2, 0, 4)
     assert merge(b, make_digest(other, 10)) == 1
-    assert b.lookup_location(P) == (2, 0)
+    assert b.lookup_location(P) == (2, 0, 4)
 
 
 def test_merge_inserts_absent_entry():
     b = Bulletin(owner=0)
     other = Bulletin(owner=1)
-    other.publish_location(Q, 5)
+    other.publish_location(Q, 5, 2, 1)
     merge(b, make_digest(other, 10))
-    assert b.lookup_location(Q) == (5, 0)
+    assert b.lookup_location(Q) == (5, 2, 1)
 
 
 def test_self_merge_is_idempotent():
@@ -221,39 +230,38 @@ def test_self_merge_is_idempotent():
     assert b._locations == before_loc and b._loads == before_load
 
 
-@pytest.mark.parametrize("sender_clock,receiver_clock", [(10, 4), (4, 10), (6, 6)])
-def test_merge_compares_ages_across_unequal_clocks(sender_clock, receiver_clock):
-    # pid -> (incoming age, incoming serial, resident age, resident serial, wins)
-    cases = {GPid(0, 0): (1, 0, 3, 0, True),
-             GPid(0, 1): (3, 0, 1, 0, False),
-             GPid(0, 2): (2, 5, 2, 4, True),
-             GPid(0, 3): (2, 4, 2, 5, False),
-             GPid(0, 4): (2, 4, 2, 4, False)}
+def test_merge_orders_by_birth_then_serial():
+    # pid -> (incoming birth, incoming serial, resident birth, resident serial, wins)
+    cases = {GPid(0, 0): (5, 0, 3, 0, True),
+             GPid(0, 1): (3, 0, 5, 0, False),
+             GPid(0, 2): (4, 5, 4, 4, True),
+             GPid(0, 3): (4, 4, 4, 5, False),
+             GPid(0, 4): (4, 4, 4, 4, False)}
     sender, receiver = Bulletin(owner=1), Bulletin(owner=0)
-    sender.clock, receiver.clock = sender_clock, receiver_clock
-    for pid, (age, serial, resident_age, resident_serial, _) in cases.items():
-        sender._locations[pid] = (7, sender_clock - age, serial)
-        receiver._locations[pid] = (3, receiver_clock - resident_age, resident_serial)
-    sender._locations[Q] = (5, sender_clock - 2, 0)        # unknown to the receiver
-    sender._loads[2] = (4.0, sender_clock - 1, 0)
-    receiver._loads[2] = (9.0, receiver_clock - 3, 0)
-    shared = GPid(2, 0)   # one tuple held by both sides: the lower clock is the younger copy
+    for pid, (birth, serial, resident_birth, resident_serial, _) in cases.items():
+        sender._locations[pid] = (7, birth, serial)
+        receiver._locations[pid] = (3, resident_birth, resident_serial)
+    sender._locations[Q] = (5, 4, 0)        # unknown to the receiver
+    sender._loads[2] = (4.0, 5, 0)
+    receiver._loads[2] = (9.0, 3, 0)
+    shared = GPid(2, 0)   # one tuple held by both sides is never re-accepted
     sender._locations[shared] = receiver._locations[shared] = (6, 2, 0)
-    assert merge(receiver, make_digest(sender, 64)) == 4 + (receiver_clock > sender_clock)
-    for pid, (age, _, resident_age, _, wins) in cases.items():
-        assert receiver.lookup_location(pid) == ((7, age) if wins else (3, resident_age))
-    assert receiver.lookup_location(Q) == (5, 2)
-    assert receiver.lookup_location(shared) == (6, min(sender_clock, receiver_clock) - 2)
-    assert receiver.load_view()[2] == (4.0, 1)
+    assert merge(receiver, make_digest(sender, 64)) == 4
+    for pid, (birth, serial, resident_birth, resident_serial, wins) in cases.items():
+        assert receiver.lookup_location(pid) == (
+            (7, birth, serial) if wins else (3, resident_birth, resident_serial))
+    assert receiver.lookup_location(Q) == (5, 4, 0)
+    assert receiver.lookup_location(shared) == (6, 2, 0)
+    assert receiver.load_view()[2] == 4.0
 
 
 def test_own_load_fact_never_overwritten():
     b = Bulletin(owner=0)
-    b.publish_load(7.0)
+    b.publish_load(7.0, 0, 1)
     other = Bulletin(owner=1)
-    other._loads[0] = (99.0, other.clock, 10**6)   # hearsay about node 0
+    other._loads[0] = (99.0, 5, 10**6)   # later hearsay about node 0
     merge(b, make_digest(other, 10))
-    assert b.load_view()[0][0] == 7.0
+    assert b.load_view()[0] == 7.0
 
 
 # -- gossip_round ------------------------------------------------------------------
@@ -263,7 +271,9 @@ def test_single_node_round_is_noop_but_ages():
     pid = state.spawn(0)
     report = gossip_round(state, random.Random(0))
     assert report.exchanges == 0 and report.frames == 0
-    assert state.bulletins[0].lookup_location(pid) == (0, 1)
+    assert state.gossip_rounds == report.index == 1
+    node, birth, _ = state.bulletins[0].lookup_location(pid)
+    assert (node, state.gossip_rounds - birth) == (0, 1)
 
 
 def test_two_node_push_pull_spreads_in_one_round_both_directions():
@@ -389,7 +399,8 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
     for b in state.bulletins:
         locations = sorted((pid.home, pid.seq, node, birth, serial)
                            for pid, (node, birth, serial) in b._locations.items())
-        h.update(repr((b.owner, b.clock, locations, sorted(b._loads.items()))).encode())
+        h.update(repr((b.owner, state.gossip_rounds, locations,
+                       sorted(b._loads.items()))).encode())
     return h.hexdigest()
 
 
@@ -406,17 +417,21 @@ def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
 def test_seeded_rounds_match_golden_digests(monkeypatch):
     # SHA-256 over the sorted (kind, key, value, age, serial) contents of every
     # digest the seeded 32/96 rounds build, in the order they are built: this
-    # pins each cut digest, not only the bulletins it leaves behind
+    # pins each cut digest, not only the bulletins it leaves behind.  No
+    # exchange is dropped, so each round builds 64 digests: digest k (from 0)
+    # is built in round k // 64 + 1
     digests = hashlib.sha256()
     built = cut = 0
 
     def recording_make_digest(bulletin, bound):
         nonlocal built, cut
         digest = make_digest(bulletin, bound)
+        clock = built // 64 + 1
         built += 1
         cut += len(bulletin) > bound
         digests.update(repr(sorted((kind, key, value, age, serial)
-                                   for age, kind, key, value, serial in aged(digest))).encode())
+                                   for age, kind, key, value, serial
+                                   in aged(digest, clock))).encode())
         return digest
 
     monkeypatch.setattr(gossip, "make_digest", recording_make_digest)
@@ -440,9 +455,10 @@ def test_lookup_age_equals_rounds_since_publication_on_arrival():
             if state.bulletins[n].lookup_location(pid) is not None:
                 target = n
                 break
-    node, age = state.bulletins[target].lookup_location(pid)
-    assert node == 0
-    assert age == rounds >= 1
+    # the copy that arrives by gossip keeps its publication round as its birth
+    node, birth, _ = state.bulletins[target].lookup_location(pid)
+    assert (node, birth) == (0, 0)
+    assert state.gossip_rounds - birth == rounds >= 1
 
 
 def test_load_view_matches_ground_truth_after_convergence():
@@ -453,7 +469,7 @@ def test_load_view_matches_ground_truth_after_convergence():
     converge(sim.cluster, sim.rng)
     truth = {n: sim.cluster.node_load(n) for n in range(6)}
     for b in sim.cluster.bulletins:
-        assert {n: v for n, (v, _) in b.load_view().items()} == truth
+        assert b.load_view() == truth
 
 
 def test_load_view_mid_convergence_values_come_from_history():
@@ -468,7 +484,7 @@ def test_load_view_mid_convergence_values_come_from_history():
     for step in range(10):
         gossip_round(state, rng)
         for b in state.bulletins:
-            for n, (value, _) in b.load_view().items():
+            for n, value in b.load_view().items():
                 assert value in history[n]
         moved = state.migrate(pids[step % 3], rng.randrange(6))
         if moved:
