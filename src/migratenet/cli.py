@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -19,8 +18,6 @@ from typing import Optional
 from . import bench
 from .errors import E_IO, E_NO_SOLUTION, InvalidScenarioError, SimulatorError
 from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, NODE_COUNT, LatencyModel, check, load_model
-
-SEED_ENV = "MIGRATENET_SEED"
 
 # Calibration conventions.  The two ratio targets cannot pin six model
 # parameters, so the network scale is fixed at round 2009-era values and the
@@ -38,9 +35,8 @@ TOLERANCE = 0.01
 MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in bench.DEFAULT_SWEEP_SIZES)
                 / len(bench.DEFAULT_SWEEP_SIZES))
 
-# value rules of the flags that stand for no scenario field (see simcore.check)
-FINITE_NON_NEGATIVE = (0, sys.float_info.max, "must be finite and non-negative")
-# a ring has a node per spoke and its center
+# the rule of `ring --spokes` (see simcore.check): a ring has a node per
+# spoke and its center
 SPOKES = (2, NODE_COUNT[1] - 1, f"must be >= 2 and <= {NODE_COUNT[1] - 1}")
 
 
@@ -65,8 +61,8 @@ def home_leg_factor_for(slowdown: float, improvement: float) -> float:
 
 
 def nearest_fit() -> dict[str, float]:
-    """The unpinned joint fit: the overhead solved from the slowdown target
-    and the home-leg factor from both targets, clamped at zero."""
+    """The joint fit: the overhead solved from the slowdown target and the
+    home-leg factor from both targets, clamped at zero."""
     factor = max(0.0, home_leg_factor_for(TARGET_SLOWDOWN, TARGET_IMPROVEMENT))
     return {"direct_overhead": TARGET_SLOWDOWN / MEAN_INV_HOP,
             "home_leg_factor": factor,
@@ -74,33 +70,27 @@ def nearest_fit() -> dict[str, float]:
             "improvement": 1 - (1 + TARGET_SLOWDOWN) / (1 + 2 * factor)}
 
 
-def calibrate(overhead_override: Optional[float] = None) -> CalibrationResult:
+def calibrate() -> CalibrationResult:
     """Fit the latency model to the target ratios over the default sweep.
 
-    Procedure: fix the network/shared-memory conventions and solve the
-    direct overhead against the slowdown target in closed form.  The local
-    relay has no home legs, so the slowdown the overhead achieves is
-    ``overhead * mean(1 / hop)`` whatever the home-leg factor; solve the
-    factor in closed form from it (:func:`home_leg_factor_for`), then verify
-    both targets by actually running the sweep.  `solvable` reports whether
-    verification passed.  Both targets are out of reach (see
-    :func:`nearest_fit`) only when the overhead is pinned
-    (`overhead_override`) or the factor would be negative
+    Procedure: fix the network/shared-memory conventions and take the
+    direct overhead and the home-leg factor from the closed-form fit
+    (:func:`nearest_fit`).  The local relay has no home legs, so the
+    slowdown the overhead achieves is ``overhead * mean(1 / hop)`` whatever
+    the factor; then verify both targets by actually running the sweep.
+    `solvable` reports whether verification passed.  Both targets are out
+    of reach only when the factor would be negative
     (improvement < -slowdown).
     """
-    if overhead_override is not None:
-        overhead = overhead_override
-    else:
-        overhead = TARGET_SLOWDOWN / MEAN_INV_HOP
+    fit = nearest_fit()
     model = LatencyModel(
         alpha_net=CAL_ALPHA_NET,
         beta_net=CAL_BETA_NET,
         alpha_sm=CAL_ALPHA_NET / SM_ALPHA_DIVISOR,
         beta_sm=CAL_BETA_NET * SM_BETA_FACTOR,
-        direct_overhead=overhead,
+        direct_overhead=fit["direct_overhead"],
+        home_leg_factor=fit["home_leg_factor"],
     )
-    factor = home_leg_factor_for(overhead * MEAN_INV_HOP, TARGET_IMPROVEMENT)
-    model = replace(model, home_leg_factor=max(0.0, factor))
     report = bench.latency_sweep(bench.DEFAULT_SWEEP_SIZES, model)
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
@@ -112,7 +102,7 @@ def calibrate(overhead_override: Optional[float] = None) -> CalibrationResult:
 def defaults_payload(result: CalibrationResult) -> dict:
     return {
         "version": DEFAULTS_VERSION,
-        "model": result.model.to_dict(),
+        "model": asdict(result.model),
         "calibration": {
             "sweep_sizes": list(bench.DEFAULT_SWEEP_SIZES),
             "target_slowdown": TARGET_SLOWDOWN,
@@ -142,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default="out", help="output directory")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
     seeded.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: for run the scenario's seed, "
-                             f"otherwise ${SEED_ENV} or 0)")
+                        help="RNG seed (default: for run the scenario's seed, otherwise 0)")
     traced = argparse.ArgumentParser(add_help=False, parents=[seeded])
     traced.add_argument("--trace", action="store_true",
                         help="also write a per-frame trace CSV")
@@ -181,26 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop", type=float, default=0.0,
                    help="per-exchange drop probability")
 
-    p = sub.add_parser("calibrate", parents=[out],
-                       help="fit the latency model to the target ratios")
-    p.add_argument("--defaults-out", default=None,
-                   help="where to write the defaults file "
-                        "(default: <out>/latency_defaults.json)")
-    p.add_argument("--fix-overhead", type=float, default=None,
-                   help="force the direct overhead instead of solving for it")
+    sub.add_parser("calibrate", parents=[out],
+                   help="fit the latency model to the target ratios, "
+                        "write <out>/latency_defaults.json")
 
     return parser
-
-
-def _resolve_seed(args) -> int:
-    """A template's seed: --seed, else $MIGRATENET_SEED, else 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise InvalidScenarioError(f"${SEED_ENV}: expected an integer, got {env!r}") from None
 
 
 def _size(text, flag: str) -> int:
@@ -224,21 +198,17 @@ def _emit(report: bench.Report, outdir: str) -> int:
 
 
 def _run_calibrate(args) -> int:
-    if args.fix_overhead is not None:
-        check(args.fix_overhead, FINITE_NON_NEGATIVE, "--fix-overhead")
-    result = calibrate(overhead_override=args.fix_overhead)
-    out_path = args.defaults_out or str(Path(args.out) / "latency_defaults.json")
-    write_defaults(result, out_path)
+    result = calibrate()
+    out_path = write_defaults(result, Path(args.out) / "latency_defaults.json")
     print(f"wrote {out_path}")
     print(f"achieved slowdown    : {result.achieved_slowdown:.4f} "
           f"(target {TARGET_SLOWDOWN} +- {TOLERANCE})")
     print(f"achieved improvement : {result.achieved_improvement:.4f} "
           f"(target {TARGET_IMPROVEMENT} +- {TOLERANCE})")
     if not result.solvable:
-        pinned = ("with direct_overhead fixed" if args.fix_overhead is not None
-                  else "with a non-negative home_leg_factor")
         fit = nearest_fit()
-        print(f"{E_NO_SOLUTION}: both targets are unreachable together {pinned}; "
+        print(f"{E_NO_SOLUTION}: both targets are unreachable together "
+              f"with a non-negative home_leg_factor; "
               f"nearest joint fit: slowdown={fit['slowdown']:.4f}, "
               f"improvement={fit['improvement']:.4f} "
               f"(direct_overhead={fit['direct_overhead']:.6g}, "
@@ -269,7 +239,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 scenario.seed = args.seed
             job = partial(bench.run_scenario, scenario, trace_enabled=args.trace)
         else:
-            seed = _resolve_seed(args)
+            seed = args.seed or 0   # a template's seed: --seed, else 0
             if args.command == "sweep":
                 sizes = None
                 if args.sizes:

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from bisect import insort
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
 from inspect import signature
@@ -65,15 +65,6 @@ class LatencyModel:
     def shared_memory(self, size: int) -> float:
         return self.alpha_sm + size / self.beta_sm
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "model") -> "LatencyModel":
-        """Build a model from a mapping through :func:`read`; any fault is an
-        `InvalidScenarioError` naming its field under `where`."""
-        return read(d, cls, where)
-
 
 def load_model(path: Optional[str] = None) -> LatencyModel:
     """Load the latency model from a defaults file (the packaged calibrated
@@ -89,7 +80,7 @@ def load_model(path: Optional[str] = None) -> LatencyModel:
     if version != DEFAULTS_VERSION:
         raise InvalidScenarioError(
             f"config.version: expected {DEFAULTS_VERSION}, got {version!r}")
-    return LatencyModel.from_dict(need(data, "model", dict, "config"), "config.model")
+    return read(need(data, "model", dict, "config"), LatencyModel, "config.model")
 
 
 def need(mapping, key: str, kind: type, where: str, default=MISSING):

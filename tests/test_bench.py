@@ -2,6 +2,7 @@ import json
 import os
 import random
 import tempfile
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,46 @@ def test_scenario_validation_reports_field_paths(mutate, needle):
     with pytest.raises(InvalidScenarioError) as err:
         bench.Scenario.from_dict(data)
     assert needle in str(err.value)
+
+
+def test_timeline_rows_are_counted_as_run_scenario_lays_them():
+    # the count is checked against the events a small run executes; the
+    # scenarios at and past the bound are only read, never run.  Rounds are
+    # counted as floor(horizon * rate), which a sum of inexact periods can
+    # undershoot by one, so the period here is exact in binary
+    data = dict(VALID_SCENARIO, gossip={"rounds_per_second": 16.0})
+    events = bench.run_scenario(bench.Scenario.from_dict(data)).metrics.events
+    assert events == 2 + 4 + 32     # migrations, sends, rounds up to t = 2.0 at 16/s
+    slack = bench.MAX_TIMELINE_ROWS - events
+
+    def with_burst(count):  # `count` more sends at t = 0, which moves no round
+        data = json.loads(json.dumps(VALID_SCENARIO))
+        data["gossip"] = {"rounds_per_second": 16.0}
+        data["traffic"].append({"time": 0.0, "src": "p0", "dst": "p1",
+                                "transport": "relay", "size": 1, "count": count})
+        return data
+
+    assert bench.Scenario.from_dict(with_burst(slack)).traffic[-1].count == slack
+    with pytest.raises(InvalidScenarioError, match=r"gossip\.rounds_per_second: .* pass "):
+        bench.Scenario.from_dict(with_burst(slack + 1))
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (lambda d: d["traffic"][0].update(count=10 ** 12), "traffic[0].count: "),
+    (lambda d: d["traffic"][1].update(count=bench.MAX_TIMELINE_ROWS),
+     "traffic[1].count: "),
+    (lambda d: d["traffic"][1].update(time=10.0) or d["gossip"].update(rounds_per_second=1e9),
+     "gossip.rounds_per_second"),
+    # horizon x rounds_per_second beyond float range
+    (lambda d: d["traffic"][1].update(time=1e300) or d["gossip"].update(rounds_per_second=1e300),
+     "gossip.rounds_per_second"),
+])
+def test_scenario_past_the_row_bound_is_rejected(mutate, needle):
+    data = json.loads(json.dumps(VALID_SCENARIO))
+    mutate(data)
+    with pytest.raises(InvalidScenarioError) as err:
+        bench.Scenario.from_dict(data)
+    assert needle in str(err.value) and str(bench.MAX_TIMELINE_ROWS) in str(err.value)
 
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "nul\0byte"])
@@ -490,7 +531,7 @@ def test_from_dict_raises_only_invalid_scenario(data):
         pass
 
 
-FULL_CONFIG = {"version": 1, "model": dict(TEST_MODEL.to_dict(), home_leg_factor=0.5)}
+FULL_CONFIG = {"version": 1, "model": dict(asdict(TEST_MODEL), home_leg_factor=0.5)}
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -146,6 +146,9 @@ def _set(path, value):
     (_set(["migrations", 0, "node"], 3), "migrations[0].node: unknown field"),
     (_set(["traffic", 0, "bytes"], 4096), "traffic[0].bytes: unknown field"),
     (_set(["gossip"], {"bonud": 1}), "gossip.bonud: unknown field"),
+    # timelines past bench.MAX_TIMELINE_ROWS, which `run` would lay whole
+    (_set(["traffic", 0, "count"], 10 ** 12), "traffic[0].count: "),
+    (_set(["gossip"], {"rounds_per_second": 1e9}), "gossip.rounds_per_second: "),
 ])
 def test_run_bad_field_exits_2_with_its_path(tmp_path, capsys, mutate, needle):
     data = json.loads(json.dumps(SCENARIO))
@@ -168,6 +171,7 @@ def test_unknown_subcommand_exits_2(capsys):
     ["imbalance", "--config", "model.json"], ["gossip-stats", "--config", "model.json"],
     ["calibrate", "--config", "model.json"], ["gossip-stats", "--trace"],
     ["calibrate", "--trace"], ["calibrate", "--seed", "3"],
+    ["calibrate", "--fix-overhead", "0"], ["calibrate", "--defaults-out", "x"],
 ])
 def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
     # each command takes only the flags its output reads
@@ -214,36 +218,25 @@ def test_sweep_same_seed_byte_identical_outputs(tmp_path, capsys):
     assert read_all(tmp_path / "one") == read_all(tmp_path / "two")
 
 
-def test_gossip_stats_env_seed_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "11")
-    assert cli.main(["gossip-stats", "--nodes", "12",
-                     "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.delenv(cli.SEED_ENV)
-    assert cli.main(["gossip-stats", "--nodes", "12", "--seed", "11",
-                     "--out", str(tmp_path / "b")]) == 0
-    assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
-    rows = (tmp_path / "a" / "gossip_stats_gossip.csv").read_text().splitlines()
+def test_template_seed_is_the_flag_else_0_whatever_the_environment(tmp_path, capsys,
+                                                                   monkeypatch):
+    # no command reads an environment variable: a seed comes from --seed only
+    monkeypatch.setenv("MIGRATENET_SEED", "5")
+    assert cli.main(["gossip-stats", "--nodes", "12", "--out", str(tmp_path / "env")]) == 0
+    monkeypatch.delenv("MIGRATENET_SEED")
+    assert cli.main(["gossip-stats", "--nodes", "12", "--seed", "0",
+                     "--out", str(tmp_path / "zero")]) == 0
+    assert read_all(tmp_path / "env") == read_all(tmp_path / "zero")
+    rows = (tmp_path / "env" / "gossip_stats_gossip.csv").read_text().splitlines()
     assert rows[0] == "round,informed_count,frames,entries_moved"
 
 
-def test_run_seed_is_the_flag_then_the_scenario_seed(tmp_path, capsys, monkeypatch):
-    # $MIGRATENET_SEED does not apply to run: the scenario carries its own seed
-    monkeypatch.setenv(cli.SEED_ENV, "11")
+def test_run_seed_is_the_flag_then_the_scenario_seed(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     for label, flags, seed in (("flag", ["--seed", "7"], 7), ("scenario", [], 3)):
         out = tmp_path / label
         assert cli.main(["run", scenario, "--out", str(out)] + flags) == 0
         assert f"\nseed: {seed}\n" in (out / "cli_demo_summary.txt").read_text()
-
-
-def test_malformed_seed_variable_fails_only_the_commands_that_read_it(tmp_path, capsys,
-                                                                    monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "abc")
-    assert cli.main(["run", write_scenario(tmp_path), "--out", str(tmp_path / "run")]) == 0
-    capsys.readouterr()
-    assert cli.main(["limit", "--out", str(tmp_path / "limit")]) == 2
-    err = capsys.readouterr().err
-    assert "E_INVALID_SCENARIO" in err and f"${cli.SEED_ENV}" in err
 
 
 @pytest.mark.parametrize("argv,path", [
@@ -276,9 +269,9 @@ def test_trace_flag_writes_trace_csv(tmp_path, capsys):
 
 
 def test_config_flag_selects_model(tmp_path, capsys):
-    result = cli.calibrate(overhead_override=0.5)
     config = tmp_path / "custom.json"
-    cli.write_defaults(result, config)
+    config.write_text(json.dumps(
+        {"version": 1, "model": asdict(replace(load_model(), direct_overhead=0.5))}))
     out = tmp_path / "out"
     assert cli.main(["sweep", "--sizes", "1024", "--config", str(config),
                      "--out", str(out)]) == 0
@@ -322,9 +315,9 @@ def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle)
     (["gossip-stats", "--max-rounds", "0"], "--max-rounds: must be >= 1"),
     (["gossip-stats", "--max-rounds", "-1"], "--max-rounds: must be >= 1"),
     (["ring", "--spokes", "1"], "--spokes: must be >= 2"),
-    (["calibrate", "--fix-overhead", "-1"], "--fix-overhead: must be finite and non-negative"),
-    (["calibrate", "--fix-overhead", "nan"], "--fix-overhead: must be finite and non-negative"),
-    (["calibrate", "--fix-overhead", "inf"], "--fix-overhead: must be finite and non-negative"),
+    (["gossip-stats", "--drop", "-0.1"], "--drop: must be in [0, 1]"),
+    (["gossip-stats", "--nodes", "65537"], "--nodes: must be >= 1 and <= 65536"),
+    (["sweep", "--sizes", "1024,,2048"], "--sizes: expected an integer"),
     (["gossip-stats", "--nodes", "0"], "--nodes: must be >= 1"),
     (["gossip-stats", "--nodes", "-3"], "--nodes: must be >= 1"),
     (["gossip-stats", "--nodes", "70000"], "--nodes: must be >= 1 and <= 65536"),
@@ -361,20 +354,22 @@ def test_run_config_is_the_base_of_the_scenario_model(tmp_path, capsys):
 
 # -- calibration --------------------------------------------------------------------
 
-def test_calibrate_reports_no_solution_with_nearest_fit(tmp_path, capsys):
-    # a zero overhead pins the slowdown at 0, so the targets are unreachable
+def test_calibrate_reports_no_solution_with_nearest_fit(tmp_path, capsys, monkeypatch):
+    # an improvement below -slowdown needs a negative home-leg factor
+    monkeypatch.setattr(cli, "TARGET_IMPROVEMENT", -0.5)
     out = tmp_path / "cal"
-    code = cli.main(["calibrate", "--fix-overhead", "0", "--out", str(out)])
-    assert code == 1
+    assert cli.main(["calibrate", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "E_NO_SOLUTION" in err and "nearest" in err
     payload = json.loads((out / "latency_defaults.json").read_text())
-    assert payload["calibration"]["solvable"] is False
-    # the nearest fit is the unpinned joint fit
-    nearest = payload["calibration"]["nearest_fit"]
+    calibration = payload["calibration"]
+    assert calibration["solvable"] is False
+    # the nearest fit clamps the factor at 0; it is the model written
+    nearest = calibration["nearest_fit"]
+    assert nearest["home_leg_factor"] == payload["model"]["home_leg_factor"] == 0.0
     assert nearest["slowdown"] == pytest.approx(cli.TARGET_SLOWDOWN)
-    assert nearest["improvement"] == pytest.approx(cli.TARGET_IMPROVEMENT)
-    assert nearest["direct_overhead"] == pytest.approx(cli.calibrate().model.direct_overhead)
+    assert nearest["improvement"] == pytest.approx(-cli.TARGET_SLOWDOWN)
+    assert calibration["achieved_improvement"] == pytest.approx(-cli.TARGET_SLOWDOWN, abs=1e-9)
 
 
 def test_calibrate_hits_slowdown_target_exactly():
@@ -389,12 +384,6 @@ def test_calibrate_hits_slowdown_target_exactly():
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
     assert slowdown == pytest.approx(result.achieved_slowdown, abs=1e-12)
     assert improvement == pytest.approx(2 / 3 - slowdown / 3, abs=1e-9)
-
-
-def test_calibrate_zero_overhead_is_degenerate():
-    result = cli.calibrate(overhead_override=0.0)
-    assert result.achieved_slowdown == pytest.approx(0.0, abs=1e-12)
-    assert not result.solvable
 
 
 def test_shipped_defaults_match_regenerated_calibration():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import TEST_MODEL, build_sim, place_pair
 from migratenet.errors import TimeTravelError
-from migratenet.simcore import EventQueue, LatencyModel, Metrics, TransportKind, load_model
+from migratenet.simcore import (EventQueue, LatencyModel, Metrics, TransportKind, load_model,
+                                read)
 
 
 def latency_of(path: list, size: int, model: LatencyModel, transport: TransportKind) -> float:
@@ -72,10 +73,10 @@ def test_model_validation():
 
 
 def test_model_without_home_leg_factor_reads_as_homogeneous():
-    old = {k: v for k, v in TEST_MODEL.to_dict().items() if k != "home_leg_factor"}
-    assert LatencyModel.from_dict(old) == TEST_MODEL
+    old = {k: v for k, v in asdict(TEST_MODEL).items() if k != "home_leg_factor"}
+    assert read(old, LatencyModel, "model") == TEST_MODEL
     assert TEST_MODEL.home_leg_factor == 1.0
-    assert LatencyModel.from_dict(TEST_MODEL.to_dict()) == TEST_MODEL
+    assert read(asdict(TEST_MODEL), LatencyModel, "model") == TEST_MODEL
 
 
 def test_relay_latency_charges_home_legs_at_the_factor():

@@ -6,9 +6,9 @@ import pytest
 from conftest import TEST_MODEL, build_sim, force_convergence, place_pair
 from migratenet.errors import MessageTooLargeError, NoSuchProcessError
 from migratenet.cluster import ClusterState, GPid
-from migratenet.gossip import Bulletin
+from migratenet.gossip import Bulletin, GossipConfig, gossip_round, make_digest, merge
 from migratenet.simcore import TransportKind
-from migratenet.transport import Router, TransportConfig
+from migratenet.transport import DeliveryReport, Router, TransportConfig
 
 HOP = lambda s: TEST_MODEL.alpha_net + s / TEST_MODEL.beta_net
 SM = lambda s: TEST_MODEL.alpha_sm + s / TEST_MODEL.beta_sm
@@ -454,3 +454,66 @@ def test_relay_to_direct_latency_ratio_tends_to_three():
         ratios.append(relay / direct)
     assert ratios == sorted(ratios)
     assert abs(ratios[-1] - 3.0) < 0.01
+
+
+# -- small-scope exhaustive check ---------------------------------------------------
+#
+# Every sequence of up to three actions on 3 nodes with two processes, a
+# homed on node 0 and b on node 1: most protocol faults show on a tiny
+# cluster if every interleaving is tried.  Each sequence is replayed from a
+# fresh simulation, and the invariants are checked after every step.
+
+SCOPE_SIZE = 100
+
+
+def scope_actions():
+    """The 16 actions as (label, apply(sim, a, b) -> DeliveryReport or None)."""
+    actions = []
+    for p, node in product((0, 1), range(3)):
+        actions.append((f"migrate {'ab'[p]} to {node}",
+                        lambda sim, a, b, p=p, node=node: sim.cluster.migrate((a, b)[p], node)))
+    for kind, forward in product(TransportKind, (True, False)):
+        actions.append((f"{kind.value} {'a->b' if forward else 'b->a'}",
+                        lambda sim, a, b, kind=kind, forward=forward: sim.router.send(
+                            kind, *((a, b) if forward else (b, a)), SCOPE_SIZE)))
+
+    def exchange(sim, i, j):
+        bulletins = sim.cluster.bulletins
+        digest_i = make_digest(bulletins[i], GossipConfig().bound)
+        digest_j = make_digest(bulletins[j], GossipConfig().bound)
+        merge(bulletins[j], digest_i)
+        merge(bulletins[i], digest_j)
+
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        actions.append((f"exchange {i}<->{j}",
+                        lambda sim, a, b, i=i, j=j: exchange(sim, i, j)))
+    actions.append(("gossip round",
+                    lambda sim, a, b: gossip_round(sim.cluster, sim.rng, sim.gossip_config)))
+    return actions
+
+
+def test_every_short_action_sequence_keeps_the_transport_invariants():
+    actions = scope_actions()
+    assert len(actions) == 16
+    sequences = [seq for depth in (1, 2, 3) for seq in product(actions, repeat=depth)]
+    assert len(sequences) == 4368
+    for seq in sequences:
+        trace = []
+        sim = build_sim(nodes=3, trace=trace)
+        a, b = place_pair(sim, 0, 1)
+        sent = 0
+        for step, (label, apply) in enumerate(seq):
+            where = [lbl for lbl, _ in seq[:step + 1]]   # the failing prefix
+            src, dst = (b, a) if label.endswith("b->a") else (a, b)
+            sender = sim.cluster.residency(src)
+            frames = len(trace)
+            report = apply(sim, a, b)
+            metrics = sim.metrics
+            if isinstance(report, DeliveryReport):
+                sent += SCOPE_SIZE
+                assert report.network_hops <= 3, where
+                assert len(trace) - frames == report.frames_emitted, where
+                if report.frames_emitted and trace[-1][1] == "LOC_REPLY":
+                    entry = sim.cluster.bulletins[sender].lookup_location(dst)
+                    assert entry is not None and entry[0] == sim.cluster.residency(dst), where
+            assert sum(metrics.delivered_bytes.values()) == metrics.payload_delivered == sent, where
