@@ -4,7 +4,7 @@ dissemination, and migration-driven load balancing."""
 
 from .balancer import JobSpec, balance_step, job_makespan
 from .cluster import ClusterState, GPid, MigrationEvent, NodeId, ProcessRecord, Topology
-from .errors import (AddressInUseError, BadNodeError, BadStateError,
+from .errors import (AddressInUseError, BadNodeError, BadSizeError, BadStateError,
                      ConnRefusedError, InvalidScenarioError,
                      MessageTooLargeError, NoConvergenceError, NoSuchProcessError,
                      SimulatorError, TimeTravelError, WouldBlockError)

@@ -87,12 +87,6 @@ class ClusterState:
         if not (isinstance(n, int) and 0 <= n < self.node_count):
             raise BadNodeError(f"node {n!r} not in 0..{self.node_count - 1}")
 
-    def _record(self, pid: GPid) -> ProcessRecord:
-        rec = self.procs.get(pid)
-        if rec is None:
-            raise NoSuchProcessError(f"process {pid}")
-        return rec
-
     def spawn(self, home: NodeId, job: str = "job", work: float = 1.0) -> GPid:
         """Create a process at `home`; publishes its location and the home's
         new load in the home bulletin."""
@@ -110,14 +104,13 @@ class ClusterState:
     def migrate(self, pid: GPid, to: NodeId) -> Optional[MigrationEvent]:
         """Move a running process.  Moving to the current node is a no-op and
         returns None."""
-        rec = self._record(pid)
+        src = self.residency(pid)
         self._check_node(to)
-        src = rec.current
         if src == to:
             return None
         self.resident[src].discard(pid)
         self.resident[to].add(pid)
-        rec.current = to
+        self.procs[pid].current = to
         # the hosting node learns arrivals first-hand; both ends republish load
         self.bulletins[to].publish_location(pid, to, *self.stamp())
         self.bulletins[to].publish_load(self.node_load(to), *self.stamp())
@@ -126,7 +119,10 @@ class ClusterState:
 
     def residency(self, pid: GPid) -> NodeId:
         """The node pid runs on: what its home answers, never stale."""
-        return self._record(pid).current
+        rec = self.procs.get(pid)
+        if rec is None:
+            raise NoSuchProcessError(f"process {pid}")
+        return rec.current
 
     def node_load(self, n: NodeId) -> float:
         self._check_node(n)

@@ -31,6 +31,12 @@ class MessageTooLargeError(SimulatorError):
     code = "E_MSG_TOO_LARGE"
 
 
+class BadSizeError(SimulatorError, ValueError):
+    """A negative message size; like `InvalidScenarioError` it is also a
+    `ValueError`."""
+    code = "E_BAD_SIZE"
+
+
 class AddressInUseError(SimulatorError):
     code = "E_ADDR_IN_USE"
 

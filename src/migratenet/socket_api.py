@@ -34,7 +34,13 @@ class SocketState(Enum):
     ESTABLISHED = "ESTABLISHED"
 
 
-@dataclass
+# members as globals: one Enum attribute lookup costs ~0.2 us on CPython 3.11
+CLOSED, BOUND, LISTENING, CONNECTING, ESTABLISHED = (
+    SocketState.CLOSED, SocketState.BOUND, SocketState.LISTENING, SocketState.CONNECTING,
+    SocketState.ESTABLISHED)
+
+
+@dataclass(slots=True)
 class Chunk:
     size: int
     ready_at: float
@@ -45,7 +51,7 @@ class SocketHandle:
     id: int
     owner: GPid
     transport: TransportKind
-    state: SocketState = SocketState.CLOSED
+    state: SocketState = CLOSED
     local_port: Optional[int] = None
     peer: Optional[tuple[GPid, int]] = None
     peer_handle: Optional[int] = None
@@ -67,10 +73,6 @@ class SocketStack:
         self._bound: dict[GPid, dict[int, int]] = {}       # owner -> port -> handle id
         self._ephemeral: dict[GPid, int] = {}
 
-    @property
-    def now(self) -> float:
-        return self.queue.now
-
     # -- lifecycle ----------------------------------------------------------
 
     def socket(self, owner: GPid, transport: TransportKind = TransportKind.AUTO) -> SocketHandle:
@@ -82,35 +84,35 @@ class SocketStack:
         return handle
 
     def bind(self, h: SocketHandle, port: int) -> None:
-        if h.state is not SocketState.CLOSED:
+        if h.state is not CLOSED:
             raise BadStateError(f"bind in state {h.state.value}")
         ports = self._bound.setdefault(h.owner, {})
         if port in ports:
             raise AddressInUseError(f"port {port} already bound by {h.owner}")
         ports[port] = h.id
         h.local_port = port
-        h.state = SocketState.BOUND
+        h.state = BOUND
 
     def listen(self, h: SocketHandle) -> None:
-        if h.state is not SocketState.BOUND:
+        if h.state is not BOUND:
             raise BadStateError(f"listen in state {h.state.value}")
-        h.state = SocketState.LISTENING
+        h.state = LISTENING
 
     def close(self, h: SocketHandle) -> None:
         """Idempotent; the peer's next recv after draining reports end of
         stream.  Closing a listener discards (and closes) pending children."""
-        if h.state is SocketState.CLOSED:
+        if h.state is CLOSED:
             return
         if h.local_port is not None:
             self._bound.get(h.owner, {}).pop(h.local_port, None)
         for child_id in h.pending:
             child = self.handles[child_id]
             h_pending_peer = child.peer_handle
-            child.state = SocketState.CLOSED
+            child.state = CLOSED
             if h_pending_peer is not None:
                 self.handles[h_pending_peer].peer_closed = True
         h.pending.clear()
-        h.state = SocketState.CLOSED
+        h.state = CLOSED
         if h.peer_handle is not None:
             self.handles[h.peer_handle].peer_closed = True
 
@@ -120,48 +122,48 @@ class SocketStack:
         """Start a handshake; completes asynchronously after one round trip
         over the handle's transport.  Refusal (no listener at the far end when
         the request arrives) closes the handle with E_CONN_REFUSED."""
-        if h.state is not SocketState.CLOSED:
+        if h.state is not CLOSED:
             raise BadStateError(f"connect in state {h.state.value}")
         if dst not in self.cluster.procs:
             raise NoSuchProcessError(f"process {dst}")
         if h.local_port is None:
             h.local_port = self._alloc_ephemeral(h.owner)
-        h.state = SocketState.CONNECTING
+        h.state = CONNECTING
         h.peer = (dst, port)
         report = self.router.send(h.transport, h.owner, dst,
                                   self.router.config.control_size)
-        self.queue.schedule(self.now + report.latency,
+        self.queue.schedule(self.queue.now + report.latency,
                             lambda: self._syn_arrives(h.id, dst, port))
 
     def _syn_arrives(self, handle_id: int, dst: GPid, port: int) -> None:
         h = self.handles[handle_id]
-        if h.state is not SocketState.CONNECTING:
+        if h.state is not CONNECTING:
             return
         listener = self._find_listener(dst, port)
         if listener is None:
-            h.state = SocketState.CLOSED
+            h.state = CLOSED
             h.last_error = ConnRefusedError.code
             return
         child = self.socket(dst, h.transport)
-        child.state = SocketState.ESTABLISHED
+        child.state = ESTABLISHED
         child.local_port = port
         child.peer = (h.owner, h.local_port)
         child.peer_handle = h.id
         listener.pending.append(child.id)
         report = self.router.send(h.transport, dst, h.owner,
                                   self.router.config.control_size)
-        self.queue.schedule(self.now + report.latency,
+        self.queue.schedule(self.queue.now + report.latency,
                             lambda: self._synack_arrives(h.id, child.id))
 
     def _synack_arrives(self, handle_id: int, child_id: int) -> None:
         h = self.handles[handle_id]
-        if h.state is not SocketState.CONNECTING:
+        if h.state is not CONNECTING:
             return
-        h.state = SocketState.ESTABLISHED
+        h.state = ESTABLISHED
         h.peer_handle = child_id
 
     def accept(self, h: SocketHandle) -> SocketHandle:
-        if h.state is not SocketState.LISTENING:
+        if h.state is not LISTENING:
             raise BadStateError(f"accept in state {h.state.value}")
         if not h.pending:
             raise WouldBlockError("no pending connections")
@@ -173,34 +175,39 @@ class SocketStack:
         """Send `size` bytes to the peer; returns the transport's delivery
         report.  FIFO order per connection is preserved even when a later
         message is routed faster."""
-        if h.state is not SocketState.ESTABLISHED:
+        if h.state is not ESTABLISHED:
             raise BadStateError(f"send in state {h.state.value}")
         peer = self.handles[h.peer_handle]
-        if peer.state is SocketState.CLOSED:
+        if peer.state is CLOSED:
             raise BadStateError("peer endpoint is closed")
         report = self.router.send(h.transport, h.owner, peer.owner, size)
         # FIFO: not before the queued tail (a drained queue's last chunk left by now)
-        queue, ready = peer.recv_queue, self.now + report.latency
-        queue.append(Chunk(size, max(ready, queue[-1].ready_at) if queue else ready))
+        queue, ready = peer.recv_queue, self.queue.now + report.latency
+        if queue and queue[-1].ready_at > ready:
+            ready = queue[-1].ready_at
+        queue.append(Chunk(size, ready))
         return report
 
     def recv(self, h: SocketHandle, max_bytes: int) -> Optional[int]:
         """Dequeue up to `max_bytes` of arrived data; 0 when nothing is ready
         yet, None once the peer has closed and nothing is left in flight or
         queued (the rule `select` applies)."""
-        if h.state is not SocketState.ESTABLISHED:
+        if h.state is not ESTABLISHED:
             raise BadStateError(f"recv in state {h.state.value}")
-        got = 0
-        while h.recv_queue and got < max_bytes:
-            chunk = h.recv_queue[0]
-            if chunk.ready_at > self.now:
+        queue, now = h.recv_queue, self.queue.now
+        got = emptied = 0
+        for chunk in queue:
+            if got >= max_bytes or chunk.ready_at > now:
                 break
-            take = min(chunk.size, max_bytes - got)
-            got += take
-            chunk.size -= take
-            if chunk.size == 0:
-                h.recv_queue.pop(0)
-        if got == 0 and h.peer_closed and not h.recv_queue:
+            room = max_bytes - got
+            if chunk.size > room:   # read in part: the rest stays at the head
+                chunk.size -= room
+                got = max_bytes
+                break
+            got += chunk.size
+            emptied += 1
+        del queue[:emptied]   # one deletion, so draining n chunks stays O(n)
+        if got == 0 and h.peer_closed and not queue:
             return None
         return got
 
@@ -208,15 +215,17 @@ class SocketStack:
         """Handles that are readable at the current sim time: established
         with arrived data (or a drained stream whose peer closed), or
         listening with pending accepts."""
-        now = self.now
+        now = self.queue.now
         ready = []
         for h in handles:
-            if h.state is SocketState.LISTENING and h.pending:
-                ready.append(h)
-            elif h.state is SocketState.ESTABLISHED:
+            state = h.state
+            if state is ESTABLISHED:
                 # send keeps ready_at non-decreasing: the head chunk arrives first
-                if (h.recv_queue[0].ready_at <= now if h.recv_queue else h.peer_closed):
+                queue = h.recv_queue
+                if (queue[0].ready_at <= now if queue else h.peer_closed):
                     ready.append(h)
+            elif state is LISTENING and h.pending:
+                ready.append(h)
         return ready
 
     # -- internals -----------------------------------------------------------
@@ -226,7 +235,7 @@ class SocketStack:
         if handle_id is None or handle_id < 0:   # absent or ephemeral reservation
             return None
         h = self.handles[handle_id]
-        return h if h.state is SocketState.LISTENING else None
+        return h if h.state is LISTENING else None
 
     def _alloc_ephemeral(self, owner: GPid) -> int:
         ports = self._bound.setdefault(owner, {})

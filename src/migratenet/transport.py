@@ -36,7 +36,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .cluster import ClusterState, GPid, NodeId
-from .errors import MessageTooLargeError
+from .errors import BadSizeError, MessageTooLargeError, SimulatorError
 from .simcore import EventQueue, LatencyModel, Metrics, TransportKind
 
 DEFAULT_RELAY_MAX = 2 ** 30
@@ -66,6 +66,11 @@ class TransportConfig:
     relay_max: int = DEFAULT_RELAY_MAX
     direct_max: int = DEFAULT_DIRECT_MAX       # 2x the relay cap by default
     control_size: int = DEFAULT_CONTROL_SIZE   # fixed size of control frames
+
+
+def _size_error(size: int, too_large: str) -> SimulatorError:
+    """The error for a size outside ``0..cap``: negative, or `too_large`."""
+    return BadSizeError(f"negative size {size}") if size < 0 else MessageTooLargeError(too_large)
 
 
 class DeliveryReport(NamedTuple):
@@ -99,8 +104,8 @@ class Router:
         """Baseline: the payload transits both endpoints' home nodes."""
         sender = self.cluster.residency(src)
         receiver = self.cluster.residency(dst)
-        if size > self.config.relay_max:
-            raise MessageTooLargeError(f"{size} > relay cap {self.config.relay_max}")
+        if not 0 <= size <= self.config.relay_max:
+            raise _size_error(size, f"{size} > relay cap {self.config.relay_max}")
         return self._relay(sender, src, dst, size, receiver)
 
     def send_direct(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
@@ -108,8 +113,8 @@ class Router:
         miss or stale entries.  At most three DATA link traversals."""
         sender = self.cluster.residency(src)
         resolved = self._first_target(sender, dst)
-        if size > self.config.direct_max:
-            raise MessageTooLargeError(f"{size} > direct cap {self.config.direct_max}")
+        if not 0 <= size <= self.config.direct_max:
+            raise _size_error(size, f"{size} > direct cap {self.config.direct_max}")
         return self._direct(sender, src, dst, size, resolved)
 
     def send_auto(self, src: GPid, dst: GPid, size: int) -> DeliveryReport:
@@ -118,9 +123,9 @@ class Router:
         far its estimate was from the latency charged go to the metrics."""
         sender = self.cluster.residency(src)
         resolved = self._first_target(sender, dst)
-        if size > self.config.relay_max and size > self.config.direct_max:
-            raise MessageTooLargeError(
-                f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
+        if not 0 <= size <= self.config.relay_max and not 0 <= size <= self.config.direct_max:
+            raise _size_error(
+                size, f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
         est_relay, est_direct = self._estimates(sender, src, dst, size, resolved)
         if est_direct < est_relay:
             picked, estimate = "direct", est_direct
@@ -195,9 +200,15 @@ class Router:
         home cost `home_leg_factor` hops, the leg between the homes one hop."""
         hop = self.model.net_hop(size)
         home = hop * self.model.home_leg_factor
-        links = [link for link in ((DATA, sender, src_home, home), (DATA, src_home, dst_home, hop),
-                                   (DATA, dst_home, receiver, home)) if link[1] != link[2]]
-        return links, tuple(link[2] for link in links[:-1])
+        links = []
+        if sender != src_home:
+            links.append((DATA, sender, src_home, home))
+        if src_home != dst_home:
+            links.append((DATA, src_home, dst_home, hop))
+        if dst_home != receiver:
+            links.append((DATA, dst_home, receiver, home))
+        n = len(links)   # every link but the last ends at a node that relays
+        return links, () if n < 2 else (links[0][2],) if n == 2 else (src_home, dst_home)
 
     def _direct_route(self, sender: NodeId, dst: GPid, size: int, target: NodeId,
                       via_home: bool, receiver: Optional[NodeId]) -> Route:
@@ -212,7 +223,7 @@ class Router:
         home = dst.home
         hop = self.model.net_hop(size)
         links = []
-        if not via_home and target not in (receiver, home):
+        if not via_home and target != receiver and target != home:
             # stale: the believed node bounces the payload; fall back as a miss
             links += ((DATA, sender, target, hop),
                       (NACK_UNKNOWN, target, sender, self.model.net_hop(self.config.control_size)))
@@ -244,15 +255,17 @@ class Router:
         links, relayed = route
         metrics = self.metrics
         link_bytes, handled, trace = metrics.link_bytes, metrics.frames_handled, self.trace
+        control_size = self.config.control_size
         hops = 0
         for kind, frm, to, _ in links:
             if kind is DATA:
                 hops += 1
                 nbytes = size
             else:
-                nbytes = self.config.control_size
+                nbytes = control_size
                 metrics.control_frames[kind.value] += 1
-            link_bytes[frm, to] = link_bytes.get((frm, to), 0) + nbytes
+            key = frm, to
+            link_bytes[key] = link_bytes.get(key, 0) + nbytes
             handled[to] = handled.get(to, 0) + 1
             if trace is not None:
                 ends = (src, dst) if kind is DATA else (dst, src)
@@ -261,5 +274,6 @@ class Router:
             metrics.relayed_bytes[node] = metrics.relayed_bytes.get(node, 0) + size
         metrics.delivered_bytes[receiver] = metrics.delivered_bytes.get(receiver, 0) + size
         metrics.payload_delivered += size
-        return DeliveryReport(transport, hops, self._price(transport, links, size), len(links),
-                              relayed)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return tuple.__new__(DeliveryReport, (transport, hops, self._price(transport, links, size),
+                                              len(links), relayed))

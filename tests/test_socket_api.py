@@ -1,11 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import build_sim, place_pair
-from migratenet.cluster import GPid
-from migratenet.errors import (AddressInUseError, BadStateError, NoSuchProcessError,
-                               WouldBlockError)
+from migratenet.bench import Simulation
+from migratenet.cluster import GPid, Topology
+from migratenet.errors import (AddressInUseError, BadSizeError, BadStateError,
+                               NoSuchProcessError, WouldBlockError)
+from migratenet.gossip import gossip_round
 from migratenet.simcore import TransportKind
 from migratenet.socket_api import SocketStack, SocketState
 
@@ -179,12 +182,29 @@ def test_recv_respects_max_and_splits_chunks():
     assert stack.recv(server, 400) == 400
     assert stack.recv(server, 400) == 400
     assert stack.recv(server, 400) == 200
+    # one call empties many chunks and splits the next one
+    for _ in range(1000):
+        stack.send(client, 10)
+    sim.queue.run_until(sim.queue.now + 60)
+    assert stack.recv(server, 5005) == 5005
+    assert len(server.recv_queue) == 500 and server.recv_queue[0].size == 5
+    assert stack.recv(server, 10 ** 6) == 4995
+    assert server.recv_queue == []
 
 
 def test_send_on_non_established_socket():
     _, stack, a, _ = stack_with_pair()
     with pytest.raises(BadStateError):
         stack.send(stack.socket(a), 10)
+
+
+def test_send_rejects_negative_size_and_queues_nothing():
+    sim, stack, client, server = established_pair()
+    with pytest.raises(BadSizeError):
+        stack.send(client, -700)
+    assert server.recv_queue == []
+    sim.queue.run_until(sim.queue.now + 60)
+    assert stack.recv(server, 4096) == 0
 
 
 def test_send_propagates_transport_cap_error():
@@ -346,7 +366,6 @@ def run_interleaving(transport, seed):
     sim, stack, client, server = established_pair(transport, migrated=True, seed=seed)
     rng = random.Random(seed)
     sizes = []
-    from migratenet.gossip import gossip_round
     for i in range(30):
         action = rng.random()
         if action < 0.4:
@@ -393,3 +412,52 @@ def test_application_stream_identical_across_transports():
             out.append(got)
         streams[transport.value] = out
     assert streams["relay"] == streams["direct"] == streams["auto"]
+
+
+# -- golden -------------------------------------------------------------------------
+
+SOCKET_GOLDEN = "9097f4e832288efbe23059e839abaa8ad516d92da2956da09e5f0a6bbbcacf34"
+
+
+def test_seeded_socket_traffic_matches_golden():
+    # one connection per transport on an 8-node mesh; 300 sends mixed with
+    # migrations and gossip rounds.  The digest covers every enqueued chunk,
+    # every send's report, every recv result and the final metric rows, so
+    # any change to the socket-to-link path shows here byte for byte.
+    sim = Simulation.build(Topology.mesh(8), seed=11)
+    cluster, queue, rng = sim.cluster, sim.queue, random.Random(11)
+    pids = [cluster.spawn(i % 8, "golden") for i in range(12)]
+    stack = SocketStack(cluster, sim.router, queue)
+    pending = []
+    for k, transport in enumerate((TransportKind.RELAY, TransportKind.DIRECT,
+                                   TransportKind.AUTO)):
+        listener = stack.socket(pids[2 * k + 1], transport)
+        stack.bind(listener, 5000)
+        stack.listen(listener)
+        client = stack.socket(pids[2 * k], transport)
+        stack.connect(client, pids[2 * k + 1], 5000)
+        pending.append((client, listener))
+    queue.run()
+    ends = [(client, stack.accept(listener)) for client, listener in pending]
+    handles = [h for pair in ends for h in pair]
+    digest = hashlib.sha256()
+    for _ in range(300):
+        action = rng.random()
+        if action < 0.1:
+            cluster.migrate(rng.choice(pids), rng.randrange(8))
+        elif action < 0.15:
+            gossip_round(cluster, sim.rng)
+        pair = rng.choice(ends)
+        direction = rng.randrange(2)
+        h, peer = pair[direction], pair[1 - direction]
+        report = stack.send(h, rng.randrange(1, 20000))
+        chunk = peer.recv_queue[-1]
+        digest.update(f"{report!r}|{chunk.size},{chunk.ready_at!r}\n".encode())
+        queue.run_until(queue.now + rng.random() * 1e-3)
+        for ready in stack.select(handles):
+            digest.update(f"{ready.id}:{stack.recv(ready, rng.randrange(1, 30000))}\n".encode())
+    queue.run_until(queue.now + 1.0)
+    for h in handles:
+        digest.update(f"{h.id}:{stack.recv(h, 10 ** 9)}\n".encode())
+    digest.update(repr(sim.metrics.rows()).encode())
+    assert digest.hexdigest() == SOCKET_GOLDEN

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import TEST_MODEL, build_sim, force_convergence, place_pair
-from migratenet.errors import MessageTooLargeError, NoSuchProcessError
+from migratenet.errors import BadSizeError, MessageTooLargeError, NoSuchProcessError
 from migratenet.cluster import ClusterState, GPid
 from migratenet.gossip import Bulletin, GossipConfig, gossip_round, make_digest, merge
 from migratenet.simcore import TransportKind
@@ -19,6 +19,21 @@ def estimates(router, src, dst, size) -> tuple[float, float]:
     """Auto's relay and direct estimates for one send, resolved as auto does."""
     sender = router.cluster.residency(src)
     return router._estimates(sender, src, dst, size, router._first_target(sender, dst))
+
+
+def assert_rejects_negative_size(send_name):
+    """A negative size fails with E_BAD_SIZE before any counter or bulletin
+    changes; b has migrated and a's node has no entry for it, so a direct
+    send would otherwise drop and republish that entry."""
+    sim = build_sim()
+    a, b = place_pair(sim, 0, 1, 2, 3)
+    rows = sim.metrics.rows()
+    entries = [dict(bulletin._locations) for bulletin in sim.cluster.bulletins]
+    with pytest.raises(BadSizeError) as err:
+        getattr(sim.router, send_name)(a, b, -10 ** 9)
+    assert err.value.code == "E_BAD_SIZE" and isinstance(err.value, ValueError)
+    assert sim.metrics.rows() == rows
+    assert [dict(bulletin._locations) for bulletin in sim.cluster.bulletins] == entries
 
 
 # -- relay ---------------------------------------------------------------------
@@ -64,6 +79,10 @@ def test_relay_cap_enforced():
     with pytest.raises(MessageTooLargeError) as err:
         sim.router.send_relay(a, b, 1001)
     assert err.value.code == "E_MSG_TOO_LARGE"
+
+
+def test_relay_rejects_negative_size():
+    assert_rejects_negative_size("send_relay")
 
 
 def test_relay_unknown_process():
@@ -209,6 +228,10 @@ def test_direct_cap_enforced():
         sim.router.send_direct(a, b, 2001)
 
 
+def test_direct_rejects_negative_size():
+    assert_rejects_negative_size("send_direct")
+
+
 # -- direct route table ------------------------------------------------------------
 
 # a is homed on node 0 and b on node 1; a runs on `at_a`, b on `at_b`, and
@@ -336,6 +359,10 @@ def test_auto_rejects_when_both_caps_exceeded():
     a, b = place_pair(sim, 0, 1)
     with pytest.raises(MessageTooLargeError):
         sim.router.send_auto(a, b, 2001)
+
+
+def test_auto_rejects_negative_size():
+    assert_rejects_negative_size("send_auto")
 
 
 def test_auto_never_beaten_by_either_transport_when_converged():
