@@ -6,10 +6,12 @@ no bulletin keeps a clock) and a serial.  Once per round every node pairs up
 with one uniformly random peer and the two swap bounded digests (push-pull);
 merging keeps the copy with the later stamp, so a republished fact displaces
 every stale copy as it spreads.  A digest is a raw snapshot of stored
-entries, so no per-entry object is built on the hot path.  A bulletin larger
-than the digest bound is cut at a birth threshold found by sorting the plain
-birth integers, not by ranking whole entries; the entries of each kind ship
-in bulletin order, since no reader of a digest depends on its order.
+entries, so no per-entry object is built on the hot path: a bulletin within
+the digest bound ships a copy of each of its two dicts, read through its
+items view.  A larger bulletin is cut at a birth threshold found by sorting
+the plain birth integers, not by ranking whole entries; the entries of each
+kind ship in bulletin order, since no reader of a digest depends on its
+order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Iterable, Optional
 
 from .errors import NoConvergenceError
 
@@ -30,15 +32,23 @@ DEFAULT_BOUND = 64
 _birth = itemgetter(1)   # the birth of a stored entry
 
 
-@dataclass(frozen=True)
 class GossipDigest:
     """Snapshot of bulletin entries as stored: ``(pid, (node, birth, serial))``
-    and ``(node, (load, birth, serial))``."""
-    location_items: tuple[tuple["GPid", tuple["NodeId", int, int]], ...]
-    load_items: tuple[tuple["NodeId", tuple[float, int, int]], ...]
+    and ``(node, (load, birth, serial))`` pairs, as the items view of a copied
+    dict (a whole bulletin) or a tuple (a cut one).  A plain slotted class: a
+    frozen dataclass pays one ``object.__setattr__`` per field."""
+    __slots__ = ("location_items", "load_items")
+
+    def __init__(self, location_items: Collection, load_items: Collection):
+        self.location_items = location_items
+        self.load_items = load_items
 
     def __len__(self) -> int:
         return len(self.location_items) + len(self.load_items)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, GossipDigest) and self.location_items == other.location_items
+                and self.load_items == other.load_items)
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,8 @@ def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
         raise ValueError("digest bound must be >= 1")
     locations, loads = bulletin._locations, bulletin._loads
     if len(locations) + len(loads) <= bound:
-        return GossipDigest(tuple(locations.items()), tuple(loads.items()))
+        # dict.copy() is several times cheaper than building a pair per entry
+        return GossipDigest(locations.copy().items(), loads.copy().items())
     # a larger birth is a later publication
     births = [*map(_birth, locations.values()), *map(_birth, loads.values())]
     births.sort()
@@ -119,7 +130,7 @@ def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
     return GossipDigest(tuple(picked[0]), tuple(picked[1]))
 
 
-def _fold(table: dict, items: tuple, owner: Optional["NodeId"]) -> int:
+def _fold(table: dict, items: Iterable, owner: Optional["NodeId"]) -> int:
     """Merge raw `items` into `table`, skipping the key `owner`: the later
     (birth, serial) stamp wins, and an equal one keeps the resident copy."""
     accepted = 0
@@ -157,22 +168,26 @@ def gossip_round(state: "ClusterState", rng: random.Random,
     """
     n = state.node_count
     state.gossip_rounds += 1
-    exchanges = dropped = frames = moved = 0
-    if n >= 2:
-        for i in range(n):
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            frames += 2
-            if config.drop_probability > 0.0 and rng.random() < config.drop_probability:
-                dropped += 1
-                continue
-            exchanges += 1
-            digest_i = make_digest(state.bulletins[i], config.bound)
-            digest_j = make_digest(state.bulletins[j], config.bound)
-            moved += merge(state.bulletins[j], digest_i)
-            moved += merge(state.bulletins[i], digest_j)
-    return RoundReport(state.gossip_rounds, exchanges, dropped, frames, moved)
+    if n < 2:
+        return RoundReport(state.gossip_rounds, 0, 0, 0, 0)
+    bulletins, bound, drop = state.bulletins, config.bound, config.drop_probability
+    randrange = rng.randrange
+    dropped = moved = 0
+    for i in range(n):
+        j = randrange(n - 1)
+        if j >= i:
+            j += 1
+        if drop > 0.0 and rng.random() < drop:
+            dropped += 1
+            continue
+        # make_digest and merge are looked up as globals on each call, so a
+        # wrapper set on the module sees every one
+        left, right = bulletins[i], bulletins[j]
+        digest_left = make_digest(left, bound)
+        digest_right = make_digest(right, bound)
+        moved += merge(right, digest_left)
+        moved += merge(left, digest_right)
+    return RoundReport(state.gossip_rounds, n - dropped, dropped, 2 * n, moved)
 
 
 def informed_count(state: "ClusterState", pid: "GPid") -> int:

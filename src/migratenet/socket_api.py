@@ -13,6 +13,7 @@ is routed faster than an earlier one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -56,7 +57,7 @@ class SocketHandle:
     peer: Optional[tuple[GPid, int]] = None
     peer_handle: Optional[int] = None
     recv_queue: list[Chunk] = field(default_factory=list)
-    pending: list[int] = field(default_factory=list)   # handle ids awaiting accept
+    pending: deque[int] = field(default_factory=deque)   # handle ids awaiting accept, FIFO
     peer_closed: bool = False
     last_error: Optional[str] = None
 
@@ -167,7 +168,7 @@ class SocketStack:
             raise BadStateError(f"accept in state {h.state.value}")
         if not h.pending:
             raise WouldBlockError("no pending connections")
-        return self.handles[h.pending.pop(0)]
+        return self.handles[h.pending.popleft()]
 
     # -- data transfer ----------------------------------------------------------
 

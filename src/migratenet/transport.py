@@ -25,7 +25,8 @@ The home forwards the payload when it does not host the receiver.  If the
 send went through the home or the home forwarded it, and the home is not the
 sender, the home also sends a LOC_REPLY that refreshes the sender's bulletin.
 Auto resolves the send once and prices both routes to the node the sender
-believes dst runs on.
+believes dst runs on; when that belief is right it carries the route it
+priced instead of building it again.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ Link = tuple[FrameKind, NodeId, NodeId, float]
 Route = tuple[list[Link], tuple[NodeId, ...]]
 # _first_target's answer: first node, via dst's home, direct outcome, dst's node
 Resolved = tuple[NodeId, bool, str, NodeId]
+# an auto estimate: the price and the route priced, (inf, None) over the cap
+Estimate = tuple[float, Optional[Route]]
 
 
 @dataclass(frozen=True)
@@ -126,49 +129,59 @@ class Router:
         if not 0 <= size <= self.config.relay_max and not 0 <= size <= self.config.direct_max:
             raise _size_error(
                 size, f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
-        est_relay, est_direct = self._estimates(sender, src, dst, size, resolved)
+        (est_relay, relay_route), (est_direct, direct_route) = self._estimates(
+            sender, src, dst, size, resolved)
+        # a route priced to the node dst runs on is the route carried: for
+        # relay whenever the first target is that node, for direct only on a
+        # local or hit send (on a miss it priced a forward from the home)
+        believed_right = resolved[0] == resolved[3]
         if est_direct < est_relay:
             picked, estimate = "direct", est_direct
-            report = self._direct(sender, src, dst, size, resolved)
+            reuse = believed_right and not resolved[1]
+            report = self._direct(sender, src, dst, size, resolved, direct_route if reuse else None)
         else:
             picked, estimate = "relay", est_relay
-            report = self._relay(sender, src, dst, size, resolved[3])
+            report = self._relay(sender, src, dst, size, resolved[3],
+                                 relay_route if believed_right else None)
         self.metrics.auto_picks[picked] += 1
         self.metrics.auto_error += abs(estimate - report.latency)
         return report
 
     def _estimates(self, sender: NodeId, src: GPid, dst: GPid, size: int,
-                   resolved: Resolved) -> tuple[float, float]:
-        """Auto's prices of the relay and the direct route to the node the
-        sender believes dst runs on, inf over a transport's cap.  On a miss
-        that node is dst's home for the relay and, for the direct route, one
-        the home forwards to."""
+                   resolved: Resolved) -> tuple[Estimate, Estimate]:
+        """Auto's relay and direct routes to the node the sender believes dst
+        runs on, each with its price: ``(inf, None)`` over a transport's cap.
+        On a miss that node is dst's home for the relay and, for the direct
+        route, one the home forwards to."""
         target, via_home = resolved[0], resolved[1]
-        relay = direct = math.inf
+        relay = direct = (math.inf, None)
         if size <= self.config.relay_max:
-            links, _ = self._relay_route(sender, src.home, dst.home, target, size)
-            relay = self._price(RELAY, links, size)
+            route = self._relay_route(sender, src.home, dst.home, target, size)
+            relay = self._price(RELAY, route[0], size), route
         if size <= self.config.direct_max:
             believed = None if via_home else target
-            links, _ = self._direct_route(sender, dst, size, target, via_home, believed)
-            direct = self._price(DIRECT, links, size)
+            route = self._direct_route(sender, dst, size, target, via_home, believed)
+            direct = self._price(DIRECT, route[0], size), route
         return relay, direct
 
     def _relay(self, sender: NodeId, src: GPid, dst: GPid, size: int,
-               receiver: NodeId) -> DeliveryReport:
-        """Carry a relay send whose caps are checked."""
+               receiver: NodeId, route: Optional[Route] = None) -> DeliveryReport:
+        """Carry a relay send whose caps are checked, along `route` when auto
+        already built it."""
         self.metrics.sends["relay"] += 1
-        route = self._relay_route(sender, src.home, dst.home, receiver, size)
+        if route is None:
+            route = self._relay_route(sender, src.home, dst.home, receiver, size)
         return self._carry(RELAY, route, src, dst, size, receiver)
 
     def _direct(self, sender: NodeId, src: GPid, dst: GPid, size: int,
-                resolved: Resolved) -> DeliveryReport:
-        """Carry a direct send whose caps are checked, and apply what it
-        teaches the sender's bulletin."""
+                resolved: Resolved, route: Optional[Route] = None) -> DeliveryReport:
+        """Carry a direct send whose caps are checked, along `route` when auto
+        already built it, and apply what it teaches the sender's bulletin."""
         target, via_home, outcome, receiver = resolved
         self.metrics.sends["direct"] += 1
         self.metrics.direct_outcomes[outcome] += 1
-        route = self._direct_route(sender, dst, size, target, via_home, receiver)
+        if route is None:
+            route = self._direct_route(sender, dst, size, target, via_home, receiver)
         bulletin = self.cluster.bulletins[sender]
         if via_home or (outcome == "stale" and target != dst.home):
             # a miss, or a stale entry other than the home: the sender falls back to it

@@ -332,8 +332,8 @@ def test_counters_match_outside_classification(monkeypatch, seed):
         return send_direct(self, src, dst, size)
 
     def estimated(self, *args):
-        relay, direct = auto_estimates(self, *args)
-        last_estimates.update({TransportKind.RELAY: relay, TransportKind.DIRECT: direct})
+        relay, direct = auto_estimates(self, *args)   # each (price, route)
+        last_estimates.update({TransportKind.RELAY: relay[0], TransportKind.DIRECT: direct[0]})
         return relay, direct
 
     def picked(self, src, dst, size):

@@ -183,6 +183,27 @@ def test_cut_digest_fills_tied_room_with_locations_by_key():
     assert [node for node, _ in digest.load_items] == [3]
 
 
+@pytest.mark.parametrize("bound", (64, 6))   # the whole bulletin, or cut
+def test_digest_is_a_snapshot_of_its_bulletin(bound):
+    # whatever the source bulletin learns or forgets after a digest is taken,
+    # the digest keeps shipping the entries it was taken with
+    b = fat_bulletin(6, 4)
+    digest = make_digest(b, bound)
+    entries, size = sorted(aged(digest, 6)), len(digest)
+    assert size == min(bound, 10)
+    before = sorted(aged(b, 6))
+    b.publish_location(GPid(0, 5), 2, 9, 1)     # replaces the youngest location
+    b.publish_location(GPid(3, 3), 1, 9, 2)     # a new one
+    b.invalidate_location(GPid(0, 4))
+    b.publish_load(9.0, 9, 3)
+    other = Bulletin(owner=1)
+    other.publish_location(GPid(0, 3), 0, 9, 4)
+    other._loads[2] = (5.0, 9, 5)
+    assert merge(b, make_digest(other, 64)) == 2
+    assert sorted(aged(b, 6)) != before
+    assert sorted(aged(digest, 6)) == entries and len(digest) == size
+
+
 # -- merge -----------------------------------------------------------------------
 
 def test_merge_younger_wins():
@@ -253,6 +274,51 @@ def test_merge_orders_by_birth_then_serial():
     assert receiver.lookup_location(Q) == (5, 4, 0)
     assert receiver.lookup_location(shared) == (6, 2, 0)
     assert receiver.load_view()[2] == 4.0
+
+
+def merge_oracle(table: dict, entries: list, owner) -> int:
+    """Plain merge: for each key the greater (birth, serial) wins, a tie keeps
+    the resident entry, and the key `owner` is never replaced; returns the
+    number of keys inserted or replaced."""
+    changed = 0
+    for key, entry in entries:
+        resident = table.get(key)
+        if key != owner and (resident is None or entry[1:] > resident[1:]):
+            table[key] = entry
+            changed += 1
+    return changed
+
+
+@settings(max_examples=200, deadline=None)
+@given(resident=st.tuples(
+           st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                           st.tuples(st.integers(0, 7), st.integers(0, 3),
+                                     st.integers(0, 3)), max_size=20),
+           st.dictionaries(st.integers(0, 7), st.tuples(st.floats(0, 8), st.integers(0, 3),
+                                                        st.integers(0, 3)), max_size=8)),
+       incoming=st.tuples(
+           st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                           st.tuples(st.integers(0, 7), st.integers(0, 3),
+                                     st.integers(0, 3)), max_size=20),
+           st.dictionaries(st.integers(0, 7), st.tuples(st.floats(0, 8), st.integers(0, 3),
+                                                        st.integers(0, 3)), max_size=8)),
+       owner=st.integers(0, 7))
+def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incoming, owner):
+    # births and serials from small ranges, so many keys tie; the digest
+    # ships the whole sending bulletin, then one cut to half of it
+    sender = Bulletin(owner=(owner + 1) % 8)
+    sender._locations = {GPid(*key): entry for key, entry in incoming[0].items()}
+    sender._loads = dict(incoming[1])
+    for bound in (64, max(1, len(sender) // 2)):
+        b = Bulletin(owner=owner)
+        b._locations = {GPid(*key): entry for key, entry in resident[0].items()}
+        b._loads = dict(resident[1])
+        digest = make_digest(sender, bound)
+        locations, loads = dict(b._locations), dict(b._loads)
+        changed = (merge_oracle(locations, list(digest.location_items), None)
+                   + merge_oracle(loads, list(digest.load_items), owner))
+        assert merge(b, digest) == changed
+        assert b._locations == locations and b._loads == loads
 
 
 def test_own_load_fact_never_overwritten():

@@ -122,6 +122,24 @@ def test_accept_without_pending_would_block():
         stack.accept(listener)
 
 
+def test_accept_takes_many_pending_connections_in_connect_order():
+    # 2,000 handshakes complete before the first accept: each accept takes
+    # the oldest pending connection, whose peer is the next client connected
+    sim, stack, a, b = stack_with_pair()
+    listener = stack.socket(b)
+    stack.bind(listener, 5000)
+    stack.listen(listener)
+    clients = [stack.socket(a) for _ in range(2000)]
+    for client in clients:
+        stack.connect(client, b, 5000)
+    sim.queue.run()
+    accepted = [stack.accept(listener) for _ in clients]
+    assert [server.peer_handle for server in accepted] == [client.id for client in clients]
+    assert stack.select([listener]) == []
+    with pytest.raises(WouldBlockError):
+        stack.accept(listener)
+
+
 def test_accept_on_non_listening_socket():
     _, stack, a, _ = stack_with_pair()
     with pytest.raises(BadStateError):

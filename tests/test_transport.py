@@ -18,7 +18,8 @@ D = TEST_MODEL.direct_overhead
 def estimates(router, src, dst, size) -> tuple[float, float]:
     """Auto's relay and direct estimates for one send, resolved as auto does."""
     sender = router.cluster.residency(src)
-    return router._estimates(sender, src, dst, size, router._first_target(sender, dst))
+    relay, direct = router._estimates(sender, src, dst, size, router._first_target(sender, dst))
+    return relay[0], direct[0]
 
 
 def assert_rejects_negative_size(send_name):
@@ -436,6 +437,37 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
     # local, hit, and a miss or self-claiming entry with b away from home;
     # the rest are a miss with b at home and a stale entry naming another node
     assert charged_as_estimated == 164
+
+
+@pytest.mark.parametrize("home_leg_factor", (0.1, TEST_MODEL.home_leg_factor, 2.0))
+def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
+    # auto passes the route it priced on to the send where that route is the
+    # one taken.  For every placement of a (home 0) and b (home 1) on 5 nodes
+    # and every entry a's node may hold for b, an auto send must report,
+    # trace, count and teach exactly as a twin whose picked route is built
+    # again from the resolved send.  Dear home legs (2.0) make direct win on
+    # a miss with b at home, where the direct route priced is not the one taken.
+    model = replace(TEST_MODEL, home_leg_factor=home_leg_factor)
+    picks = set()
+    for at_a, at_b, belief in product(range(5), range(5), (None, *range(5))):
+        runs = []
+        for rebuild in (False, True):
+            trace = []
+            sim = build_sim(nodes=5, model=model, trace=trace)
+            a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
+            bulletin = sim.cluster.bulletins[at_a]
+            bulletin.invalidate_location(b)
+            if belief is not None:
+                bulletin.publish_location(b, belief, *sim.cluster.stamp())
+            if rebuild:
+                router = sim.router
+                router._estimates = lambda *args: tuple(
+                    (price, None) for price, _ in Router._estimates(router, *args))
+            report = sim.router.send_auto(a, b, 1000)
+            runs.append((report, trace, sim.metrics.rows(), dict(bulletin._locations)))
+        assert runs[0] == runs[1]
+        picks.add(runs[0][0].transport)
+    assert picks == {TransportKind.RELAY, TransportKind.DIRECT}
 
 
 def test_auto_direct_send_resolves_once(monkeypatch):
