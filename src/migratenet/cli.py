@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -40,88 +40,45 @@ MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in bench.DEFA
 SPOKES = (2, NODE_COUNT[1] - 1, f"must be >= 2 and <= {NODE_COUNT[1] - 1}")
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    model: LatencyModel
-    achieved_slowdown: float
-    achieved_improvement: float
-    solvable: bool
+def calibrate() -> dict:
+    """Fit the latency model to the target ratios over the default sweep and
+    return the defaults-file payload.
 
-
-def home_leg_factor_for(slowdown: float, improvement: float) -> float:
-    """Home-leg factor k at which a sweep with mean `slowdown` against the
-    local relay shows mean `improvement` against the migrated relay.
-
-    On the sweep's migrated placement the relay costs (1 + 2k) hops and the
-    direct send one hop plus the overhead, so per size the improvement is
-    1 - (1 + o/h) / (1 + 2k), and its mean is 1 - (1 + slowdown) / (1 + 2k).
-    A negative result means no model reaches the pair.
+    The network and shared-memory scale is fixed; the direct overhead and
+    the home-leg factor k are solved in closed form.  The local relay has no
+    home legs, so the overhead alone sets the slowdown,
+    ``overhead * mean(1 / hop)``.  On the migrated placement the relay costs
+    (1 + 2k) hops, so the mean improvement is 1 - (1 + slowdown) / (1 + 2k).
+    A negative k (improvement < -slowdown) is clamped at 0, the nearest joint
+    fit.  One sweep then checks both targets: `solvable` says whether both
+    are met within `TOLERANCE`.
     """
-    return ((1 + slowdown) / (1 - improvement) - 1) / 2
-
-
-def nearest_fit() -> dict[str, float]:
-    """The joint fit: the overhead solved from the slowdown target and the
-    home-leg factor from both targets, clamped at zero."""
-    factor = max(0.0, home_leg_factor_for(TARGET_SLOWDOWN, TARGET_IMPROVEMENT))
-    return {"direct_overhead": TARGET_SLOWDOWN / MEAN_INV_HOP,
-            "home_leg_factor": factor,
-            "slowdown": TARGET_SLOWDOWN,
-            "improvement": 1 - (1 + TARGET_SLOWDOWN) / (1 + 2 * factor)}
-
-
-def calibrate() -> CalibrationResult:
-    """Fit the latency model to the target ratios over the default sweep.
-
-    Procedure: fix the network/shared-memory conventions and take the
-    direct overhead and the home-leg factor from the closed-form fit
-    (:func:`nearest_fit`).  The local relay has no home legs, so the
-    slowdown the overhead achieves is ``overhead * mean(1 / hop)`` whatever
-    the factor; then verify both targets by actually running the sweep.
-    `solvable` reports whether verification passed.  Both targets are out
-    of reach only when the factor would be negative
-    (improvement < -slowdown).
-    """
-    fit = nearest_fit()
+    factor = ((1 + TARGET_SLOWDOWN) / (1 - TARGET_IMPROVEMENT) - 1) / 2
     model = LatencyModel(
         alpha_net=CAL_ALPHA_NET,
         beta_net=CAL_BETA_NET,
         alpha_sm=CAL_ALPHA_NET / SM_ALPHA_DIVISOR,
         beta_sm=CAL_BETA_NET * SM_BETA_FACTOR,
-        direct_overhead=fit["direct_overhead"],
-        home_leg_factor=fit["home_leg_factor"],
+        direct_overhead=TARGET_SLOWDOWN / MEAN_INV_HOP,
+        home_leg_factor=max(0.0, factor),
     )
     report = bench.latency_sweep(bench.DEFAULT_SWEEP_SIZES, model)
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
-    solvable = (abs(slowdown - TARGET_SLOWDOWN) <= TOLERANCE
-                and abs(improvement - TARGET_IMPROVEMENT) <= TOLERANCE)
-    return CalibrationResult(model, slowdown, improvement, solvable)
-
-
-def defaults_payload(result: CalibrationResult) -> dict:
     return {
         "version": DEFAULTS_VERSION,
-        "model": asdict(result.model),
+        "model": asdict(model),
         "calibration": {
             "sweep_sizes": list(bench.DEFAULT_SWEEP_SIZES),
             "target_slowdown": TARGET_SLOWDOWN,
             "target_improvement": TARGET_IMPROVEMENT,
             "tolerance": TOLERANCE,
-            "achieved_slowdown": result.achieved_slowdown,
-            "achieved_improvement": result.achieved_improvement,
-            "solvable": result.solvable,
-            "nearest_fit": nearest_fit(),
+            "achieved_slowdown": slowdown,
+            "achieved_improvement": improvement,
+            "solvable": (abs(slowdown - TARGET_SLOWDOWN) <= TOLERANCE
+                         and abs(improvement - TARGET_IMPROVEMENT) <= TOLERANCE),
         },
     }
-
-
-def write_defaults(result: CalibrationResult, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(defaults_payload(result), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +155,21 @@ def _emit(report: bench.Report, outdir: str) -> int:
 
 
 def _run_calibrate(args) -> int:
-    result = calibrate()
-    out_path = write_defaults(result, Path(args.out) / "latency_defaults.json")
+    payload = calibrate()
+    out_path = Path(args.out) / "latency_defaults.json"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
-    print(f"achieved slowdown    : {result.achieved_slowdown:.4f} "
+    cal, model = payload["calibration"], payload["model"]
+    print(f"achieved slowdown    : {cal['achieved_slowdown']:.4f} "
           f"(target {TARGET_SLOWDOWN} +- {TOLERANCE})")
-    print(f"achieved improvement : {result.achieved_improvement:.4f} "
+    print(f"achieved improvement : {cal['achieved_improvement']:.4f} "
           f"(target {TARGET_IMPROVEMENT} +- {TOLERANCE})")
-    if not result.solvable:
-        fit = nearest_fit()
+    if not cal["solvable"]:
         print(f"{E_NO_SOLUTION}: both targets are unreachable together "
-              f"with a non-negative home_leg_factor; "
-              f"nearest joint fit: slowdown={fit['slowdown']:.4f}, "
-              f"improvement={fit['improvement']:.4f} "
-              f"(direct_overhead={fit['direct_overhead']:.6g}, "
-              f"home_leg_factor={fit['home_leg_factor']:.6g})",
+              f"with a non-negative home_leg_factor; wrote the nearest joint fit "
+              f"(direct_overhead={model['direct_overhead']:.6g}, "
+              f"home_leg_factor={model['home_leg_factor']:.6g})",
               file=sys.stderr)
         return 1
     return 0

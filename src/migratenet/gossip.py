@@ -11,7 +11,10 @@ the digest bound ships a copy of each of its two dicts, read through its
 items view.  A larger bulletin is cut at a birth threshold found by sorting
 the plain birth integers, not by ranking whole entries; the entries of each
 kind ship in bulletin order, since no reader of a digest depends on its
-order.
+order.  A cut digest carries only the youngest facts, so a node whose
+bulletin outgrows the bound re-publishes its own facts every
+`REPUBLISH_PERIOD` rounds (anti-entropy, Demers et al. 1987), and every fact
+keeps spreading until every node holds it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ if TYPE_CHECKING:
 
 
 DEFAULT_BOUND = 64
+REPUBLISH_PERIOD = 8   # rounds between re-publications (see gossip_round)
 
 _birth = itemgetter(1)   # the birth of a stored entry
 
@@ -160,17 +164,26 @@ def gossip_round(state: "ClusterState", rng: random.Random,
                  config: GossipConfig = GossipConfig()) -> RoundReport:
     """Run one synchronous gossip round over the whole cluster.
 
-    The cluster's round counter advances first.  Then each node, in index
-    order, picks one uniformly random peer other than itself and the pair
-    swaps digests both ways; later exchanges within the round see the effect
-    of earlier ones.  A whole exchange is lost with probability
-    `drop_probability` (its two frames still count as emitted).
+    The cluster's round counter advances first.  Then each node whose
+    bulletin holds more than `bound` entries re-publishes, in the rounds
+    where ``(round + node) % REPUBLISH_PERIOD == 0``, its residents'
+    locations in pid order and then its own load, under fresh stamps.  Then
+    each node, in index order, picks one uniformly random peer other than
+    itself and the pair swaps digests both ways; later exchanges within the
+    round see the effect of earlier ones.  A whole exchange is lost with
+    probability `drop_probability` (its two frames still count as emitted).
     """
     n = state.node_count
     state.gossip_rounds += 1
     if n < 2:
         return RoundReport(state.gossip_rounds, 0, 0, 0, 0)
     bulletins, bound, drop = state.bulletins, config.bound, config.drop_probability
+    for node in range(-state.gossip_rounds % REPUBLISH_PERIOD, n, REPUBLISH_PERIOD):
+        bulletin = bulletins[node]
+        if len(bulletin) > bound:
+            for pid in sorted(state.resident[node]):
+                bulletin.publish_location(pid, node, *state.stamp())
+            bulletin.publish_load(state.node_load(node), *state.stamp())
     randrange = rng.randrange
     dropped = moved = 0
     for i in range(n):

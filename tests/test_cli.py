@@ -1,13 +1,13 @@
 import json
 import os
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from migratenet import bench, cli
 from migratenet.errors import InvalidScenarioError
-from migratenet.simcore import load_model
+from migratenet.simcore import LatencyModel, load_model
 
 SCENARIO = {
     "version": 1,
@@ -206,6 +206,19 @@ def test_limit_subcommand_exits_0(tmp_path, capsys):
 def test_imbalance_and_ring_exit_0(tmp_path, capsys):
     assert cli.main(["imbalance", "--out", str(tmp_path / "i")]) == 0
     assert cli.main(["ring", "--spokes", "4", "--out", str(tmp_path / "r")]) == 0
+    # 40 locations and 41 loads: more facts than one digest of 64 carries
+    assert cli.main(["ring", "--spokes", "40", "--out", str(tmp_path / "r40")]) == 0
+
+
+def test_run_converges_with_more_facts_than_one_digest(tmp_path, capsys):
+    # 60 locations and 8 loads against the default digest bound of 64
+    data = dict(SCENARIO, topology={"kind": "mesh", "nodes": 8},
+                processes=[{"id": f"p{i}", "home": i % 8} for i in range(60)],
+                migrations=[{"time": 0.1, "pid": "p0", "to": 5}],
+                traffic=[dict(SCENARIO["traffic"][0], src="p0", dst="p9")])
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    assert "gossip rounds to converge: " in (out / "cli_demo_summary.txt").read_text()
 
 
 # -- determinism ------------------------------------------------------------------
@@ -333,8 +346,8 @@ def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle)
 
 def test_run_config_is_the_base_of_the_scenario_model(tmp_path, capsys):
     config = tmp_path / "custom.json"
-    cli.write_defaults(replace(cli.calibrate(), model=replace(
-        load_model(), alpha_net=5.0)), config)
+    config.write_text(json.dumps({"version": 1,
+                                  "model": asdict(replace(load_model(), alpha_net=5.0))}))
     latencies = {}
     for label, block, flags in (("packaged", None, []),
                                 ("config", None, ["--config", str(config)]),
@@ -365,36 +378,41 @@ def test_calibrate_reports_no_solution_with_nearest_fit(tmp_path, capsys, monkey
     calibration = payload["calibration"]
     assert calibration["solvable"] is False
     # the nearest fit clamps the factor at 0; it is the model written
-    nearest = calibration["nearest_fit"]
-    assert nearest["home_leg_factor"] == payload["model"]["home_leg_factor"] == 0.0
-    assert nearest["slowdown"] == pytest.approx(cli.TARGET_SLOWDOWN)
-    assert nearest["improvement"] == pytest.approx(-cli.TARGET_SLOWDOWN)
+    assert payload["model"]["home_leg_factor"] == 0.0
+    assert calibration["achieved_slowdown"] == pytest.approx(cli.TARGET_SLOWDOWN, abs=1e-9)
     assert calibration["achieved_improvement"] == pytest.approx(-cli.TARGET_SLOWDOWN, abs=1e-9)
 
 
 def test_calibrate_hits_slowdown_target_exactly():
-    result = cli.calibrate()
-    assert result.solvable
-    assert result.achieved_slowdown == pytest.approx(cli.TARGET_SLOWDOWN, abs=1e-9)
-    assert result.achieved_improvement == pytest.approx(cli.TARGET_IMPROVEMENT, abs=1e-9)
+    payload = cli.calibrate()
+    calibration = payload["calibration"]
+    assert calibration["solvable"]
+    assert calibration["achieved_slowdown"] == pytest.approx(cli.TARGET_SLOWDOWN, abs=1e-9)
+    assert calibration["achieved_improvement"] == pytest.approx(cli.TARGET_IMPROVEMENT, abs=1e-9)
     # with every hop at full cost the two means are locked together
-    homogeneous = replace(result.model, home_leg_factor=1.0)
+    homogeneous = LatencyModel(**dict(payload["model"], home_leg_factor=1.0))
     report = bench.latency_sweep(model=homogeneous)
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
-    assert slowdown == pytest.approx(result.achieved_slowdown, abs=1e-12)
+    assert slowdown == pytest.approx(calibration["achieved_slowdown"], abs=1e-12)
     assert improvement == pytest.approx(2 / 3 - slowdown / 3, abs=1e-9)
 
 
 def test_shipped_defaults_match_regenerated_calibration():
-    regenerated = cli.defaults_payload(cli.calibrate())
+    regenerated = cli.calibrate()
     shipped_path = os.path.join(os.path.dirname(cli.__file__), "defaults.json")
     with open(shipped_path, encoding="utf-8") as fh:
         shipped = json.load(fh)
     assert shipped == regenerated
+    # the file holds the model once: no key under calibration, at any depth,
+    # repeats a model field
+    def keys(node):
+        return set(node).union(*map(keys, node.values())) if isinstance(node, dict) else set()
+
+    assert not {f.name for f in fields(LatencyModel)} & keys(shipped["calibration"])
 
 
 def test_shipped_defaults_loadable_and_consistent():
     model = load_model()
-    result = cli.calibrate()
-    assert model == result.model
+    payload = cli.calibrate()
+    assert model == LatencyModel(**payload["model"])

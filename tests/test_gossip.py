@@ -9,8 +9,9 @@ from conftest import build_sim
 from migratenet import gossip
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import NoConvergenceError, SimulatorError
-from migratenet.gossip import (Bulletin, GossipConfig, converge, gossip_round,
-                               informed_count, is_converged, make_digest, merge)
+from migratenet.gossip import (REPUBLISH_PERIOD, Bulletin, GossipConfig, converge,
+                               gossip_round, informed_count, is_converged, make_digest,
+                               merge)
 
 P = GPid(0, 0)
 Q = GPid(1, 0)
@@ -447,6 +448,42 @@ def test_converge_raises_at_once_when_every_exchange_is_dropped():
     assert state.gossip_rounds == rounds
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_converges_with_four_times_more_facts_than_the_digest_bound(seed):
+    # 56 locations and 8 loads against bound 16: a cut digest carries only the
+    # youngest quarter, so the older facts spread only when re-published
+    state = ClusterState(Topology.mesh(8))
+    for i in range(56):
+        state.spawn(i % 8)
+    converge(state, random.Random(seed), GossipConfig(bound=16), max_rounds=200)
+    assert is_converged(state)
+
+
+def test_bulletin_above_the_bound_republishes_its_nodes_facts_on_its_turn():
+    def run(bound):
+        state = ClusterState(Topology.mesh(2))
+        pids = [state.spawn(0) for _ in range(4)]
+        rng = random.Random(0)
+        births = []
+        for _ in range(REPUBLISH_PERIOD):
+            gossip_round(state, rng, GossipConfig(bound=bound))
+            births.append({state.bulletins[0].lookup_location(pid)[1] for pid in pids})
+        return state, pids, rng.getstate(), births
+
+    # node 0 holds 4 locations and 2 loads: above bound 4, its turn comes in
+    # round 8, (8 + 0) % 8 == 0; node 1 holds no process
+    state, pids, rng_state, births = run(bound=4)
+    assert births == [{0}] * (REPUBLISH_PERIOD - 1) + [{REPUBLISH_PERIOD}]
+    bulletin = state.bulletins[0]
+    stamps = [bulletin.lookup_location(pid)[1:] for pid in sorted(pids)]
+    stamps.append(bulletin._loads[0][1:])
+    assert stamps == sorted(set(stamps))   # in pid order, then the load
+    # within the bound nothing is re-published, and the rng is drawn alike
+    _, _, within_state, within_births = run(bound=64)
+    assert within_births == [{0}] * REPUBLISH_PERIOD
+    assert within_state == rng_state
+
+
 def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
                                 seed: int = 2024) -> str:
     """SHA-256 over every round report and the sorted contents of every
@@ -473,8 +510,9 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
 @pytest.mark.parametrize("nodes,procs,golden", [
     # 56 facts: every digest is the whole bulletin
     (16, 40, "68e335602b6bd920e8267e37eea32347ce267a1fd583f269250202ab49efcb9f"),
-    # 128 facts: most digests are cut to the 64 youngest
-    (32, 96, "4b33299b0df79b871f51dde8633a48bebdee7717e0c33cf5192c26ec328b3743"),
+    # 128 facts: most digests are cut to the 64 youngest, and each node
+    # re-publishes its own facts every REPUBLISH_PERIOD rounds
+    (32, 96, "aef162c34669ebd89ada5c55101f24196ce61413d95f77d1773a546436daf440"),
 ])
 def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
     assert seeded_bulletin_fingerprint(nodes, procs) == golden
@@ -504,7 +542,7 @@ def test_seeded_rounds_match_golden_digests(monkeypatch):
     seeded_bulletin_fingerprint(32, 96)
     assert (built, cut) == (1920, 1778)
     assert digests.hexdigest() == (
-        "0abf405152c4ad46ae7e94cd77368e8819f9f8875141fa75c72cb9932033e23c")
+        "70cc792bb6a96cd4c87edabe1dfb6e224f3ebb0095cc69b98ae42b59916e1912")
 
 
 def test_lookup_age_equals_rounds_since_publication_on_arrival():
