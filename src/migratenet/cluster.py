@@ -75,13 +75,12 @@ class ClusterState:
         self._next_seq = [0] * n
         self._publish_serial = 0
         for i in range(n):
-            self.bulletins[i].publish_load(0.0, *self.stamp())
+            self.bulletins[i].publish_load(0.0, self.stamp())
 
-    def stamp(self) -> tuple[int, int]:
-        """A publication stamp ``(birth, serial)``, the current gossip round and
-        a serial; each is greater than every stamp handed out before it."""
+    def stamp(self) -> int:
+        """A publication serial, greater than every one handed out before it."""
         self._publish_serial += 1
-        return self.gossip_rounds, self._publish_serial
+        return self._publish_serial
 
     def _check_node(self, n: NodeId) -> None:
         if not (isinstance(n, int) and 0 <= n < self.node_count):
@@ -97,8 +96,8 @@ class ClusterState:
         self._next_seq[home] += 1
         self.procs[pid] = ProcessRecord(pid, home, job, work)
         self.resident[home].add(pid)
-        self.bulletins[home].publish_location(pid, home, *self.stamp())
-        self.bulletins[home].publish_load(self.node_load(home), *self.stamp())
+        self.bulletins[home].publish_location(pid, home, self.stamp())
+        self.bulletins[home].publish_load(self.node_load(home), self.stamp())
         return pid
 
     def migrate(self, pid: GPid, to: NodeId) -> Optional[MigrationEvent]:
@@ -112,9 +111,9 @@ class ClusterState:
         self.resident[to].add(pid)
         self.procs[pid].current = to
         # the hosting node learns arrivals first-hand; both ends republish load
-        self.bulletins[to].publish_location(pid, to, *self.stamp())
-        self.bulletins[to].publish_load(self.node_load(to), *self.stamp())
-        self.bulletins[src].publish_load(self.node_load(src), *self.stamp())
+        self.bulletins[to].publish_location(pid, to, self.stamp())
+        self.bulletins[to].publish_load(self.node_load(to), self.stamp())
+        self.bulletins[src].publish_load(self.node_load(src), self.stamp())
         return MigrationEvent(pid, src, to)
 
     def residency(self, pid: GPid) -> NodeId:

@@ -1,18 +1,18 @@
 """Bounded rumor-mongering dissemination of process locations and node loads.
 
 Each node keeps a :class:`Bulletin` of facts, each stamped once, at its
-publication, by `ClusterState.stamp`: the cluster's gossip round (its birth;
-no bulletin keeps a clock) and a serial.  Once per round every node pairs up
-with one uniformly random peer and the two swap bounded digests (push-pull);
-merging keeps the copy with the later stamp, so a republished fact displaces
-every stale copy as it spreads.  A digest is a raw snapshot of stored
-entries, so no per-entry object is built on the hot path: a bulletin within
-the digest bound ships a copy of each of its two dicts, read through its
-items view.  A larger bulletin is cut at a birth threshold found by sorting
-the plain birth integers, not by ranking whole entries; the entries of each
-kind ship in bulletin order, since no reader of a digest depends on its
-order.  A cut digest carries only the youngest facts, so a node whose
-bulletin outgrows the bound re-publishes its own facts every
+publication, with a serial from `ClusterState.stamp`; a larger serial is a
+later publication, and no bulletin keeps a clock.  Once per round every node
+pairs up with one uniformly random peer and the two swap bounded digests
+(push-pull); merging keeps the copy with the larger serial, so a republished
+fact displaces every stale copy as it spreads.  A digest is a raw snapshot
+of stored entries, so no per-entry object is built on the hot path: a
+bulletin within the digest bound ships a copy of each of its two dicts, read
+through its items view.  A larger bulletin is cut at a serial threshold
+found by sorting the plain serial integers, not by ranking whole entries;
+the entries of each kind ship in bulletin order, since no reader of a digest
+depends on its order.  A cut digest carries only the latest facts, so a
+node whose bulletin outgrows the bound re-publishes its own facts every
 `REPUBLISH_PERIOD` rounds (anti-entropy, Demers et al. 1987), and every fact
 keeps spreading until every node holds it.
 """
@@ -33,13 +33,13 @@ if TYPE_CHECKING:
 DEFAULT_BOUND = 64
 REPUBLISH_PERIOD = 8   # rounds between re-publications (see gossip_round)
 
-_birth = itemgetter(1)   # the birth of a stored entry
+_serial = itemgetter(1)   # the serial of a stored entry
 
 
 class GossipDigest:
-    """Snapshot of bulletin entries as stored: ``(pid, (node, birth, serial))``
-    and ``(node, (load, birth, serial))`` pairs, as the items view of a copied
-    dict (a whole bulletin) or a tuple (a cut one).  A plain slotted class: a
+    """Snapshot of bulletin entries as stored: ``(pid, (node, serial))`` and
+    ``(node, (load, serial))`` pairs, as the items view of a copied
+    dict (a whole bulletin) or a list (a cut one).  A plain slotted class: a
     frozen dataclass pays one ``object.__setattr__`` per field."""
     __slots__ = ("location_items", "load_items")
 
@@ -73,30 +73,30 @@ class RoundReport:
 
 class Bulletin:
     """One node's local database of location and load facts, each stored as
-    ``(value, birth, serial)`` under the stamp of its publication."""
+    ``(value, serial)`` under the serial of its publication."""
 
     def __init__(self, owner: "NodeId"):
         self.owner = owner
-        # pid -> (node, birth, serial); node -> (load, birth, serial)
-        self._locations: dict["GPid", tuple["NodeId", int, int]] = {}
-        self._loads: dict["NodeId", tuple[float, int, int]] = {}
+        # pid -> (node, serial); node -> (load, serial)
+        self._locations: dict["GPid", tuple["NodeId", int]] = {}
+        self._loads: dict["NodeId", tuple[float, int]] = {}
 
     def __len__(self) -> int:
         return len(self._locations) + len(self._loads)
 
-    def publish_location(self, pid: "GPid", node: "NodeId", birth: int, serial: int) -> None:
-        """Record pid's location with a fresh stamp, replacing any copy."""
-        self._locations[pid] = (node, birth, serial)
+    def publish_location(self, pid: "GPid", node: "NodeId", serial: int) -> None:
+        """Record pid's location with a fresh serial, replacing any copy."""
+        self._locations[pid] = (node, serial)
 
-    def publish_load(self, load: float, birth: int, serial: int) -> None:
-        """Record the owner's own load with a fresh stamp."""
-        self._loads[self.owner] = (load, birth, serial)
+    def publish_load(self, load: float, serial: int) -> None:
+        """Record the owner's own load with a fresh serial."""
+        self._loads[self.owner] = (load, serial)
 
     def invalidate_location(self, pid: "GPid") -> None:
         self._locations.pop(pid, None)
 
-    def lookup_location(self, pid: "GPid") -> Optional[tuple["NodeId", int, int]]:
-        """The stored (node, birth, serial) for pid, possibly stale, or None."""
+    def lookup_location(self, pid: "GPid") -> Optional[tuple["NodeId", int]]:
+        """The stored (node, serial) for pid, possibly stale, or None."""
         return self._locations.get(pid)
 
     def load_view(self) -> dict["NodeId", float]:
@@ -105,14 +105,13 @@ class Bulletin:
 
 
 def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
-    """Select the `bound` youngest entries across both maps.
+    """Select the `bound` latest entries across both maps.
 
     A bulletin with at most `bound` entries is shipped whole, in its own
-    order.  A larger one is cut at a birth threshold: `cut` is the birth of
-    the `bound`-th youngest entry, every entry born after it ships, and the
-    room left goes to the entries born exactly at `cut` in (kind, key) order,
-    so locations win ties over loads and the selection is deterministic.
-    Within each kind the entries born after `cut` keep bulletin order.
+    order.  A larger one is cut at a serial threshold: `cut` is the serial
+    of the `bound`-th latest entry and every entry from `cut` on ships.
+    Serials are unique, so exactly `bound` entries ship, each kind in
+    bulletin order.
     """
     if bound < 1:
         raise ValueError("digest bound must be >= 1")
@@ -120,30 +119,22 @@ def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
     if len(locations) + len(loads) <= bound:
         # dict.copy() is several times cheaper than building a pair per entry
         return GossipDigest(locations.copy().items(), loads.copy().items())
-    # a larger birth is a later publication
-    births = [*map(_birth, locations.values()), *map(_birth, loads.values())]
-    births.sort()
-    cut = births[-bound]
-    picked = ([item for item in locations.items() if item[1][1] > cut],
-              [item for item in loads.items() if item[1][1] > cut])
-    room = bound - len(picked[0]) - len(picked[1])
-    for items, table in zip(picked, (locations, loads)):
-        tied = sorted(key for key, entry in table.items() if entry[1] == cut)[:room]
-        items += [(key, table[key]) for key in tied]
-        room -= len(tied)
-    return GossipDigest(tuple(picked[0]), tuple(picked[1]))
+    serials = [*map(_serial, locations.values()), *map(_serial, loads.values())]
+    serials.sort()
+    cut = serials[-bound]
+    return GossipDigest([item for item in locations.items() if item[1][1] >= cut],
+                        [item for item in loads.items() if item[1][1] >= cut])
 
 
 def _fold(table: dict, items: Iterable, owner: Optional["NodeId"]) -> int:
-    """Merge raw `items` into `table`, skipping the key `owner`: the later
-    (birth, serial) stamp wins, and an equal one keeps the resident copy."""
+    """Merge raw `items` into `table`, skipping the key `owner`: the larger
+    serial wins, and an equal one keeps the resident copy."""
     accepted = 0
     for key, entry in items:
         resident = table.get(key)
         if resident is entry or key == owner:
             continue
-        if (resident is None or entry[1] > resident[1]
-                or (entry[1] == resident[1] and entry[2] > resident[2])):
+        if resident is None or entry[1] > resident[1]:
             table[key] = entry
             accepted += 1
     return accepted
@@ -167,7 +158,7 @@ def gossip_round(state: "ClusterState", rng: random.Random,
     The cluster's round counter advances first.  Then each node whose
     bulletin holds more than `bound` entries re-publishes, in the rounds
     where ``(round + node) % REPUBLISH_PERIOD == 0``, its residents'
-    locations in pid order and then its own load, under fresh stamps.  Then
+    locations in pid order and then its own load, under fresh serials.  Then
     each node, in index order, picks one uniformly random peer other than
     itself and the pair swaps digests both ways; later exchanges within the
     round see the effect of earlier ones.  A whole exchange is lost with
@@ -182,8 +173,8 @@ def gossip_round(state: "ClusterState", rng: random.Random,
         bulletin = bulletins[node]
         if len(bulletin) > bound:
             for pid in sorted(state.resident[node]):
-                bulletin.publish_location(pid, node, *state.stamp())
-            bulletin.publish_load(state.node_load(node), *state.stamp())
+                bulletin.publish_location(pid, node, state.stamp())
+            bulletin.publish_load(state.node_load(node), state.stamp())
     randrange = rng.randrange
     dropped = moved = 0
     for i in range(n):

@@ -187,7 +187,7 @@ class Router:
             # a miss, or a stale entry other than the home: the sender falls back to it
             bulletin.invalidate_location(dst)
         if route[0] and route[0][-1][0] is LOC_REPLY:
-            bulletin.publish_location(dst, receiver, *self.cluster.stamp())
+            bulletin.publish_location(dst, receiver, self.cluster.stamp())
         return self._carry(DIRECT, route, src, dst, size, receiver)
 
     def _first_target(self, sender: NodeId, dst: GPid) -> Resolved:

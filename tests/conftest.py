@@ -41,12 +41,12 @@ def fresh_rng(seed: int = 0) -> random.Random:
 
 
 def force_convergence(state) -> None:
-    """Write ground truth into every bulletin under one fresh stamp: a set-up
-    shortcut for tests where gossip itself is not under study."""
+    """Write ground truth into every bulletin, each fact under its own fresh
+    serial: a set-up shortcut for tests where gossip itself is not under
+    study."""
     truth_load = [state.node_load(n) for n in range(state.node_count)]
-    stamp = state.stamp()
     for b in state.bulletins:
         for pid, rec in state.procs.items():
-            b.publish_location(pid, rec.current, *stamp)
+            b.publish_location(pid, rec.current, state.stamp())
         for n in range(state.node_count):
-            b._loads[n] = (truth_load[n], *stamp)
+            b._loads[n] = (truth_load[n], state.stamp())

@@ -192,7 +192,8 @@ def criterion_7():
         ("DATA", 1, 3),                # home forwards to the true node
         ("LOC_REPLY", 1, 0),           # sender's bulletin is repaired
     ]
-    updated = sim.cluster.bulletins[0].lookup_location(b)[:2] == (3, sim.cluster.gossip_rounds)
+    # the LOC_REPLY's fact is the send's one publication, so it holds the last serial
+    updated = sim.cluster.bulletins[0].lookup_location(b) == (3, sim.cluster._publish_serial)
     second = sim.router.send_direct(a, b, 1000)
     ok = (hops == expected and first.network_hops == 3
           and first.frames_emitted == 5 and updated

@@ -61,8 +61,9 @@ def test_spawn_bad_node():
 
 def test_spawn_publishes_location_in_home_bulletin():
     state = cluster()
+    serial = state._publish_serial + 1   # spawn publishes the location first
     pid = state.spawn(2)
-    assert state.bulletins[2].lookup_location(pid)[:2] == (2, state.gossip_rounds)
+    assert state.bulletins[2].lookup_location(pid) == (2, serial)
 
 
 # -- migrate ------------------------------------------------------------------

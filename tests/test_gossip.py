@@ -17,57 +17,52 @@ P = GPid(0, 0)
 Q = GPid(1, 0)
 
 
-def aged(source, clock: int) -> list[tuple]:
-    """The raw entries of a bulletin or a digest as ``(age, kind, key, value,
-    serial)``, age being ``clock - birth``: kind 0 is a location keyed
-    ``(home, seq)``, kind 1 a load, so a sort ranks younger first and
-    locations before loads."""
+def ranked(source) -> list[tuple]:
+    """The raw entries of a bulletin or a digest as ``(serial, kind, key,
+    value)``: kind 0 is a location keyed ``(home, seq)``, kind 1 a load, so a
+    sort ranks by serial, the later publication last."""
     if isinstance(source, Bulletin):
         locations, loads = source._locations.items(), source._loads.items()
     else:
         locations, loads = source.location_items, source.load_items
-    return ([(clock - birth, 0, (pid.home, pid.seq), node, serial)
-             for pid, (node, birth, serial) in locations] +
-            [(clock - birth, 1, node, load, serial)
-             for node, (load, birth, serial) in loads])
+    return ([(serial, 0, (pid.home, pid.seq), node) for pid, (node, serial) in locations] +
+            [(serial, 1, node, load) for node, (load, serial) in loads])
+
+
+def latest(source, bound: int) -> list[tuple]:
+    """The sort oracle of a cut digest: the `bound` entries of `source` with
+    the largest serials, in sorted order."""
+    return sorted(ranked(source))[-bound:]
 
 
 # -- publish / lookup ----------------------------------------------------------
 
 def test_publish_into_empty_bulletin():
     b = Bulletin(owner=0)
-    b.publish_location(P, 4, 0, 1)
+    b.publish_location(P, 4, 1)
     assert len(b) == 1
-    assert b.lookup_location(P) == (4, 0, 1)
+    assert b.lookup_location(P) == (4, 1)
 
 
 def test_publish_refreshes_aged_entry():
     b = Bulletin(owner=0)
-    b.publish_location(P, 1, 0, 1)
-    b.publish_location(P, 2, 7, 2)
+    b.publish_location(P, 1, 1)
+    b.publish_location(P, 2, 2)
     assert len(b) == 1
-    assert b.lookup_location(P) == (2, 7, 2)
+    assert b.lookup_location(P) == (2, 2)
 
 
 def test_lookup_never_heard_pid():
     assert Bulletin(owner=0).lookup_location(P) is None
 
 
-@settings(max_examples=100, deadline=None)
-@given(ops=st.lists(st.tuples(st.sampled_from(("spawn", "migrate", "round", "send")),
-                              st.integers(0, 5), st.integers(0, 5)), max_size=40))
-def test_every_stamp_is_greater_than_the_one_before(ops):
-    # merge keeps the copy with the greater (birth, serial), so a fact
-    # published later must carry a greater stamp, whatever runs in between
-    sim = build_sim(nodes=6)
-    stamps = []
-    stamp = sim.cluster.stamp
+# spawns, migrations, gossip rounds and direct sends on 6 nodes: every way a
+# fact is published or copied
+ACTIONS = st.lists(st.tuples(st.sampled_from(("spawn", "migrate", "round", "send")),
+                             st.integers(0, 5), st.integers(0, 5)), max_size=40)
 
-    def recording_stamp():
-        stamps.append(stamp())
-        return stamps[-1]
 
-    sim.cluster.stamp = recording_stamp
+def play(sim, ops) -> None:
     pids = [sim.cluster.spawn(0)]
     for op, x, y in ops:
         if op == "spawn":
@@ -78,19 +73,52 @@ def test_every_stamp_is_greater_than_the_one_before(ops):
             gossip_round(sim.cluster, sim.rng)
         else:
             sim.router.send_direct(pids[x % len(pids)], pids[y % len(pids)], 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=ACTIONS)
+def test_every_stamp_is_greater_than_the_one_before(ops):
+    # merge keeps the copy with the greater serial, so a fact published
+    # later must carry a greater one, whatever runs in between
+    sim = build_sim(nodes=6)
+    stamps = []
+    stamp = sim.cluster.stamp
+
+    def recording_stamp():
+        stamps.append(stamp())
+        return stamps[-1]
+
+    sim.cluster.stamp = recording_stamp
+    play(sim, ops)
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=ACTIONS)
+def test_serials_are_unique_so_a_cut_digest_ships_exactly_the_latest(ops):
+    # a cut digest ships every entry from its threshold serial on, so it
+    # holds exactly `bound` entries only if no two entries share a serial
+    sim = build_sim(nodes=6)
+    play(sim, ops)
+    for b in sim.cluster.bulletins:
+        serials = [entry[0] for entry in ranked(b)]
+        assert len(set(serials)) == len(serials)
+        for bound in range(1, len(b)):
+            digest = make_digest(b, bound)
+            assert len(digest) == bound
+            assert sorted(ranked(digest)) == latest(b, bound)
 
 
 # -- make_digest ---------------------------------------------------------------
 
 def fat_bulletin(n_locations=6, n_loads=4) -> Bulletin:
-    """Location i born in round i, load i born i rounds before round
-    `n_locations`."""
+    """Location i published under serial 2i, load i under serial
+    2(n_locations - i) + 1: the kinds interleave, and no serial repeats."""
     b = Bulletin(owner=0)
     for i in range(n_locations):
-        b.publish_location(GPid(0, i), i % 3, i, 0)
+        b.publish_location(GPid(0, i), i % 3, 2 * i)
     for i in range(n_loads):
-        b._loads[i] = (float(i), n_locations - i, 0)
+        b._loads[i] = (float(i), 2 * (n_locations - i) + 1)
     return b
 
 
@@ -108,80 +136,63 @@ def test_digest_picks_youngest_against_sort_oracle():
     bound = 8
     digest = make_digest(b, bound)
     assert len(digest) == bound
-    # independent oracle: flatten and sort by age
-    ages = sorted(e[0] for e in aged(b, 60))
-    picked_ages = sorted(e[0] for e in aged(digest, 60))
-    assert picked_ages == ages[:bound]
-    excluded_min = min(ages[bound:])
-    assert all(a <= excluded_min for a in picked_ages)
+    # independent oracle: flatten and sort by serial
+    serials = sorted(e[0] for e in ranked(b))
+    picked_serials = sorted(e[0] for e in ranked(digest))
+    assert picked_serials == serials[-bound:]
+    excluded_max = max(serials[:-bound])
+    assert all(s >= excluded_max for s in picked_serials)
 
 
-def test_digest_tie_break_is_deterministic():
-    b = Bulletin(owner=0)
-    for i in range(5):
-        b.publish_location(GPid(1, i), i, 0, 0)   # all born in round 0
-    b.publish_load(2.0, 0, 0)
-    first = make_digest(b, 3)
-    second = make_digest(b, 3)
-    assert first == second
-    # locations order before loads at equal birth
-    assert len(first.location_items) == 3 and not first.load_items
+def serial_lists(size: int, top: int):
+    """Lists of `size` distinct serials from 0..top: one bulletin never holds
+    two entries under one serial."""
+    return st.lists(st.integers(0, top), unique=True, min_size=size, max_size=size)
+
+
+def stored(locations: dict, loads: dict, serials: list) -> tuple[dict, dict]:
+    """`locations` ``(home, seq) -> node`` and `loads` ``node -> load`` as
+    stored entries, the i-th under ``serials[i]``, locations first."""
+    serial = iter(serials)
+    return ({GPid(*key): (node, next(serial)) for key, node in locations.items()},
+            {node: (load, next(serial)) for node, load in loads.items()})
 
 
 @settings(max_examples=200, deadline=None)
 @given(locations=st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 9)),
-                                 st.tuples(st.integers(0, 7), st.integers(0, 3),
-                                           st.integers(0, 3)), max_size=30),
-       loads=st.dictionaries(st.integers(0, 7),
-                             st.tuples(st.floats(0, 8), st.integers(0, 3),
-                                       st.integers(0, 3)), max_size=8),
-       bound=st.integers(1, 40))
-def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads, bound):
-    # births from a 4-round window, so many entries share an age
+                                 st.integers(0, 7), max_size=30),
+       loads=st.dictionaries(st.integers(0, 7), st.floats(0, 8), max_size=8),
+       serials=serial_lists(38, 50), bound=st.integers(1, 40))
+def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads, serials,
+                                                               bound):
+    # serials from a narrow range, in any order across the two kinds
     b = Bulletin(owner=0)
-    b._locations = {GPid(*key): entry for key, entry in locations.items()}
-    b._loads = dict(loads)
-    oracle = sorted(aged(b, 3))[:bound]
+    b._locations, b._loads = stored(locations, loads, serials)
+    oracle = latest(b, bound)
     digest = make_digest(b, bound)
-    assert sorted(aged(digest, 3)) == oracle
+    assert sorted(ranked(digest)) == oracle
     assert len(digest) == len(oracle)
 
 
 @settings(max_examples=100, deadline=None)
-@given(births=st.lists(st.integers(0, 1000), min_size=60, max_size=200),
+@given(serials=st.lists(st.integers(0, 10**6), unique=True, min_size=60, max_size=200),
        n_loads=st.integers(0, 32), bound=st.integers(1, 128),
        rnd=st.randoms(use_true_random=False))
-def test_digest_matches_sort_oracle_at_churn_scale(births, n_loads, bound, rnd):
-    # 60-200 entries with births over a 1,000-round window, inserted in a
-    # shuffled order: most digests are cut, and few entries share a birth
+def test_digest_matches_sort_oracle_at_churn_scale(serials, n_loads, bound, rnd):
+    # 60-200 entries with serials from a wide range, inserted in a shuffled
+    # order: most digests are cut
     b = Bulletin(owner=0)
-    order = list(range(len(births)))
+    order = list(range(len(serials)))
     rnd.shuffle(order)
     for i in order:
         if i < n_loads:
-            b._loads[i] = (i / 4, births[i], i % 4)
+            b._loads[i] = (i / 4, serials[i])
         else:
-            b._locations[GPid(i % 32, i // 32)] = (i % 32, births[i], i % 4)
-    oracle = sorted(aged(b, 1000))[:bound]
+            b._locations[GPid(i % 32, i // 32)] = (i % 32, serials[i])
+    oracle = latest(b, bound)
     digest = make_digest(b, bound)
     assert len(digest) == len(oracle)
-    assert set(aged(digest, 1000)) == set(oracle)
-
-
-def test_cut_digest_fills_tied_room_with_locations_by_key():
-    # two entries born after the cut, then six locations and two loads born at
-    # it, locations inserted in descending key order; room for three of them
-    b = Bulletin(owner=0)
-    b._locations = {GPid(9, 0): (1, 9, 0)}
-    b._loads = {3: (1.0, 8, 0)}
-    for seq in range(5, -1, -1):
-        b._locations[GPid(2, seq)] = (4, 5, 0)
-    b._loads.update({0: (2.0, 5, 0), 1: (3.0, 5, 0)})
-    b._locations[GPid(0, 0)] = (4, 2, 0)          # older than the cut
-    digest = make_digest(b, 5)
-    assert {pid for pid, _ in digest.location_items} == {
-        GPid(9, 0), GPid(2, 0), GPid(2, 1), GPid(2, 2)}
-    assert [node for node, _ in digest.load_items] == [3]
+    assert set(ranked(digest)) == set(oracle)
 
 
 @pytest.mark.parametrize("bound", (64, 6))   # the whole bulletin, or cut
@@ -190,58 +201,58 @@ def test_digest_is_a_snapshot_of_its_bulletin(bound):
     # the digest keeps shipping the entries it was taken with
     b = fat_bulletin(6, 4)
     digest = make_digest(b, bound)
-    entries, size = sorted(aged(digest, 6)), len(digest)
+    entries, size = sorted(ranked(digest)), len(digest)
     assert size == min(bound, 10)
-    before = sorted(aged(b, 6))
-    b.publish_location(GPid(0, 5), 2, 9, 1)     # replaces the youngest location
-    b.publish_location(GPid(3, 3), 1, 9, 2)     # a new one
+    before = sorted(ranked(b))
+    b.publish_location(GPid(0, 5), 2, 20)     # replaces the latest location
+    b.publish_location(GPid(3, 3), 1, 21)     # a new one
     b.invalidate_location(GPid(0, 4))
-    b.publish_load(9.0, 9, 3)
+    b.publish_load(9.0, 22)
     other = Bulletin(owner=1)
-    other.publish_location(GPid(0, 3), 0, 9, 4)
-    other._loads[2] = (5.0, 9, 5)
+    other.publish_location(GPid(0, 3), 0, 23)
+    other._loads[2] = (5.0, 24)
     assert merge(b, make_digest(other, 64)) == 2
-    assert sorted(aged(b, 6)) != before
-    assert sorted(aged(digest, 6)) == entries and len(digest) == size
+    assert sorted(ranked(b)) != before
+    assert sorted(ranked(digest)) == entries and len(digest) == size
 
 
 # -- merge -----------------------------------------------------------------------
 
 def test_merge_younger_wins():
     b = Bulletin(owner=0)
-    b.publish_location(P, 1, 0, 9)
+    b.publish_location(P, 1, 1)
     other = Bulletin(owner=1)
-    other.publish_location(P, 2, 3, 1)   # born later, whatever the serial
+    other.publish_location(P, 2, 9)   # published later
     accepted = merge(b, make_digest(other, 10))
     assert accepted == 1
-    assert b.lookup_location(P) == (2, 3, 1)
+    assert b.lookup_location(P) == (2, 9)
 
 
 def test_merge_tie_keeps_resident():
     b = Bulletin(owner=0)
-    b.publish_location(P, 1, 0, 0)
+    b.publish_location(P, 1, 0)
     other = Bulletin(owner=1)
-    other.publish_location(P, 2, 0, 0)   # same birth, same serial
+    other.publish_location(P, 2, 0)   # same serial
     assert merge(b, make_digest(other, 10)) == 0
-    assert b.lookup_location(P) == (1, 0, 0)
+    assert b.lookup_location(P) == (1, 0)
 
 
 def test_merge_equal_age_newer_serial_wins():
     # two publications inside the same round are ordered by serial
     b = Bulletin(owner=0)
-    b.publish_location(P, 1, 0, 3)
+    b.publish_location(P, 1, 3)
     other = Bulletin(owner=1)
-    other.publish_location(P, 2, 0, 4)
+    other.publish_location(P, 2, 4)
     assert merge(b, make_digest(other, 10)) == 1
-    assert b.lookup_location(P) == (2, 0, 4)
+    assert b.lookup_location(P) == (2, 4)
 
 
 def test_merge_inserts_absent_entry():
     b = Bulletin(owner=0)
     other = Bulletin(owner=1)
-    other.publish_location(Q, 5, 2, 1)
+    other.publish_location(Q, 5, 1)
     merge(b, make_digest(other, 10))
-    assert b.lookup_location(Q) == (5, 2, 1)
+    assert b.lookup_location(Q) == (5, 1)
 
 
 def test_self_merge_is_idempotent():
@@ -253,67 +264,62 @@ def test_self_merge_is_idempotent():
 
 
 def test_merge_orders_by_birth_then_serial():
-    # pid -> (incoming birth, incoming serial, resident birth, resident serial, wins)
-    cases = {GPid(0, 0): (5, 0, 3, 0, True),
-             GPid(0, 1): (3, 0, 5, 0, False),
-             GPid(0, 2): (4, 5, 4, 4, True),
-             GPid(0, 3): (4, 4, 4, 5, False),
-             GPid(0, 4): (4, 4, 4, 4, False)}
+    # the serial is a fact's one freshness key, so it alone decides
+    # pid -> (incoming serial, resident serial, wins)
+    cases = {GPid(0, 0): (5, 3, True),
+             GPid(0, 1): (3, 5, False),
+             GPid(0, 2): (8, 7, True),
+             GPid(0, 3): (9, 10, False),
+             GPid(0, 4): (4, 4, False)}
     sender, receiver = Bulletin(owner=1), Bulletin(owner=0)
-    for pid, (birth, serial, resident_birth, resident_serial, _) in cases.items():
-        sender._locations[pid] = (7, birth, serial)
-        receiver._locations[pid] = (3, resident_birth, resident_serial)
-    sender._locations[Q] = (5, 4, 0)        # unknown to the receiver
-    sender._loads[2] = (4.0, 5, 0)
-    receiver._loads[2] = (9.0, 3, 0)
+    for pid, (serial, resident_serial, _) in cases.items():
+        sender._locations[pid] = (7, serial)
+        receiver._locations[pid] = (3, resident_serial)
+    sender._locations[Q] = (5, 11)        # unknown to the receiver
+    sender._loads[2] = (4.0, 12)
+    receiver._loads[2] = (9.0, 2)
     shared = GPid(2, 0)   # one tuple held by both sides is never re-accepted
-    sender._locations[shared] = receiver._locations[shared] = (6, 2, 0)
+    sender._locations[shared] = receiver._locations[shared] = (6, 1)
     assert merge(receiver, make_digest(sender, 64)) == 4
-    for pid, (birth, serial, resident_birth, resident_serial, wins) in cases.items():
+    for pid, (serial, resident_serial, wins) in cases.items():
         assert receiver.lookup_location(pid) == (
-            (7, birth, serial) if wins else (3, resident_birth, resident_serial))
-    assert receiver.lookup_location(Q) == (5, 4, 0)
-    assert receiver.lookup_location(shared) == (6, 2, 0)
+            (7, serial) if wins else (3, resident_serial))
+    assert receiver.lookup_location(Q) == (5, 11)
+    assert receiver.lookup_location(shared) == (6, 1)
     assert receiver.load_view()[2] == 4.0
 
 
 def merge_oracle(table: dict, entries: list, owner) -> int:
-    """Plain merge: for each key the greater (birth, serial) wins, a tie keeps
-    the resident entry, and the key `owner` is never replaced; returns the
-    number of keys inserted or replaced."""
+    """Plain merge: for each key the greater serial wins, a tie keeps the
+    resident entry, and the key `owner` is never replaced; returns the number
+    of keys inserted or replaced."""
     changed = 0
     for key, entry in entries:
         resident = table.get(key)
-        if key != owner and (resident is None or entry[1:] > resident[1:]):
+        if key != owner and (resident is None or entry[1] > resident[1]):
             table[key] = entry
             changed += 1
     return changed
 
 
+BULLETINS = st.tuples(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)), st.integers(0, 7),
+                    max_size=20),
+    st.dictionaries(st.integers(0, 7), st.floats(0, 8), max_size=8),
+    serial_lists(28, 40))
+
+
 @settings(max_examples=200, deadline=None)
-@given(resident=st.tuples(
-           st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)),
-                           st.tuples(st.integers(0, 7), st.integers(0, 3),
-                                     st.integers(0, 3)), max_size=20),
-           st.dictionaries(st.integers(0, 7), st.tuples(st.floats(0, 8), st.integers(0, 3),
-                                                        st.integers(0, 3)), max_size=8)),
-       incoming=st.tuples(
-           st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)),
-                           st.tuples(st.integers(0, 7), st.integers(0, 3),
-                                     st.integers(0, 3)), max_size=20),
-           st.dictionaries(st.integers(0, 7), st.tuples(st.floats(0, 8), st.integers(0, 3),
-                                                        st.integers(0, 3)), max_size=8)),
-       owner=st.integers(0, 7))
+@given(resident=BULLETINS, incoming=BULLETINS, owner=st.integers(0, 7))
 def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incoming, owner):
-    # births and serials from small ranges, so many keys tie; the digest
-    # ships the whole sending bulletin, then one cut to half of it
+    # each side's serials are distinct, but both come from one small range,
+    # so many keys tie across the sides; the digest ships the whole sending
+    # bulletin, then one cut to half of it
     sender = Bulletin(owner=(owner + 1) % 8)
-    sender._locations = {GPid(*key): entry for key, entry in incoming[0].items()}
-    sender._loads = dict(incoming[1])
+    sender._locations, sender._loads = stored(*incoming)
     for bound in (64, max(1, len(sender) // 2)):
         b = Bulletin(owner=owner)
-        b._locations = {GPid(*key): entry for key, entry in resident[0].items()}
-        b._loads = dict(resident[1])
+        b._locations, b._loads = stored(*resident)
         digest = make_digest(sender, bound)
         locations, loads = dict(b._locations), dict(b._loads)
         changed = (merge_oracle(locations, list(digest.location_items), None)
@@ -324,9 +330,9 @@ def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incomi
 
 def test_own_load_fact_never_overwritten():
     b = Bulletin(owner=0)
-    b.publish_load(7.0, 0, 1)
+    b.publish_load(7.0, 1)
     other = Bulletin(owner=1)
-    other._loads[0] = (99.0, 5, 10**6)   # later hearsay about node 0
+    other._loads[0] = (99.0, 10**6)   # later hearsay about node 0
     merge(b, make_digest(other, 10))
     assert b.load_view()[0] == 7.0
 
@@ -336,11 +342,11 @@ def test_own_load_fact_never_overwritten():
 def test_single_node_round_is_noop_but_ages():
     state = ClusterState(Topology.mesh(1))
     pid = state.spawn(0)
+    published = state.bulletins[0].lookup_location(pid)
     report = gossip_round(state, random.Random(0))
     assert report.exchanges == 0 and report.frames == 0
     assert state.gossip_rounds == report.index == 1
-    node, birth, _ = state.bulletins[0].lookup_location(pid)
-    assert (node, state.gossip_rounds - birth) == (0, 1)
+    assert state.bulletins[0].lookup_location(pid) == published
 
 
 def test_two_node_push_pull_spreads_in_one_round_both_directions():
@@ -451,7 +457,7 @@ def test_converge_raises_at_once_when_every_exchange_is_dropped():
 @pytest.mark.parametrize("seed", range(5))
 def test_converges_with_four_times_more_facts_than_the_digest_bound(seed):
     # 56 locations and 8 loads against bound 16: a cut digest carries only the
-    # youngest quarter, so the older facts spread only when re-published
+    # latest quarter, so the older facts spread only when re-published
     state = ClusterState(Topology.mesh(8))
     for i in range(56):
         state.spawn(i % 8)
@@ -459,28 +465,41 @@ def test_converges_with_four_times_more_facts_than_the_digest_bound(seed):
     assert is_converged(state)
 
 
+def test_64_nodes_with_256_processes_converge_in_25_rounds():
+    # 320 facts against the default bound of 64: almost every digest is cut,
+    # so this pins how fast re-publishing and cut digests spread them
+    state = ClusterState(Topology.mesh(64))
+    for i in range(256):
+        state.spawn(i % 64)
+    assert converge(state, random.Random(1), GossipConfig()) == 25
+
+
 def test_bulletin_above_the_bound_republishes_its_nodes_facts_on_its_turn():
     def run(bound):
         state = ClusterState(Topology.mesh(2))
         pids = [state.spawn(0) for _ in range(4)]
         rng = random.Random(0)
-        births = []
+        serials = [{state.bulletins[0].lookup_location(pid)[1] for pid in pids}]
         for _ in range(REPUBLISH_PERIOD):
+            handed_out = state._publish_serial
             gossip_round(state, rng, GossipConfig(bound=bound))
-            births.append({state.bulletins[0].lookup_location(pid)[1] for pid in pids})
-        return state, pids, rng.getstate(), births
+            serials.append({state.bulletins[0].lookup_location(pid)[1] for pid in pids})
+        return state, pids, rng.getstate(), serials, handed_out
 
     # node 0 holds 4 locations and 2 loads: above bound 4, its turn comes in
-    # round 8, (8 + 0) % 8 == 0; node 1 holds no process
-    state, pids, rng_state, births = run(bound=4)
-    assert births == [{0}] * (REPUBLISH_PERIOD - 1) + [{REPUBLISH_PERIOD}]
+    # round 8, (8 + 0) % 8 == 0, where its locations take the round's first
+    # four serials; node 1 holds no process
+    state, pids, rng_state, serials, handed_out = run(bound=4)
+    spawned = serials[0]
+    assert serials[1:] == ([spawned] * (REPUBLISH_PERIOD - 1)
+                           + [set(range(handed_out + 1, handed_out + 5))])
     bulletin = state.bulletins[0]
-    stamps = [bulletin.lookup_location(pid)[1:] for pid in sorted(pids)]
-    stamps.append(bulletin._loads[0][1:])
+    stamps = [bulletin.lookup_location(pid)[1] for pid in sorted(pids)]
+    stamps.append(bulletin._loads[0][1])
     assert stamps == sorted(set(stamps))   # in pid order, then the load
     # within the bound nothing is re-published, and the rng is drawn alike
-    _, _, within_state, within_births = run(bound=64)
-    assert within_births == [{0}] * REPUBLISH_PERIOD
+    _, _, within_state, within_serials, _ = run(bound=64)
+    assert within_serials == [spawned] * (REPUBLISH_PERIOD + 1)
     assert within_state == rng_state
 
 
@@ -500,8 +519,8 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
             state.migrate(pids[rng.randrange(procs)], rng.randrange(nodes))
     h = hashlib.sha256(repr(reports).encode())
     for b in state.bulletins:
-        locations = sorted((pid.home, pid.seq, node, birth, serial)
-                           for pid, (node, birth, serial) in b._locations.items())
+        locations = sorted((pid.home, pid.seq, node, serial)
+                           for pid, (node, serial) in b._locations.items())
         h.update(repr((b.owner, state.gossip_rounds, locations,
                        sorted(b._loads.items()))).encode())
     return h.hexdigest()
@@ -509,45 +528,43 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
 
 @pytest.mark.parametrize("nodes,procs,golden", [
     # 56 facts: every digest is the whole bulletin
-    (16, 40, "68e335602b6bd920e8267e37eea32347ce267a1fd583f269250202ab49efcb9f"),
-    # 128 facts: most digests are cut to the 64 youngest, and each node
+    (16, 40, "74dce23daf1b8f7e20ae9f76e625ff9af613c5c27fda8574955756a827455b3c"),
+    # 128 facts: most digests are cut to the 64 latest, and each node
     # re-publishes its own facts every REPUBLISH_PERIOD rounds
-    (32, 96, "aef162c34669ebd89ada5c55101f24196ce61413d95f77d1773a546436daf440"),
-])
+    (32, 96, "2980e64c68a41eb66c1f375f17ff4204ef8b517b00c166fcb223f1a1147d8dab"),
+], ids=["16-40", "32-96"])
 def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
     assert seeded_bulletin_fingerprint(nodes, procs) == golden
 
 
 def test_seeded_rounds_match_golden_digests(monkeypatch):
-    # SHA-256 over the sorted (kind, key, value, age, serial) contents of every
+    # SHA-256 over the sorted (kind, key, value, serial) contents of every
     # digest the seeded 32/96 rounds build, in the order they are built: this
     # pins each cut digest, not only the bulletins it leaves behind.  No
-    # exchange is dropped, so each round builds 64 digests: digest k (from 0)
-    # is built in round k // 64 + 1
+    # exchange is dropped, so each round builds 64 digests
     digests = hashlib.sha256()
     built = cut = 0
 
     def recording_make_digest(bulletin, bound):
         nonlocal built, cut
         digest = make_digest(bulletin, bound)
-        clock = built // 64 + 1
         built += 1
         cut += len(bulletin) > bound
-        digests.update(repr(sorted((kind, key, value, age, serial)
-                                   for age, kind, key, value, serial
-                                   in aged(digest, clock))).encode())
+        digests.update(repr(sorted((kind, key, value, serial)
+                                   for serial, kind, key, value in ranked(digest))).encode())
         return digest
 
     monkeypatch.setattr(gossip, "make_digest", recording_make_digest)
     seeded_bulletin_fingerprint(32, 96)
     assert (built, cut) == (1920, 1778)
     assert digests.hexdigest() == (
-        "70cc792bb6a96cd4c87edabe1dfb6e224f3ebb0095cc69b98ae42b59916e1912")
+        "ed8e8ba97e0595ebec2adecf77d9859527b35535f6661b9b1b3baea383d20ea6")
 
 
 def test_lookup_age_equals_rounds_since_publication_on_arrival():
     state = ClusterState(Topology.mesh(12))
     pid = state.spawn(0)
+    published = state.bulletins[0].lookup_location(pid)
     rng = random.Random(5)
     rounds = 0
     # walk until some node that is not the origin learns the fact
@@ -559,10 +576,10 @@ def test_lookup_age_equals_rounds_since_publication_on_arrival():
             if state.bulletins[n].lookup_location(pid) is not None:
                 target = n
                 break
-    # the copy that arrives by gossip keeps its publication round as its birth
-    node, birth, _ = state.bulletins[target].lookup_location(pid)
-    assert (node, birth) == (0, 0)
-    assert state.gossip_rounds - birth == rounds >= 1
+    # the copy that arrives by gossip keeps the serial of its publication,
+    # however many rounds it took to arrive
+    assert state.bulletins[target].lookup_location(pid) == published
+    assert state.gossip_rounds == rounds >= 1
 
 
 def test_load_view_matches_ground_truth_after_convergence():

@@ -137,7 +137,7 @@ def test_direct_miss_goes_via_home_and_updates_bulletin():
     assert rep.relayed_by == (1,)
     assert rep.latency == 2 * HOP(1000) + D
     # reply refreshed the sender's bulletin: next send is a one-hop hit
-    assert sim.cluster.bulletins[2].lookup_location(b)[:2] == (3, sim.cluster.gossip_rounds)
+    assert sim.cluster.bulletins[2].lookup_location(b) == (3, sim.cluster._publish_serial)
     assert sim.router.send_direct(a, b, 1000).network_hops == 1
 
 
@@ -192,7 +192,7 @@ def test_direct_stale_nack_then_home_fallback():
         ("DATA", 1, 3),
         ("LOC_REPLY", 1, 0),
     ]
-    assert sim.cluster.bulletins[0].lookup_location(b)[:2] == (3, sim.cluster.gossip_rounds)
+    assert sim.cluster.bulletins[0].lookup_location(b) == (3, sim.cluster._publish_serial)
     second = sim.router.send_direct(a, b, 1000)
     assert second.network_hops == 1 and second.frames_emitted == 1
 
@@ -209,7 +209,7 @@ def test_direct_locally_stale_entry_detected_without_frames():
     assert sim.cluster.bulletins[0].lookup_location(b)[0] == 0
     rep = sim.router.send_direct(a, b, 100)
     assert rep.network_hops == 2          # straight to the miss path
-    assert sim.cluster.bulletins[0].lookup_location(b)[:2] == (4, sim.cluster.gossip_rounds)
+    assert sim.cluster.bulletins[0].lookup_location(b) == (4, sim.cluster._publish_serial)
 
 
 def test_direct_terminates_within_three_data_hops_for_any_staleness():
@@ -278,7 +278,7 @@ def test_direct_route_table(route):
     bulletin = sim.cluster.bulletins[at_a]
     bulletin.invalidate_location(b)
     if belief is not None:
-        bulletin.publish_location(b, belief, *sim.cluster.stamp())
+        bulletin.publish_location(b, belief, sim.cluster.stamp())
     m = sim.metrics
     counted = ("delivered_bytes", "relayed_bytes", "link_bytes", "frames_handled", "sends",
                "direct_outcomes", "control_frames", "auto_picks")
@@ -316,9 +316,9 @@ def test_direct_route_table(route):
     after = [getattr(m, name) for name in counted]
     assert [counter_delta(x, y) for x, y in zip(before, after)] == [
         {at_b: SIZE}, relayed, links, handled, {"direct": 1}, {outcome: 1}, control, {}]
-    expected_entry = None if entry_after is None else (entry_after, sim.cluster.gossip_rounds)
-    entry = bulletin.lookup_location(b)
-    assert (entry if entry is None else entry[:2]) == expected_entry
+    # a kept belief or a LOC_REPLY's fact: either holds the last serial handed out
+    expected_entry = None if entry_after is None else (entry_after, sim.cluster._publish_serial)
+    assert bulletin.lookup_location(b) == expected_entry
 
 
 # -- auto ------------------------------------------------------------------------------
@@ -418,7 +418,7 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
         bulletin = sim.cluster.bulletins[at_a]
         bulletin.invalidate_location(b)
         if belief is not None:
-            bulletin.publish_location(b, belief, *sim.cluster.stamp())
+            bulletin.publish_location(b, belief, sim.cluster.stamp())
         if at_a == at_b:
             believed = []
         elif belief is None or belief == at_a:      # via the home, which forwards
@@ -458,7 +458,7 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
             bulletin = sim.cluster.bulletins[at_a]
             bulletin.invalidate_location(b)
             if belief is not None:
-                bulletin.publish_location(b, belief, *sim.cluster.stamp())
+                bulletin.publish_location(b, belief, sim.cluster.stamp())
             if rebuild:
                 router = sim.router
                 router._estimates = lambda *args: tuple(
