@@ -3,24 +3,24 @@
 Each node keeps a :class:`Bulletin` of facts, each stamped once, at its
 publication, with a serial from `ClusterState.stamp`; a larger serial is a
 later publication, and no bulletin keeps a clock.  Once per round every node
-pairs up with one uniformly random peer and the two swap bounded digests
-(push-pull); merging keeps the copy with the larger serial, so a republished
-fact displaces every stale copy as it spreads.  A digest is a raw snapshot
-of stored entries, so no per-entry object is built on the hot path: a
-bulletin within the digest bound ships a copy of each of its two dicts, read
-through its items view.  A larger bulletin is cut at a serial threshold
-found by sorting the plain serial integers, not by ranking whole entries;
-the entries of each kind ship in bulletin order, since no reader of a digest
-depends on its order.  A cut digest carries only the latest facts, so a
-node whose bulletin outgrows the bound re-publishes its own facts every
-`REPUBLISH_PERIOD` rounds (anti-entropy, Demers et al. 1987), and every fact
-keeps spreading until every node holds it.
+pairs up with one uniformly random peer and the two exchange facts
+(push-pull), each side keeping the copy with the larger serial, so a
+republished fact displaces every stale copy as it spreads.  Two bulletins
+within the digest bound would ship whole, so `_swap` gives both the union in
+place, in one walk per table.  Otherwise each side ships a digest, a raw
+snapshot of stored entries: the copied dicts of a bulletin within the bound,
+or, cut at a serial threshold found by sorting the plain serial integers,
+the latest `bound` entries of a larger one, in bulletin order.  A cut digest
+carries only the latest facts, so a node whose bulletin outgrows the bound
+re-publishes its own facts every `REPUBLISH_PERIOD` rounds (anti-entropy,
+Demers et al. 1987), and every fact keeps spreading until every node holds it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Optional
 
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 DEFAULT_BOUND = 64
 REPUBLISH_PERIOD = 8   # rounds between re-publications (see gossip_round)
 
-_serial = itemgetter(1)   # the serial of a stored entry
+_value, _serial = itemgetter(0), itemgetter(1)   # the two fields of a stored entry
 
 
 class GossipDigest:
@@ -140,6 +140,34 @@ def _fold(table: dict, items: Iterable, owner: Optional["NodeId"]) -> int:
     return accepted
 
 
+def _swap(left: Bulletin, right: Bulletin) -> int:
+    """Push-pull two whole bulletins in place, one walk per table; returns
+    the entries moved.  Contents, dict order and count are those of two
+    `merge`s of whole digests taken before either merge."""
+    moved = 0
+    for a, b, a_owner, b_owner in ((left._locations, right._locations, None, None),
+                                   (left._loads, right._loads, left.owner, right.owner)):
+        size_b, missing, get = len(b), 0, b.get
+        for key, entry in a.items():
+            other = get(key)
+            if other is entry:
+                continue
+            if other is None or entry[1] > other[1]:
+                missing += other is None
+                if key != b_owner:
+                    b[key] = entry
+                    moved += 1
+            elif other[1] > entry[1] and key != a_owner:
+                a[key] = other   # a key `a` holds: no resize under the walk
+                moved += 1
+        if size_b > len(a) - missing:   # `b` held keys that `a` lacks
+            for key, entry in b.items():
+                if key not in a and key != a_owner:
+                    a[key] = entry
+                    moved += 1
+    return moved
+
+
 def merge(bulletin: Bulletin, digest: GossipDigest) -> int:
     """Fold a digest into a bulletin; returns the number of entries accepted.
 
@@ -160,9 +188,12 @@ def gossip_round(state: "ClusterState", rng: random.Random,
     where ``(round + node) % REPUBLISH_PERIOD == 0``, its residents'
     locations in pid order and then its own load, under fresh serials.  Then
     each node, in index order, picks one uniformly random peer other than
-    itself and the pair swaps digests both ways; later exchanges within the
-    round see the effect of earlier ones.  A whole exchange is lost with
-    probability `drop_probability` (its two frames still count as emitted).
+    itself and the pair exchanges facts both ways; later exchanges within the
+    round see the effect of earlier ones.  A pair whose bulletins both hold
+    at most `bound` entries is swapped whole in place (`_swap`); any other
+    pair builds both digests before merging either.  Both ways move the same
+    entries.  A whole exchange is lost with probability `drop_probability`
+    (its two frames still count as emitted).
     """
     n = state.node_count
     state.gossip_rounds += 1
@@ -184,9 +215,12 @@ def gossip_round(state: "ClusterState", rng: random.Random,
         if drop > 0.0 and rng.random() < drop:
             dropped += 1
             continue
+        left, right = bulletins[i], bulletins[j]
+        if len(left) <= bound and len(right) <= bound:
+            moved += _swap(left, right)
+            continue
         # make_digest and merge are looked up as globals on each call, so a
         # wrapper set on the module sees every one
-        left, right = bulletins[i], bulletins[j]
         digest_left = make_digest(left, bound)
         digest_right = make_digest(right, bound)
         moved += merge(right, digest_left)
@@ -201,18 +235,16 @@ def informed_count(state: "ClusterState", pid: "GPid") -> int:
 
 def is_converged(state: "ClusterState") -> bool:
     """True when every bulletin knows the true location of every process and
-    the true load of every node."""
-    truth_loc = {pid: rec.current for pid, rec in state.procs.items()}
-    truth_load = [state.node_load(n) for n in range(state.node_count)]
+    the true load of every node; entries beyond the truth are ignored."""
+    pids, nodes = list(state.procs), range(state.node_count)
+    truth_loc = [rec.current for rec in state.procs.values()]
+    truth_load = [state.node_load(n) for n in nodes]
+    absent = repeat((None, None))   # the stored form of a missing entry
     for b in state.bulletins:
-        for pid, node in truth_loc.items():
-            hit = b.lookup_location(pid)
-            if hit is None or hit[0] != node:
-                return False
-        view = b.load_view()
-        for n in range(state.node_count):
-            if n not in view or view[n] != truth_load[n]:
-                return False
+        # each bulletin's values in truth order, fetched with no call per fact
+        if ([*map(_value, map(b._locations.get, pids, absent))] != truth_loc
+                or [*map(_value, map(b._loads.get, nodes, absent))] != truth_load):
+            return False
     return True
 
 

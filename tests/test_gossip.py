@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_sim
@@ -237,16 +237,6 @@ def test_merge_tie_keeps_resident():
     assert b.lookup_location(P) == (1, 0)
 
 
-def test_merge_equal_age_newer_serial_wins():
-    # two publications inside the same round are ordered by serial
-    b = Bulletin(owner=0)
-    b.publish_location(P, 1, 3)
-    other = Bulletin(owner=1)
-    other.publish_location(P, 2, 4)
-    assert merge(b, make_digest(other, 10)) == 1
-    assert b.lookup_location(P) == (2, 4)
-
-
 def test_merge_inserts_absent_entry():
     b = Bulletin(owner=0)
     other = Bulletin(owner=1)
@@ -263,7 +253,7 @@ def test_self_merge_is_idempotent():
     assert b._locations == before_loc and b._loads == before_load
 
 
-def test_merge_orders_by_birth_then_serial():
+def test_merge_orders_by_serial_alone():
     # the serial is a fact's one freshness key, so it alone decides
     # pid -> (incoming serial, resident serial, wins)
     cases = {GPid(0, 0): (5, 3, True),
@@ -328,6 +318,42 @@ def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incomi
         assert b._locations == locations and b._loads == loads
 
 
+@settings(max_examples=300, deadline=None)
+@given(left=BULLETINS, right=BULLETINS,
+       owners=st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True),
+       shared=st.booleans())
+# equal serials with different values: neither side changes
+@example(left=({(0, 0): 3}, {2: 1.0}, [5, 6]), right=({(0, 0): 4}, {2: 2.0}, [5, 6]),
+         owners=[0, 1], shared=False)
+# later hearsay about each owner's load: neither owner takes it
+@example(left=({}, {0: 1.0, 1: 9.0}, [1, 10]), right=({}, {1: 2.0, 0: 9.0}, [2, 11]),
+         owners=[0, 1], shared=False)
+# right lacks its own load, which left holds, and holds a load left lacks: the
+# two load tables are the same size, yet left must take one key
+@example(left=({}, {1: 5.0}, [3]), right=({}, {2: 6.0}, [4]), owners=[0, 1], shared=False)
+@example(left=({}, {2: 6.0}, [4]), right=({}, {0: 5.0}, [3]), owners=[0, 1], shared=False)
+def test_whole_swap_matches_two_snapshot_merges(left, right, owners, shared):
+    # gossip_round swaps two bulletins within the bound in place; that must
+    # leave what merging both whole digests, taken before either merge, does
+    def pair():
+        a, b = Bulletin(owner=owners[0]), Bulletin(owner=owners[1])
+        a._locations, a._loads = stored(*left)
+        b._locations, b._loads = stored(*right)
+        if shared:   # the very tuple on both sides, as in a steady cluster
+            for key in a._locations.keys() & b._locations.keys():
+                b._locations[key] = a._locations[key]
+        return a, b
+
+    a, b = pair()
+    digest_a, digest_b = make_digest(a, 64), make_digest(b, 64)
+    accepted = merge(b, digest_a) + merge(a, digest_b)
+    x, y = pair()
+    assert gossip._swap(x, y) == accepted
+    for swapped, merged in ((x, a), (y, b)):
+        assert list(swapped._locations.items()) == list(merged._locations.items())
+        assert list(swapped._loads.items()) == list(merged._loads.items())
+
+
 def test_own_load_fact_never_overwritten():
     b = Bulletin(owner=0)
     b.publish_load(7.0, 1)
@@ -339,7 +365,7 @@ def test_own_load_fact_never_overwritten():
 
 # -- gossip_round ------------------------------------------------------------------
 
-def test_single_node_round_is_noop_but_ages():
+def test_single_node_round_is_noop_but_counts_the_round():
     state = ClusterState(Topology.mesh(1))
     pid = state.spawn(0)
     published = state.bulletins[0].lookup_location(pid)
@@ -539,9 +565,10 @@ def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
 
 def test_seeded_rounds_match_golden_digests(monkeypatch):
     # SHA-256 over the sorted (kind, key, value, serial) contents of every
-    # digest the seeded 32/96 rounds build, in the order they are built: this
-    # pins each cut digest, not only the bulletins it leaves behind.  No
-    # exchange is dropped, so each round builds 64 digests
+    # cut digest the seeded 32/96 rounds build, in the order they are built:
+    # this pins each cut digest, not only the bulletins it leaves behind.
+    # Of the 960 exchanges, 65 swap two whole bulletins and build no digest;
+    # each of the others builds both its digests, 12 of them whole
     digests = hashlib.sha256()
     built = cut = 0
 
@@ -549,19 +576,20 @@ def test_seeded_rounds_match_golden_digests(monkeypatch):
         nonlocal built, cut
         digest = make_digest(bulletin, bound)
         built += 1
-        cut += len(bulletin) > bound
-        digests.update(repr(sorted((kind, key, value, serial)
-                                   for serial, kind, key, value in ranked(digest))).encode())
+        if len(bulletin) > bound:
+            cut += 1
+            digests.update(repr(sorted((kind, key, value, serial)
+                                       for serial, kind, key, value in ranked(digest))).encode())
         return digest
 
     monkeypatch.setattr(gossip, "make_digest", recording_make_digest)
     seeded_bulletin_fingerprint(32, 96)
-    assert (built, cut) == (1920, 1778)
+    assert (built, cut) == (1790, 1778)
     assert digests.hexdigest() == (
-        "ed8e8ba97e0595ebec2adecf77d9859527b35535f6661b9b1b3baea383d20ea6")
+        "96759b4b14083e1b2df05eb2f74da9844b342ab95ff8ac4b899ab03a6783349b")
 
 
-def test_lookup_age_equals_rounds_since_publication_on_arrival():
+def test_gossiped_copy_keeps_its_publication_serial():
     state = ClusterState(Topology.mesh(12))
     pid = state.spawn(0)
     published = state.bulletins[0].lookup_location(pid)
