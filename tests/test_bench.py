@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import TEST_MODEL
 from migratenet import bench, gossip
-from migratenet.errors import InvalidScenarioError
+from migratenet.errors import InvalidScenarioError, MessageTooLargeError
 from migratenet.simcore import TransportKind, load_model
 from migratenet.transport import Router
 
@@ -146,6 +147,27 @@ def test_scenario_name_with_a_path_separator_is_rejected(name):
         bench.Scenario.from_dict(dict(VALID_SCENARIO, name=name))
 
 
+@pytest.mark.parametrize("name,accepted", [
+    ("a" * 243, True), ("a" * 244, False),
+    ("\u20ac" * 81, True), ("\u20ac" * 81 + "a", False),   # 3 UTF-8 bytes each
+])
+def test_scenario_name_is_at_most_243_utf8_bytes(name, accepted):
+    # with `_summary.txt` a report file name fits the 255-byte limit
+    data = dict(VALID_SCENARIO, name=name)
+    if accepted:
+        assert bench.Scenario.from_dict(data).name == name
+    else:
+        with pytest.raises(InvalidScenarioError,
+                           match="scenario.name: must be at most 243 UTF-8 bytes, got 244"):
+            bench.Scenario.from_dict(data)
+
+
+def test_scenario_name_with_a_lone_surrogate_is_rejected():
+    # JSON can escape one ("\ud800"), and no report file could be named by it
+    with pytest.raises(InvalidScenarioError, match="scenario.name: not encodable as UTF-8"):
+        bench.Scenario.from_dict(json.loads('{"version": 1, "name": "x\\ud800"}'))
+
+
 def test_scenario_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -185,6 +207,56 @@ def test_run_scenario_seed_override_changes_only_seed_field():
     scenario.seed = 99
     report = bench.run_scenario(scenario)
     assert report.seed == 99
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_scenario_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    states = []
+    round_ = gossip.gossip_round
+
+    def recorded(*args):
+        states.append(gc.isenabled())
+        return round_(*args)
+
+    monkeypatch.setattr(gossip, "gossip_round", recorded)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # pre_converge off: its rounds run before the timeline, collector on
+        bench.run_scenario(bench.Scenario.from_dict(dict(VALID_SCENARIO, pre_converge=False)))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states and not any(states)   # paused while the timeline runs
+
+
+def test_run_scenario_enables_the_collector_again_when_a_send_raises():
+    # the relay send at t = 2.0 is over the cap, after the three direct sends
+    scenario = bench.Scenario.from_dict(dict(VALID_SCENARIO, caps={"relay_max": 256}))
+    assert gc.isenabled()
+    with pytest.raises(MessageTooLargeError):
+        bench.run_scenario(scenario)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_run_leaves_no_reference_cycles(seed):
+    # the premise of the collector's pause in run_scenario: were a run to
+    # make cycles, the pause would let them pile up until it ends
+    scenario = bench.Scenario.from_dict(generated_scenario(seed, sends=1000))
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        report = bench.run_scenario(scenario, trace_enabled=True)
+        assert len(report.latency_rows) == 1000 and report.trace
+        assert {series for _, _, series in report.latency_rows} == {"relay", "direct", "auto"}
+        assert report.metrics.gossip_totals["rounds"] and scenario.migrations
+        del report
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 # -- latency sweep ------------------------------------------------------------------
@@ -290,8 +362,8 @@ def test_trace_file_written_when_enabled(tmp_path):
 
 # -- counters ------------------------------------------------------------------------
 
-def generated_scenario(seed: int) -> dict:
-    """300 relay, direct and auto sends among 12 processes on 8 nodes, with a
+def generated_scenario(seed: int, sends: int = 300) -> dict:
+    """`sends` relay, direct and auto sends among 12 processes on 8 nodes, with a
     migration halfway between every two gossip rounds and lossy gossip that
     starts cold, so sends meet every direct outcome."""
     rng = random.Random(seed)
@@ -306,7 +378,7 @@ def generated_scenario(seed: int) -> dict:
         "traffic": [{"time": rng.uniform(0.0, 2.0), "src": src, "dst": dst,
                      "transport": rng.choice(("relay", "direct", "auto")),
                      "size": rng.choice((64, 4096, 1 << 20))}
-                    for src, dst in (rng.sample(ids, 2) for _ in range(300))],
+                    for src, dst in (rng.sample(ids, 2) for _ in range(sends))],
         "gossip": {"bound": 8, "drop_probability": 0.3, "rounds_per_second": 10.0},
     }
 

@@ -189,6 +189,16 @@ def test_run_scenario_name_with_a_path_separator_exits_2(tmp_path, capsys, name)
     assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
 
 
+def test_run_over_long_scenario_name_exits_2_before_simulating(tmp_path, capsys):
+    # 244 bytes with `_summary.txt` pass the 255-byte file-name limit; the
+    # name is checked before --out is made, not when the files are written
+    scenario = write_scenario(tmp_path, dict(SCENARIO, name="a" * 244))
+    assert cli.main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and "scenario.name: must be at most 243" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
+
+
 def test_run_valid_scenario_exits_0(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", write_scenario(tmp_path), "--out", str(out)]) == 0
