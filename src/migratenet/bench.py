@@ -174,7 +174,7 @@ class TrafficSpec(NamedTuple):
 
 
 # the value rules of each schema's fields, beyond their types; the scenario
-# reader and the CLI flags that stand for these fields check against them
+# reader checks against them, and so does `gossip-stats --drop`
 LIMITS = {
     ProcessSpec: {"work": NON_NEGATIVE},
     TrafficSpec: {"time": NON_NEGATIVE, "size": NON_NEGATIVE, "count": AT_LEAST_ONE,
@@ -273,6 +273,12 @@ class Scenario:
                     f"migrations[{i}].time: times must be non-negative and non-decreasing")
             last_time = m.time
 
+        caps = read(need(data, "caps", dict, "scenario", {}), TransportConfig, "caps",
+                    LIMITS[TransportConfig])
+        # each send's cap, auto's the larger; a size within both needs no lookup
+        size_caps = {TransportKind.RELAY: caps.relay_max, TransportKind.DIRECT: caps.direct_max,
+                     TransportKind.AUTO: max(caps.relay_max, caps.direct_max)}
+        small_cap = min(size_caps.values())
         # count the timeline's rows as `run_scenario` lays them, before any is
         # laid: the migrations, each send, and a gossip round per period up
         # to the last row's time
@@ -282,6 +288,9 @@ class Scenario:
             for label, pid in (("src", t.src), ("dst", t.dst)):
                 if pid not in ids:
                     raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
+            if t.size > small_cap and t.size > size_caps[t.transport]:
+                raise InvalidScenarioError(f"traffic[{i}].size: {t.size} is over the "
+                                           f"{t.transport.value} cap {size_caps[t.transport]}")
             try:    # the last send's time, as `run_scenario` lays it
                 last = t.time + (t.count - 1) * t.interval
             except OverflowError:   # a count beyond float range
@@ -305,8 +314,6 @@ class Scenario:
                 f"per period up to time {horizon!r} pass {MAX_TIMELINE_ROWS} timeline rows")
         block = need(data, "model", dict, "scenario", {})
         model = read(block, LatencyModel, "model", base=base or load_model()) if block else base
-        caps = read(need(data, "caps", dict, "scenario", {}), TransportConfig, "caps",
-                    LIMITS[TransportConfig])
         return cls(name, topology, processes, migrations, traffic, gossip_config,
                    need(data, "pre_converge", bool, "scenario", cls.pre_converge),
                    need(data, "seed", int, "scenario", cls.seed), model, caps)

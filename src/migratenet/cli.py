@@ -18,6 +18,7 @@ from typing import Optional
 from . import bench
 from .errors import E_IO, E_NO_SOLUTION, InvalidScenarioError, SimulatorError
 from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, NODE_COUNT, LatencyModel, check, load_model
+from .transport import DEFAULT_RELAY_MAX
 
 # Calibration conventions.  The two ratio targets cannot pin six model
 # parameters, so the network scale is fixed at round 2009-era values and the
@@ -38,6 +39,8 @@ MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in bench.DEFA
 # the rule of `ring --spokes` (see simcore.check): a ring has a node per
 # spoke and its center
 SPOKES = (2, NODE_COUNT[1] - 1, f"must be >= 2 and <= {NODE_COUNT[1] - 1}")
+# the rule of `sweep --sizes` and `ring --size`: the templates use the default caps
+SIZE = (0, DEFAULT_RELAY_MAX, f"must be non-negative and <= {DEFAULT_RELAY_MAX}, the relay cap")
 
 
 def calibrate() -> dict:
@@ -135,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _size(text, flag: str) -> int:
-    """A message size given by `flag`, under the rule of `TrafficSpec.size`."""
+    """A message size given by `flag`, under the rule `SIZE`."""
     try:
         size = int(text)
     except ValueError:
         raise InvalidScenarioError(f"{flag}: expected an integer, got {text!r}") from None
-    return check(size, bench.LIMITS[bench.TrafficSpec]["size"], flag)
+    return check(size, SIZE, flag)
 
 
 def _emit(report: bench.Report, outdir: str) -> int:

@@ -92,9 +92,6 @@ class Bulletin:
         """Record the owner's own load with a fresh serial."""
         self._loads[self.owner] = (load, serial)
 
-    def invalidate_location(self, pid: "GPid") -> None:
-        self._locations.pop(pid, None)
-
     def lookup_location(self, pid: "GPid") -> Optional[tuple["NodeId", int]]:
         """The stored (node, serial) for pid, possibly stale, or None."""
         return self._locations.get(pid)

@@ -3,9 +3,9 @@
 This is the one module that builds and prices routes.  A send resolves its
 whole *route* atomically against the current cluster state: the links it
 crosses in order as ``(frame kind, from, to, cost)``, each priced when it is
-built, and the nodes that carried the payload without terminating it.
-:meth:`Router._price` adds the costs of a route's links into its latency, and
-:meth:`Router._carry` accounts and traces every link of any route.
+built.  :meth:`Router._price` adds the costs of a route's links into its
+latency, and :meth:`Router._carry` accounts and traces every link of any
+route, finding its relays on the way.
 
 A relay route (:meth:`Router._relay_route`) transits both endpoints' home
 nodes: sender -> src home -> dst home -> receiver, with legs whose ends
@@ -16,17 +16,17 @@ back to the receiver's home node, which always knows the true location:
 * local: the receiver is co-resident -> shared memory, no frames;
 * hit: the entry is right -> one DATA hop;
 * stale: the entry names a node that neither hosts the receiver nor is its
-  home -> that node bounces the payload with NACK_UNKNOWN; the sender drops
-  the entry and goes on as on a miss;
+  home -> that node bounces the payload with NACK_UNKNOWN, and the sender
+  goes on as on a miss;
 * miss: no entry, or one claiming the sender's own node -> DATA to the home,
   unless the sender is the home.
 
 The home forwards the payload when it does not host the receiver.  If the
 send went through the home or the home forwarded it, and the home is not the
-sender, the home also sends a LOC_REPLY that refreshes the sender's bulletin.
-Auto resolves the send once and prices both routes to the node the sender
-believes dst runs on; when that belief is right it carries the route it
-priced instead of building it again.
+sender, the home also sends a LOC_REPLY; either way the sender's bulletin
+then names the receiver's node.  Auto resolves the send once and prices both
+routes to the node the entry names, or on a miss to one the home forwards to;
+when the entry named the receiver's node it carries the route it priced.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class FrameKind(Enum):
 # members as globals: one Enum attribute lookup costs ~0.2 us on CPython 3.11
 DATA, LOC_REPLY, NACK_UNKNOWN = FrameKind.DATA, FrameKind.LOC_REPLY, FrameKind.NACK_UNKNOWN
 RELAY, DIRECT = TransportKind.RELAY, TransportKind.DIRECT
-# links as (kind, from, to, cost), and the nodes that relayed
+# links as (kind, from, to, cost); a route is the links a send crosses in order
 Link = tuple[FrameKind, NodeId, NodeId, float]
-Route = tuple[list[Link], tuple[NodeId, ...]]
+Route = list[Link]
 # _first_target's answer: first node, via dst's home, direct outcome, dst's node
 Resolved = tuple[NodeId, bool, str, NodeId]
 # an auto estimate: the price and the route priced, (inf, None) over the cap
@@ -81,7 +81,7 @@ class DeliveryReport(NamedTuple):
     network_hops: int                  # DATA link traversals, wasted ones included
     latency: float                     # send start to payload arrival
     frames_emitted: int                # all link traversals, control frames included
-    relayed_by: tuple[NodeId, ...]     # nodes that carried but did not terminate the payload
+    relayed_by: tuple[NodeId, ...]     # nodes that passed on the payload a DATA frame brought
 
 
 class Router:
@@ -131,37 +131,32 @@ class Router:
                 size, f"{size} exceeds both caps ({self.config.relay_max}, {self.config.direct_max})")
         (est_relay, relay_route), (est_direct, direct_route) = self._estimates(
             sender, src, dst, size, resolved)
-        # a route priced to the node dst runs on is the route carried: for
-        # relay whenever the first target is that node, for direct only on a
-        # local or hit send (on a miss it priced a forward from the home)
-        believed_right = resolved[0] == resolved[3]
+        if resolved[1] or resolved[0] != resolved[3]:   # the entry did not name dst's node,
+            relay_route = direct_route = None           # so no priced route is the one taken
         if est_direct < est_relay:
             picked, estimate = "direct", est_direct
-            reuse = believed_right and not resolved[1]
-            report = self._direct(sender, src, dst, size, resolved, direct_route if reuse else None)
+            report = self._direct(sender, src, dst, size, resolved, direct_route)
         else:
             picked, estimate = "relay", est_relay
-            report = self._relay(sender, src, dst, size, resolved[3],
-                                 relay_route if believed_right else None)
+            report = self._relay(sender, src, dst, size, resolved[3], relay_route)
         self.metrics.auto_picks[picked] += 1
         self.metrics.auto_error += abs(estimate - report.latency)
         return report
 
     def _estimates(self, sender: NodeId, src: GPid, dst: GPid, size: int,
                    resolved: Resolved) -> tuple[Estimate, Estimate]:
-        """Auto's relay and direct routes to the node the sender believes dst
-        runs on, each with its price: ``(inf, None)`` over a transport's cap.
-        On a miss that node is dst's home for the relay and, for the direct
-        route, one the home forwards to."""
+        """Auto's relay and direct routes to the node the sender's entry names,
+        or on a miss to one the home forwards to (exact when the sender is the
+        home), each with its price: ``(inf, None)`` over a transport's cap."""
         target, via_home = resolved[0], resolved[1]
+        believed = None if via_home else target
         relay = direct = (math.inf, None)
         if size <= self.config.relay_max:
-            route = self._relay_route(sender, src.home, dst.home, target, size)
-            relay = self._price(RELAY, route[0], size), route
+            route = self._relay_route(sender, src.home, dst.home, believed, size)
+            relay = self._price(RELAY, route, size), route
         if size <= self.config.direct_max:
-            believed = None if via_home else target
             route = self._direct_route(sender, dst, size, target, via_home, believed)
-            direct = self._price(DIRECT, route[0], size), route
+            direct = self._price(DIRECT, route, size), route
         return relay, direct
 
     def _relay(self, sender: NodeId, src: GPid, dst: GPid, size: int,
@@ -176,18 +171,14 @@ class Router:
     def _direct(self, sender: NodeId, src: GPid, dst: GPid, size: int,
                 resolved: Resolved, route: Optional[Route] = None) -> DeliveryReport:
         """Carry a direct send whose caps are checked, along `route` when auto
-        already built it, and apply what it teaches the sender's bulletin."""
+        already built it; on a miss or stale send the sender keeps dst's node."""
         target, via_home, outcome, receiver = resolved
         self.metrics.sends["direct"] += 1
         self.metrics.direct_outcomes[outcome] += 1
         if route is None:
             route = self._direct_route(sender, dst, size, target, via_home, receiver)
-        bulletin = self.cluster.bulletins[sender]
-        if via_home or (outcome == "stale" and target != dst.home):
-            # a miss, or a stale entry other than the home: the sender falls back to it
-            bulletin.invalidate_location(dst)
-        if route[0] and route[0][-1][0] is LOC_REPLY:
-            bulletin.publish_location(dst, receiver, self.cluster.stamp())
+        if outcome == "miss" or outcome == "stale":
+            self.cluster.bulletins[sender].publish_location(dst, receiver, self.cluster.stamp())
         return self._carry(DIRECT, route, src, dst, size, receiver)
 
     def _first_target(self, sender: NodeId, dst: GPid) -> Resolved:
@@ -207,10 +198,10 @@ class Router:
         return hit[0], False, "hit" if hit[0] == receiver else "stale", receiver
 
     def _relay_route(self, sender: NodeId, src_home: NodeId, dst_home: NodeId,
-                     receiver: NodeId, size: int) -> Route:
-        """The relay route sender -> src_home -> dst_home -> receiver, legs
-        whose ends coincide dropped.  The legs joining a process's node to its
-        home cost `home_leg_factor` hops, the leg between the homes one hop."""
+                     receiver: Optional[NodeId], size: int) -> Route:
+        """The relay route sender -> src_home -> dst_home -> receiver (None: not
+        dst_home), legs whose ends coincide dropped.  The legs joining a process's
+        node to its home cost `home_leg_factor` hops, the leg between the homes one."""
         hop = self.model.net_hop(size)
         home = hop * self.model.home_leg_factor
         links = []
@@ -220,8 +211,7 @@ class Router:
             links.append((DATA, src_home, dst_home, hop))
         if dst_home != receiver:
             links.append((DATA, dst_home, receiver, home))
-        n = len(links)   # every link but the last ends at a node that relays
-        return links, () if n < 2 else (links[0][2],) if n == 2 else (src_home, dst_home)
+        return links
 
     def _direct_route(self, sender: NodeId, dst: GPid, size: int, target: NodeId,
                       via_home: bool, receiver: Optional[NodeId]) -> Route:
@@ -232,7 +222,7 @@ class Router:
         after arrival."""
         if receiver == sender:
             # the hosting node sees its own residents; no lookup, no network
-            return [], ()
+            return []
         home = dst.home
         hop = self.model.net_hop(size)
         links = []
@@ -248,7 +238,7 @@ class Router:
             links.append((DATA, home, receiver, hop))
         if home != sender and (via_home or forwarded):
             links.append((LOC_REPLY, home, sender, 0.0))
-        return links, (home,) if forwarded else ()
+        return links
 
     def _price(self, transport: TransportKind, links: list[Link], size: int) -> float:
         """Latency from send start to payload arrival: the link costs added in
@@ -262,18 +252,22 @@ class Router:
 
     def _carry(self, transport: TransportKind, route: Route, src: GPid, dst: GPid,
                size: int, receiver: NodeId) -> DeliveryReport:
-        """Account and trace every link of `route`, then its relays and the
-        delivery to `receiver`.  DATA frames carry `size` bytes from src to
-        dst; control frames carry the control size from dst back to src."""
-        links, relayed = route
+        """Account and trace every link of `route`, then the delivery to
+        `receiver`.  DATA frames carry `size` bytes from src to dst; control
+        frames carry the control size from dst back to src.  A node relays
+        when it sends on a DATA frame the payload the previous one brought it."""
         metrics = self.metrics
         link_bytes, handled, trace = metrics.link_bytes, metrics.frames_handled, self.trace
         control_size = self.config.control_size
-        hops = 0
-        for kind, frm, to, _ in links:
+        hops, relayed, reached = 0, (), None   # reached: where the last DATA went
+        for kind, frm, to, _ in route:
             if kind is DATA:
                 hops += 1
                 nbytes = size
+                if frm == reached:
+                    relayed += (frm,)
+                    metrics.relayed_bytes[frm] = metrics.relayed_bytes.get(frm, 0) + size
+                reached = to
             else:
                 nbytes = control_size
                 metrics.control_frames[kind.value] += 1
@@ -283,10 +277,8 @@ class Router:
             if trace is not None:
                 ends = (src, dst) if kind is DATA else (dst, src)
                 trace.append((self.clock.now, kind.value, str(ends[0]), str(ends[1]), frm, to, nbytes))
-        for node in relayed:
-            metrics.relayed_bytes[node] = metrics.relayed_bytes.get(node, 0) + size
         metrics.delivered_bytes[receiver] = metrics.delivered_bytes.get(receiver, 0) + size
         metrics.payload_delivered += size
         # tuple.__new__ skips the named tuple's Python-level __new__
-        return tuple.__new__(DeliveryReport, (transport, hops, self._price(transport, links, size),
-                                              len(links), relayed))
+        return tuple.__new__(DeliveryReport, (transport, hops, self._price(transport, route, size),
+                                              len(route), relayed))

@@ -2,8 +2,9 @@ import gc
 import json
 import os
 import random
+import re
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,26 @@ def test_scenario_validation_reports_field_paths(mutate, needle):
     with pytest.raises(InvalidScenarioError) as err:
         bench.Scenario.from_dict(data)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("relay_max,direct_max", [(1000, 2000), (2000, 1000)])
+def test_a_send_over_its_cap_is_rejected(relay_max, direct_max):
+    # relay and direct each take up to their own cap, auto up to the larger
+    caps = {"relay": relay_max, "direct": direct_max, "auto": max(relay_max, direct_max)}
+    for transport, cap in caps.items():
+        for size, accepted in ((cap, True), (cap + 1, False)):
+            data = json.loads(json.dumps(VALID_SCENARIO))
+            data["caps"] = {"relay_max": relay_max, "direct_max": direct_max}
+            for row in data["traffic"]:
+                row["size"] = min(row["size"], relay_max, direct_max)
+            data["traffic"].append({"time": 3.0, "src": "p0", "dst": "p1",
+                                    "transport": transport, "size": size})
+            if accepted:
+                assert bench.Scenario.from_dict(data).traffic[2].size == size
+            else:
+                with pytest.raises(InvalidScenarioError, match=re.escape(
+                        f"traffic[2].size: {size} is over the {transport} cap {cap}")):
+                    bench.Scenario.from_dict(data)
 
 
 def test_timeline_rows_are_counted_as_run_scenario_lays_them():
@@ -231,8 +252,10 @@ def test_run_scenario_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
 
 
 def test_run_scenario_enables_the_collector_again_when_a_send_raises():
-    # the relay send at t = 2.0 is over the cap, after the three direct sends
-    scenario = bench.Scenario.from_dict(dict(VALID_SCENARIO, caps={"relay_max": 256}))
+    # the relay send at t = 2.0 is over the cap, after the three direct sends;
+    # the cap is set after parsing, which rejects a size over its cap
+    scenario = bench.Scenario.from_dict(VALID_SCENARIO)
+    scenario.caps = replace(scenario.caps, relay_max=256)
     assert gc.isenabled()
     with pytest.raises(MessageTooLargeError):
         bench.run_scenario(scenario)

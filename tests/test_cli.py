@@ -199,6 +199,19 @@ def test_run_over_long_scenario_name_exits_2_before_simulating(tmp_path, capsys)
     assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
 
 
+def test_run_send_over_its_cap_exits_2_before_simulating(tmp_path, capsys):
+    # the relay send over the relay cap comes last; it is rejected with the
+    # scenario, before --out is made and the sends before it are simulated
+    data = dict(SCENARIO, topology={"kind": "mesh", "nodes": 2},
+                migrations=[], traffic=[dict(SCENARIO["traffic"][0], count=100),
+                                        dict(SCENARIO["traffic"][0], time=2.0,
+                                             transport="relay", size=2_000_000_000)])
+    assert cli.main(["run", write_scenario(tmp_path, data), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO: traffic[1].size: 2000000000 is over the relay cap" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_valid_scenario_exits_0(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", write_scenario(tmp_path), "--out", str(out)]) == 0
@@ -345,6 +358,9 @@ def test_bad_config_file_exits_2_with_its_path(tmp_path, capsys, config, needle)
     (["gossip-stats", "--nodes", "-3"], "--nodes: must be >= 1"),
     (["gossip-stats", "--nodes", "70000"], "--nodes: must be >= 1 and <= 65536"),
     (["ring", "--spokes", "65536"], "--spokes: must be >= 2 and <= 65535"),
+    # the templates send with the default caps, the smaller the relay's 2**30
+    (["sweep", "--sizes", "1024,2000000000"], "--sizes: must be non-negative and <= 1073741824"),
+    (["ring", "--size", "2000000000"], "--size: must be non-negative and <= 1073741824"),
 ])
 def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle):
     # a flag that stands for a scenario field obeys that field's rule

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import TEST_MODEL
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
-from migratenet.simcore import EventQueue, Metrics
+from migratenet.simcore import EventQueue, Metrics, TransportKind
 from migratenet.transport import DATA, Router, TransportConfig
 
 
@@ -140,8 +140,8 @@ def test_locate_unknown():
 def relay_path(state: ClusterState, src: GPid, dst: GPid) -> list:
     """The nodes the relay route from src to dst visits, as the router builds it."""
     sender = state.residency(src)
-    links, _ = Router(state, TEST_MODEL, Metrics(), EventQueue(), TransportConfig(),
-                      None)._relay_route(sender, src.home, dst.home, state.residency(dst), 0)
+    links = Router(state, TEST_MODEL, Metrics(), EventQueue(), TransportConfig(),
+                   None)._relay_route(sender, src.home, dst.home, state.residency(dst), 0)
     return [sender] + [to for _, _, to, _ in links]
 
 
@@ -192,7 +192,9 @@ def test_relay_legs_walk_the_collapsed_path_and_tag_home_legs(waypoints):
     sender, src_home, dst_home, receiver = waypoints
     router = Router(cluster(4), replace(TEST_MODEL, home_leg_factor=0.25), Metrics(),
                     EventQueue(), TransportConfig(), None)
-    links, relayed = router._relay_route(sender, src_home, dst_home, receiver, 0)
+    links = router._relay_route(sender, src_home, dst_home, receiver, 0)
+    relayed = router._carry(TransportKind.RELAY, links, GPid(src_home, 0), GPid(dst_home, 0),
+                            0, receiver).relayed_by
     assert [sender] + [to for _, _, to, _ in links] == collapse_path(waypoints)
     assert all(kind is DATA for kind, *_ in links)
     assert relayed == tuple(to for _, _, to, _ in links[:-1])

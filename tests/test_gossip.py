@@ -206,7 +206,7 @@ def test_digest_is_a_snapshot_of_its_bulletin(bound):
     before = sorted(ranked(b))
     b.publish_location(GPid(0, 5), 2, 20)     # replaces the latest location
     b.publish_location(GPid(3, 3), 1, 21)     # a new one
-    b.invalidate_location(GPid(0, 4))
+    b._locations.pop(GPid(0, 4), None)
     b.publish_load(9.0, 22)
     other = Bulletin(owner=1)
     other.publish_location(GPid(0, 3), 0, 23)

@@ -86,7 +86,7 @@ def test_relay_latency_charges_home_legs_at_the_factor():
     router = build_sim(model=model).router
 
     def price(sender, src_home, dst_home, receiver):
-        links, _ = router._relay_route(sender, src_home, dst_home, receiver, s)
+        links = router._relay_route(sender, src_home, dst_home, receiver, s)
         return router._price(TransportKind.RELAY, links, s)
 
     assert price(2, 0, 1, 3) == hop * 0.25 + hop + hop * 0.25
@@ -94,7 +94,7 @@ def test_relay_latency_charges_home_legs_at_the_factor():
     assert price(2, 2, 2, 2) == model.shared_memory(s)
     # factor 1 is the homogeneous per-hop model
     flat = build_sim().router
-    links, _ = flat._relay_route(2, 0, 1, 3, s)
+    links = flat._relay_route(2, 0, 1, 3, s)
     assert flat._price(TransportKind.RELAY, links, s) == latency_of([2, 0, 1, 3], s, TEST_MODEL,
                                                                      TransportKind.RELAY)
 

@@ -434,7 +434,7 @@ def test_application_stream_identical_across_transports():
 
 # -- golden -------------------------------------------------------------------------
 
-SOCKET_GOLDEN = "9097f4e832288efbe23059e839abaa8ad516d92da2956da09e5f0a6bbbcacf34"
+SOCKET_GOLDEN = "3a87e08c58bc2245348e73be37a4da5f01ebecd46a992452b0d18102555bfcc7"
 
 
 def test_seeded_socket_traffic_matches_golden():

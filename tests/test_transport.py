@@ -25,7 +25,7 @@ def estimates(router, src, dst, size) -> tuple[float, float]:
 def assert_rejects_negative_size(send_name):
     """A negative size fails with E_BAD_SIZE before any counter or bulletin
     changes; b has migrated and a's node has no entry for it, so a direct
-    send would otherwise drop and republish that entry."""
+    send would otherwise publish one."""
     sim = build_sim()
     a, b = place_pair(sim, 0, 1, 2, 3)
     rows = sim.metrics.rows()
@@ -156,10 +156,27 @@ def test_direct_miss_when_sender_is_the_home():
     a = sim.cluster.spawn(1, "A")
     sim.cluster.migrate(a, 0)             # a runs on b's home
     sim.cluster.migrate(b, 3)
-    sim.cluster.bulletins[0].invalidate_location(b)
+    sim.cluster.bulletins[0]._locations.pop(b, None)
     rep = sim.router.send_direct(a, b, 500)
     assert rep.network_hops == 1          # local home leg is free, forward costs one
     assert rep.latency == HOP(500) + D
+    assert rep.relayed_by == ()           # the home originates the send
+
+
+def test_the_home_keeps_knowing_where_its_process_runs():
+    # a runs on b's home, node 1, and b has moved on to node 0, so node 1's
+    # entry for b still names node 1 itself.  The first send is stale and
+    # goes straight on from the home; the home keeps b's node, so the next
+    # sends hit, over the same link at the same latency
+    trace = []
+    sim = build_sim(nodes=3, trace=trace)
+    a, b = place_pair(sim, 0, 1, 1, 0)
+    reports = [sim.router.send_direct(a, b, 1000) for _ in range(3)]
+    assert [(t[1], t[4], t[5]) for t in trace] == [("DATA", 1, 0)] * 3
+    assert [(r.network_hops, r.latency, r.relayed_by) for r in reports] == \
+        [(1, HOP(1000) + D, ())] * 3
+    assert sim.metrics.direct_outcomes == {"local": 0, "hit": 2, "miss": 0, "stale": 1}
+    assert sim.cluster.bulletins[1].lookup_location(b)[0] == 0
 
 
 # -- direct: stale path ----------------------------------------------------------------
@@ -241,7 +258,8 @@ def test_direct_rejects_negative_size():
 # for b afterwards, then the direct outcome the send counts.  DATA carries
 # the payload; the control frames (NACK_UNKNOWN, LOC_REPLY) travel from b's
 # side back to a.  An entry naming a's node or b's home while b runs
-# elsewhere counts as stale.
+# elsewhere counts as stale.  After a miss or stale send a's node names b's
+# node: the home told it, or a runs on the home.
 SIZE, CTL = 1000, TransportConfig().control_size
 DIRECT_ROUTES = {
     "local": (2, 2, None, [], None, "local"),
@@ -249,7 +267,7 @@ DIRECT_ROUTES = {
     "hit_at_home": (2, 1, 1, [("DATA", 2, 1)], 1, "hit"),
     "miss": (2, 3, None, [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3, "miss"),
     "miss_home_hosts_dst": (2, 1, None, [("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1, "miss"),
-    "miss_from_home": (1, 3, None, [("DATA", 1, 3)], None, "miss"),
+    "miss_from_home": (1, 3, None, [("DATA", 1, 3)], 3, "miss"),
     "self_claiming_entry": (2, 3, 2,
                             [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3,
                             "stale"),
@@ -258,7 +276,7 @@ DIRECT_ROUTES = {
     "stale_at_home": (2, 3, 1,
                       [("DATA", 2, 1), ("DATA", 1, 3), ("LOC_REPLY", 1, 2)], 3, "stale"),
     "stale_from_home": (1, 3, 4,
-                        [("DATA", 1, 4), ("NACK_UNKNOWN", 4, 1), ("DATA", 1, 3)], None,
+                        [("DATA", 1, 4), ("NACK_UNKNOWN", 4, 1), ("DATA", 1, 3)], 3,
                         "stale"),
     "stale_home_hosts_dst": (2, 1, 4, [("DATA", 2, 4), ("NACK_UNKNOWN", 4, 2),
                                        ("DATA", 2, 1), ("LOC_REPLY", 1, 2)], 1, "stale"),
@@ -276,7 +294,7 @@ def test_direct_route_table(route):
     sim = build_sim(trace=trace)
     a, b = place_pair(sim, 0, 1, at_a, at_b)
     bulletin = sim.cluster.bulletins[at_a]
-    bulletin.invalidate_location(b)
+    bulletin._locations.pop(b, None)
     if belief is not None:
         bulletin.publish_location(b, belief, sim.cluster.stamp())
     m = sim.metrics
@@ -293,7 +311,8 @@ def test_direct_route_table(route):
 
     assert [t[1:] for t in trace] == [frame(*hop) for hop in hops]
     data = [(frm, to) for kind, frm, to in hops if kind == "DATA"]
-    relayed = {1: SIZE} if data and data[-1][0] == 1 else {}    # the home forwarded
+    # the home relays when it sends on the payload the DATA before brought it
+    relayed = {1: SIZE} if len(data) > 1 and data[-2][1] == 1 == data[-1][0] else {}
     assert rep.transport is TransportKind.DIRECT
     assert rep.network_hops == len(data)
     assert rep.frames_emitted == len(hops)
@@ -316,7 +335,7 @@ def test_direct_route_table(route):
     after = [getattr(m, name) for name in counted]
     assert [counter_delta(x, y) for x, y in zip(before, after)] == [
         {at_b: SIZE}, relayed, links, handled, {"direct": 1}, {outcome: 1}, control, {}]
-    # a kept belief or a LOC_REPLY's fact: either holds the last serial handed out
+    # a kept belief or the home's answer: either holds the last serial handed out
     expected_entry = None if entry_after is None else (entry_after, sim.cluster._publish_serial)
     assert bulletin.lookup_location(b) == expected_entry
 
@@ -392,16 +411,51 @@ def test_auto_never_beaten_by_either_transport_when_converged():
                 assert auto <= min(best)
 
 
+def set_belief(sim, at_a, b, belief) -> None:
+    """Make a's node, `at_a`, hold `belief` as its entry for b (None: no entry)."""
+    bulletin = sim.cluster.bulletins[at_a]
+    bulletin._locations.pop(b, None)
+    if belief is not None:
+        bulletin.publish_location(b, belief, sim.cluster.stamp())
+
+
 def test_auto_relay_estimate_equals_charged_relay_latency():
-    # one endpoint migrated, then both
+    # a (home 0) and b (home 1) anywhere on 5 nodes, and every entry a's node
+    # may hold for b (None: no entry).  The estimate prices the relay route to
+    # the node a's node believes b runs on; on a miss (no entry, or one naming
+    # a's own node) that is a node b's home forwards to, as the direct
+    # estimate assumes.  A relay route's price depends on its receiver only
+    # through whether the receiver is b's home, so the charge equals the
+    # estimate exactly when the priced receiver is b's home just when b is.
     model = replace(TEST_MODEL, home_leg_factor=0.1)
-    for at_b in (None, 3):
-        for size in (0, 1000):
-            sim = build_sim(model=model)
-            a, b = place_pair(sim, 0, 1, 2, at_b)
-            sim.converge()
-            estimate = estimates(sim.router, a, b, size)[0]
-            assert estimate == sim.router.send_relay(a, b, size).latency
+    charged_as_estimated = 0
+    for at_a, at_b, belief, size in product(range(5), range(5), (None, *range(5)), (0, 1000)):
+        sim = build_sim(nodes=5, model=model)
+        a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
+        set_belief(sim, at_a, b, belief)
+        if at_a == at_b:
+            priced = at_a
+        elif belief is None or belief == at_a:
+            priced = None                               # a node the home forwards to
+        else:
+            priced = belief
+        hop, home_leg = HOP(size), HOP(size) * 0.1
+        price = 0.0                                     # added in route order
+        if at_a != 0:
+            price += home_leg
+        price += hop
+        if priced != 1:
+            price += home_leg
+
+        estimate = estimates(sim.router, a, b, size)[0]
+        charged = sim.router.send_relay(a, b, size).latency
+
+        assert estimate == price
+        assert (charged == estimate) == ((priced == 1) == (at_b == 1))
+        charged_as_estimated += charged == estimate
+    # local sends, misses with b away from home, and entries naming another
+    # node that is b's home just when b's node is (hits among them)
+    assert charged_as_estimated == 236
 
 
 def test_auto_direct_estimate_equals_charged_direct_latency():
@@ -416,7 +470,7 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
         sim = build_sim(nodes=5, trace=trace)
         a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
         bulletin = sim.cluster.bulletins[at_a]
-        bulletin.invalidate_location(b)
+        bulletin._locations.pop(b, None)
         if belief is not None:
             bulletin.publish_location(b, belief, sim.cluster.stamp())
         if at_a == at_b:
@@ -456,7 +510,7 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
             sim = build_sim(nodes=5, model=model, trace=trace)
             a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
             bulletin = sim.cluster.bulletins[at_a]
-            bulletin.invalidate_location(b)
+            bulletin._locations.pop(b, None)
             if belief is not None:
                 bulletin.publish_location(b, belief, sim.cluster.stamp())
             if rebuild:
@@ -468,6 +522,31 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
         assert runs[0] == runs[1]
         picks.add(runs[0][0].transport)
     assert picks == {TransportKind.RELAY, TransportKind.DIRECT}
+
+
+@pytest.mark.parametrize("home_leg_factor", (0.1, TEST_MODEL.home_leg_factor, 2.0))
+def test_a_node_relays_when_it_passes_on_the_payload_it_was_brought(home_leg_factor):
+    # for every placement of a (home 0) and b (home 1) on 5 nodes, every
+    # entry a's node may hold for b and each transport, the relays are the
+    # nodes that send on a DATA frame the payload the previous DATA frame
+    # brought them: the sender sending again after a bounce, or a home
+    # sending its own fallback, relays nothing
+    model = replace(TEST_MODEL, home_leg_factor=home_leg_factor)
+    for at_a, at_b, belief, kind in product(range(5), range(5), (None, *range(5)),
+                                            TransportKind):
+        trace = []
+        sim = build_sim(nodes=5, model=model, trace=trace)
+        a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
+        set_belief(sim, at_a, b, belief)
+        report = sim.router.send(kind, a, b, SIZE)
+        relays, reached = [], None
+        for _, frame, _, _, frm, to, _ in trace:
+            if frame == "DATA":
+                if frm == reached:
+                    relays.append(frm)
+                reached = to
+        assert report.relayed_by == tuple(relays), (at_a, at_b, belief, kind)
+        assert sum(sim.metrics.relayed_bytes.values()) == SIZE * len(report.relayed_by)
 
 
 def test_auto_direct_send_resolves_once(monkeypatch):
