@@ -22,12 +22,12 @@ holds at most `MAX_TIMELINE_ROWS` rows.
 
 from __future__ import annotations
 
-import csv
 import gc
 import json
 import math
 import random
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -50,6 +50,9 @@ MAX_TIMELINE_ROWS = 10 ** 6
 # 255-byte file-name limit of common file systems
 MAX_NAME_BYTES = 243
 DEFAULT_SWEEP_SIZES = [2 ** k for k in range(10, 27)]   # 1 KiB .. 64 MiB
+# the most rows of a report table joined into one write, which bounds the
+# memory a long latency or trace table takes on top of its rows
+TABLE_CHUNK_ROWS = 16384
 
 
 @dataclass
@@ -86,6 +89,18 @@ class Assertion:
     detail: str
 
 
+class _Fields(dict):
+    """Each string's field in csv's `excel` dialect, worked out once: a
+    string holding `,`, `"`, CR or LF is quoted and its quotes doubled."""
+
+    def __missing__(self, text: str) -> str:
+        if any(c in text for c in ',"\r\n'):
+            self[text] = '"' + text.replace('"', '""') + '"'
+        else:
+            self[text] = text
+        return self[text]
+
+
 @dataclass
 class Report:
     name: str
@@ -107,30 +122,38 @@ class Report:
 
     def write(self, outdir) -> list[Path]:
         """Emit CSV tables, plot data, and a text summary; file contents are
-        a pure function of the report, so equal seeds give equal bytes."""
+        a pure function of the report, so equal seeds give equal bytes.
+        The tables are in csv's `excel` dialect, as `csv.writer` writes
+        them: CRLF line ends, ints as `str`, floats as `repr`, and a string
+        holding `,`, `"`, CR or LF quoted with its quotes doubled (`_Fields`)."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
+        q = _Fields()
 
-        def table(suffix, header, rows):
+        def table(suffix, header, lines):
             path = outdir / f"{self.name}_{suffix}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows(rows)
+                fh.write(",".join(map(q.__getitem__, header)) + "\r\n")
+                while chunk := "".join(islice(lines, TABLE_CHUNK_ROWS)):
+                    fh.write(chunk)
             written.append(path)
 
         table("latency", ["size", "latency", "series"],
-              ([size, repr(latency), series] for size, latency, series in self.latency_rows))
+              (f"{size},{latency!r},{q[series]}\r\n"
+               for size, latency, series in self.latency_rows))
+        scenario = f"{q[self.name]},{self.seed},"
         table("metrics", ["scenario", "seed", "metric", "key", "value"],
-              ([self.name, self.seed, metric, key, value]
+              (f"{scenario}{q[metric]},{q[key]},{q[value]}\r\n"
                for metric, key, value in self.metrics.rows()))
         if self.gossip_rows:
             table("gossip", ["round", "informed_count", "frames", "entries_moved"],
-                  self.gossip_rows)
+                  (f"{r},{informed},{frames},{moved}\r\n"
+                   for r, informed, frames, moved in self.gossip_rows))
         if self.trace is not None:
             table("trace", ["time", "kind", "src", "dst", "from_node", "to_node", "size"],
-                  ([repr(t), *rest] for t, *rest in self.trace))
+                  (f"{t!r},{q[kind]},{q[src]},{q[dst]},{frm},{to},{size}\r\n"
+                   for t, kind, src, dst, frm, to, size in self.trace))
 
         path = outdir / f"{self.name}_summary.txt"
         lines = [f"scenario: {self.name}", f"seed: {self.seed}"]
@@ -223,9 +246,12 @@ class Scenario:
         expect_keys(data, ("version", "name", "seed", "topology", "processes", "migrations",
                            "traffic", "gossip", "pre_converge", "model", "caps"), "scenario")
         name = need(data, "name", str, "scenario")
-        if any(c in name for c in "/\\\0"):   # it prefixes the report file names
+        # it prefixes the report file names, and it opens lines of the
+        # summary and the console, which a control character would split
+        if any(c in "/\\\x7f" or c < " " for c in name):
             raise InvalidScenarioError(
-                f"scenario.name: must not contain '/', '\\' or NUL, got {name!r}")
+                f"scenario.name: must not contain '/', '\\' or a control character "
+                f"(U+0000-U+001F, U+007F), got {name!r}")
         try:
             size = len(name.encode("utf-8"))
         except UnicodeEncodeError:   # a lone surrogate, which JSON can escape

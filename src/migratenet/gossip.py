@@ -50,10 +50,6 @@ class GossipDigest:
     def __len__(self) -> int:
         return len(self.location_items) + len(self.load_items)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GossipDigest) and self.location_items == other.location_items
-                and self.load_items == other.load_items)
-
 
 @dataclass(frozen=True)
 class GossipConfig:

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 import os
 import random
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import TEST_MODEL
 from migratenet import bench, gossip
 from migratenet.errors import InvalidScenarioError, MessageTooLargeError
-from migratenet.simcore import TransportKind, load_model
+from migratenet.simcore import Metrics, TransportKind, load_model
 from migratenet.transport import Router
 
 VALID_SCENARIO = {
@@ -161,9 +163,13 @@ def test_scenario_past_the_row_bound_is_rejected(mutate, needle):
     assert needle in str(err.value) and str(bench.MAX_TIMELINE_ROWS) in str(err.value)
 
 
-@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "nul\0byte"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "nul\0byte",
+                                  "two\nlines", "carriage\rreturn", "tab\there",
+                                  "\x01start", "unit\x1fseparator", "delete\x7f"])
 def test_scenario_name_with_a_path_separator_is_rejected(name):
-    # the name prefixes the report file names, so it must stay one file name
+    # the name prefixes the report file names, so it must stay one file name;
+    # it opens lines of the summary and the console, so a control character
+    # could split them and forge a report line
     with pytest.raises(InvalidScenarioError, match="scenario.name: must not contain"):
         bench.Scenario.from_dict(dict(VALID_SCENARIO, name=name))
 
@@ -381,6 +387,58 @@ def test_trace_file_written_when_enabled(tmp_path):
     lines = files["ring_load_trace.csv"].read_text().splitlines()
     assert lines[0] == "time,kind,src,dst,from_node,to_node,size"
     assert len(lines) > 1
+
+
+# the characters csv quotes for, other controls, spaces and non-ASCII text of
+# two to four UTF-8 bytes; no NUL, which no report field holds
+CSV_TEXT = st.text(st.sampled_from(',"\r\n \t\'ab9\x7f\u00e9\u20ac\U0001f600'), max_size=8)
+CSV_FLOAT = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, 0.1]), st.floats())
+
+
+def csv_writer_text(rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=CSV_TEXT.filter(lambda s: s and "/" not in s), seed=st.integers(),
+       latency=st.lists(st.tuples(st.integers(), CSV_FLOAT, CSV_TEXT), max_size=6),
+       sends=st.dictionaries(CSV_TEXT, st.one_of(st.integers(), CSV_FLOAT, CSV_TEXT),
+                             max_size=4),
+       gossip_rows=st.lists(st.tuples(*[st.integers()] * 4), max_size=4),
+       trace=st.lists(st.tuples(CSV_FLOAT, CSV_TEXT, CSV_TEXT, CSV_TEXT,
+                                st.integers(), st.integers(), st.integers()), max_size=6))
+def test_report_tables_are_the_bytes_csv_writer_writes(name, seed, latency, sends,
+                                                       gossip_rows, trace):
+    metrics = Metrics(sends=sends)
+    report = bench.Report(name, seed, latency, metrics, gossip_rows=gossip_rows,
+                          trace=trace)
+    expected = {
+        "latency": [["size", "latency", "series"], *latency],
+        "metrics": [["scenario", "seed", "metric", "key", "value"],
+                    *([name, seed, *row] for row in metrics.rows())],
+    }
+    if gossip_rows:
+        expected["gossip"] = [["round", "informed_count", "frames", "entries_moved"],
+                              *gossip_rows]
+    expected["trace"] = [["time", "kind", "src", "dst", "from_node", "to_node", "size"],
+                         *trace]
+    with tempfile.TemporaryDirectory() as d:
+        files = report.write(d)
+        assert [p.name for p in files] == [f"{name}_{suffix}.csv" for suffix in expected] \
+            + [f"{name}_summary.txt"]
+        for path, rows in zip(files, expected.values()):
+            assert path.read_bytes() == csv_writer_text(rows), path.name
+
+
+def test_report_tables_are_written_in_bounded_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "TABLE_CHUNK_ROWS", 3)
+    rows = [(size, size / 7, "relay" if size % 2 else 'a,"b') for size in range(10)]
+    report = bench.Report("chunks", 0, rows)
+    report.write(tmp_path)
+    got = (tmp_path / "chunks_latency.csv").read_bytes()
+    assert got == csv_writer_text([["size", "latency", "series"], *rows])
 
 
 # -- counters ------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -180,7 +181,7 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["../escaped", "sub/dir"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "two\nlines", "delete\x7f"])
 def test_run_scenario_name_with_a_path_separator_exits_2(tmp_path, capsys, name):
     scenario = write_scenario(tmp_path, dict(SCENARIO, name=name))
     assert cli.main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
@@ -295,6 +296,28 @@ def test_run_makes_its_out_directory_before_simulating(tmp_path, capsys, monkeyp
     assert cli.main(["run", scenario, "--out", scenario]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: E_IO: ") and "scenario.json" in err
+
+
+def test_run_quotes_a_scenario_name_that_holds_csv_specials(tmp_path, capsys):
+    name = 'a,"b'
+    send = SCENARIO["traffic"][0]
+    data = dict(SCENARIO, name=name,
+                traffic=[dict(send, transport=kind, count=4, interval=0.1)
+                         for kind in ("relay", "direct", "auto")])
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, data), "--out", str(out)]) == 0
+    with open(out / f"{name}_metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0] == "scenario" and len(rows) > 1
+    assert all(row[0] == name and len(row) == 5 for row in rows[1:])
+    with open(out / f"{name}_latency.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["size", "latency", "series"]
+    report = bench.run_scenario(bench.Scenario.from_dict(data))
+    assert len(report.latency_rows) == 12
+    assert [(int(size), float(latency), series) for size, latency, series in rows] \
+        == report.latency_rows
+    assert f"scenario: {name}\n" in (out / f"{name}_summary.txt").read_text()
 
 
 def test_trace_flag_writes_trace_csv(tmp_path, capsys):
