@@ -2,7 +2,7 @@
 home-relay communication between migrated processes, gossip-based location
 dissemination, and migration-driven load balancing."""
 
-from .balancer import JobSpec, balance_step, job_makespan
+from .balancer import balance_step, job_makespan
 from .cluster import ClusterState, GPid, MigrationEvent, NodeId, ProcessRecord, Topology
 from .errors import (AddressInUseError, BadNodeError, BadSizeError, BadStateError,
                      ConnRefusedError, InvalidScenarioError,

@@ -1,25 +1,14 @@
 """Greedy load balancing over the gossiped load view, plus a synchronous-phase
 job model for measuring how placement affects completion time.
 
-A process's phase time is its work multiplied by how many processes share its
-node, so a job is only as fast as its most crowded member.
+A job is the processes whose record names it (`spawn(home, job, work)`).  A
+process's phase time is its stored work multiplied by how many processes share
+its node, so a job is only as fast as its most crowded member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cluster import ClusterState, GPid, MigrationEvent
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    job: str
-    members: tuple[tuple[GPid, float], ...]   # (pid, work in the job's one phase)
-
-    def __post_init__(self):
-        if any(work <= 0 for _, work in self.members):
-            raise ValueError("member work must be > 0")
+from .cluster import ClusterState, MigrationEvent
 
 
 def balance_step(state: ClusterState) -> list[MigrationEvent]:
@@ -55,29 +44,24 @@ def balance_step(state: ClusterState) -> list[MigrationEvent]:
     return moves
 
 
-def job_makespan(state: ClusterState, job: JobSpec) -> float:
+def job_makespan(state: ClusterState, job: str) -> float:
     """Completion time of a synchronous job: every member runs for work x
     (residents on its node), and the job lasts as long as the slowest
-    member."""
-    phase = 0.0
-    for pid, work in job.members:
-        node = state.residency(pid)
-        phase = max(phase, work * state.resident_count(node))
-    return phase
+    member.  A job that no process names takes 0.0."""
+    return max((rec.work * state.resident_count(rec.current)
+                for rec in state.procs.values() if rec.job == job), default=0.0)
 
 
-def optimal_joint_makespan(jobs: list[JobSpec], node_count: int) -> float:
+def optimal_joint_makespan(state: ClusterState) -> float:
     """Brute-force minimum over all placements of max-over-jobs makespan.
 
-    Enumerates set partitions of the combined member list into at most
-    `node_count` groups (nodes are interchangeable under the homogeneous
-    congestion model).  Intended for small instances only.
+    Each job's makespan is the max over its members, so the max over jobs is
+    the max over all processes.  Enumerates set partitions of the processes
+    into at most `state.node_count` groups (nodes are interchangeable under
+    the homogeneous congestion model).  Intended for small instances only.
     """
-    members: list[tuple[str, float]] = []
-    for job in jobs:
-        for pid, work in job.members:
-            members.append((job.job, work))
-    if not members:
+    works = [rec.work for rec in state.procs.values()]
+    if not works:
         return 0.0
 
     best = float("inf")
@@ -86,23 +70,16 @@ def optimal_joint_makespan(jobs: list[JobSpec], node_count: int) -> float:
         occupancy: dict[int, int] = {}
         for group in assignment:
             occupancy[group] = occupancy.get(group, 0) + 1
-        worst = 0.0
-        for job in jobs:
-            phase = 0.0
-            for idx, (name, work) in enumerate(members):
-                if name == job.job:
-                    phase = max(phase, work * occupancy[assignment[idx]])
-            worst = max(worst, phase)
-        return worst
+        return max(work * occupancy[group] for work, group in zip(works, assignment))
 
-    assignment = [0] * len(members)
+    assignment = [0] * len(works)
 
     def recurse(i: int, groups_used: int) -> None:
         nonlocal best
-        if i == len(members):
+        if i == len(works):
             best = min(best, evaluate(assignment))
             return
-        for group in range(min(groups_used + 1, node_count)):
+        for group in range(min(groups_used + 1, state.node_count)):
             assignment[i] = group
             recurse(i + 1, max(groups_used, group + 1))
 

@@ -246,12 +246,12 @@ class Scenario:
         expect_keys(data, ("version", "name", "seed", "topology", "processes", "migrations",
                            "traffic", "gossip", "pre_converge", "model", "caps"), "scenario")
         name = need(data, "name", str, "scenario")
-        # it prefixes the report file names, and it opens lines of the
-        # summary and the console, which a control character would split
-        if any(c in "/\\\x7f" or c < " " for c in name):
+        # it prefixes the report file names, and it opens lines of the summary
+        # and the console, which a control character or line separator would split
+        if any(c in "/\\\u2028\u2029" or c < " " or "\x7f" <= c <= "\x9f" for c in name):
             raise InvalidScenarioError(
-                f"scenario.name: must not contain '/', '\\' or a control character "
-                f"(U+0000-U+001F, U+007F), got {name!r}")
+                f"scenario.name: must not contain '/', '\\', a control character "
+                f"(U+0000-U+001F, U+007F-U+009F) or U+2028/U+2029, got {name!r}")
         try:
             size = len(name.encode("utf-8"))
         except UnicodeEncodeError:   # a lone surrogate, which JSON can escape
@@ -589,16 +589,12 @@ def imbalance_test(seed: int = 0, preset: str = "imbalanced",
     else:
         raise InvalidScenarioError(f"imbalance_test: unknown preset {preset!r}")
 
-    jobs = []
     for name, placement in (("A", placement_a), ("B", placement_b)):
-        members = []
         for node in placement:
-            pid = sim.cluster.spawn(node, name)
-            members.append((pid, 1.0))
-        jobs.append(balancer.JobSpec(name, tuple(members)))
+            sim.cluster.spawn(node, name)
 
     def worst_makespan() -> float:
-        return max(balancer.job_makespan(sim.cluster, job) for job in jobs)
+        return max(balancer.job_makespan(sim.cluster, job) for job in ("A", "B"))
 
     report = Report("imbalance_test", seed, trace=trace)
     before = worst_makespan()
@@ -614,7 +610,7 @@ def imbalance_test(seed: int = 0, preset: str = "imbalanced",
                 trace.append((sim.queue.now, "MIGRATE", str(m.pid), str(m.pid),
                               m.src, m.dst, 0))
     after = worst_makespan()
-    optimum = balancer.optimal_joint_makespan(jobs, sim.cluster.node_count)
+    optimum = balancer.optimal_joint_makespan(sim.cluster)
 
     report.extra["makespan_before"] = repr(before)
     report.extra["makespan_after"] = repr(after)

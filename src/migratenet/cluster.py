@@ -32,7 +32,6 @@ class GPid(NamedTuple):
 
 @dataclass
 class ProcessRecord:
-    pid: GPid
     current: NodeId
     job: str
     work: float = 1.0
@@ -94,7 +93,7 @@ class ClusterState:
             raise ValueError("work must be non-negative")
         pid = GPid(home, self._next_seq[home])
         self._next_seq[home] += 1
-        self.procs[pid] = ProcessRecord(pid, home, job, work)
+        self.procs[pid] = ProcessRecord(home, job, work)
         self.resident[home].add(pid)
         self.bulletins[home].publish_location(pid, home, self.stamp())
         self.bulletins[home].publish_load(self.node_load(home), self.stamp())

@@ -1,16 +1,15 @@
+import itertools
 import random
 
-import pytest
-
 from conftest import build_sim, force_convergence
-from migratenet.balancer import JobSpec, balance_step, job_makespan, optimal_joint_makespan
+from migratenet.balancer import balance_step, job_makespan, optimal_joint_makespan
 from migratenet.cluster import ClusterState, Topology
-from migratenet.errors import NoSuchProcessError
 
 
 def spawn_job(state, name, placement, work=1.0):
-    members = tuple((state.spawn(node, name, work), work) for node in placement)
-    return JobSpec(name, members)
+    for node in placement:
+        state.spawn(node, name, work)
+    return name
 
 
 # -- job_makespan ----------------------------------------------------------------
@@ -42,7 +41,7 @@ def test_spread_is_optimal_against_assignment_enumeration():
     state = ClusterState(Topology.mesh(4))
     job = spawn_job(state, "J", [0, 1, 2, 3])
     assert job_makespan(state, job) == best
-    assert optimal_joint_makespan([job], 4) == best
+    assert optimal_joint_makespan(state) == best
 
 
 def test_congestion_counts_other_jobs_processes():
@@ -52,12 +51,53 @@ def test_congestion_counts_other_jobs_processes():
     assert job_makespan(state, job) == 2.0
 
 
-def test_makespan_unknown_process():
+def test_job_no_process_names_has_makespan_zero():
     state = ClusterState(Topology.mesh(2))
-    job = spawn_job(state, "J", [0])
-    other = ClusterState(Topology.mesh(2))
-    with pytest.raises(NoSuchProcessError):
-        job_makespan(other, job)
+    spawn_job(state, "J", [0])
+    assert job_makespan(state, "absent") == 0.0
+    assert job_makespan(ClusterState(Topology.mesh(2)), "J") == 0.0
+    assert optimal_joint_makespan(ClusterState(Topology.mesh(2))) == 0.0
+
+
+def test_makespan_reads_each_process_stored_work():
+    state = ClusterState(Topology.mesh(3))
+    state.spawn(0, "J", 0.5)
+    state.spawn(1, "J", 2.0)
+    other = state.spawn(1, "K", 0.0)
+    assert job_makespan(state, "J") == 4.0   # 2.0 x node 1's two residents, one of K's
+    assert job_makespan(state, "K") == 0.0
+    state.migrate(other, 2)
+    assert job_makespan(state, "J") == 2.0
+    state.spawn(2, "J", 3.0)
+    assert job_makespan(state, "J") == 6.0   # 3.0 x node 2's two residents, one of K's
+
+
+def oracle_joint_makespan(members, node_count):
+    """Minimum over every assignment of (job, work) members to nodes of the
+    max over jobs of each job's makespan, the max over its own members: the
+    definition that `optimal_joint_makespan`'s max over all processes and its
+    enumeration of set partitions must agree with."""
+    jobs = [[i for i, (name, _) in enumerate(members) if name == job]
+            for job in sorted({name for name, _ in members})]
+    works = [work for _, work in members]
+    best = float("inf")
+    for assign in itertools.product(range(node_count), repeat=len(members)):
+        best = min(best, max(max(works[i] * assign.count(assign[i]) for i in job)
+                             for job in jobs))
+    return best
+
+
+def test_joint_makespan_matches_per_job_oracle_on_small_instances():
+    for seed in range(12):   # up to 6^7 assignments each, about 2 s in all
+        rng = random.Random(seed)
+        nodes = rng.randint(3, 6)
+        jobs = ["J%d" % j for j in range(rng.randint(2, 3))]
+        members = [(rng.choice(jobs), rng.choice([0.0, 0.5, 1.0, 2.0]))
+                   for _ in range(rng.randint(4, 7))]
+        state = ClusterState(Topology.mesh(nodes))
+        for job, work in members:
+            state.spawn(rng.randrange(nodes), job, work)
+        assert optimal_joint_makespan(state) == oracle_joint_makespan(members, nodes), seed
 
 
 # -- balance_step -----------------------------------------------------------------
@@ -132,15 +172,13 @@ def test_iterated_balancing_within_2x_of_enumerated_optimum():
     for seed in range(8):
         rng = random.Random(100 + seed)
         sim = build_sim(nodes=6, seed=seed)
-        jobs = []
         placement = [rng.randrange(6) for _ in range(8)]
         job = spawn_job(sim.cluster, "J", placement,
                         work=rng.choice([1.0, 2.0]))
-        jobs.append(job)
         for _ in range(50):
             force_convergence(sim.cluster)
             if not balance_step(sim.cluster):
                 break
-        achieved = max(job_makespan(sim.cluster, j) for j in jobs)
-        optimum = optimal_joint_makespan(jobs, 6)
+        achieved = job_makespan(sim.cluster, job)
+        optimum = optimal_joint_makespan(sim.cluster)
         assert achieved <= 2 * optimum

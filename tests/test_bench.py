@@ -165,11 +165,14 @@ def test_scenario_past_the_row_bound_is_rejected(mutate, needle):
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "nul\0byte",
                                   "two\nlines", "carriage\rreturn", "tab\there",
-                                  "\x01start", "unit\x1fseparator", "delete\x7f"])
+                                  "\x01start", "unit\x1fseparator", "delete\x7f",
+                                  "\x80c1", "next\x85line", "c1\x9f", "a\u2028b",
+                                  "para\u2029graph"])
 def test_scenario_name_with_a_path_separator_is_rejected(name):
     # the name prefixes the report file names, so it must stay one file name;
     # it opens lines of the summary and the console, so a control character
-    # could split them and forge a report line
+    # (C0, U+007F or C1) or U+2028/U+2029, each of which str.splitlines()
+    # splits on, could split them and forge a report line
     with pytest.raises(InvalidScenarioError, match="scenario.name: must not contain"):
         bench.Scenario.from_dict(dict(VALID_SCENARIO, name=name))
 

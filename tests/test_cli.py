@@ -181,7 +181,8 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "two\nlines", "delete\x7f"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "two\nlines", "delete\x7f",
+                                  "next\x85line", "a\u2028b", "para\u2029graph"])
 def test_run_scenario_name_with_a_path_separator_exits_2(tmp_path, capsys, name):
     scenario = write_scenario(tmp_path, dict(SCENARIO, name=name))
     assert cli.main(["run", scenario, "--out", str(tmp_path / "out")]) == 2
