@@ -240,7 +240,7 @@ class Scenario:
         model)."""
         if not isinstance(data, dict):
             raise InvalidScenarioError("scenario: expected a JSON object")
-        version = data.get("version")
+        version = need(data, "version", int, "scenario", None)
         if version != SCENARIO_VERSION:
             raise InvalidScenarioError(f"version: expected {SCENARIO_VERSION}, got {version!r}")
         expect_keys(data, ("version", "name", "seed", "topology", "processes", "migrations",
@@ -271,11 +271,12 @@ class Scenario:
 
         def rows(key: str, schema: type, *default) -> list:
             raws = need(data, key, list, "scenario", *default)
+            limits = LIMITS.get(schema)
             try:    # a failed row is read again, to name it by its index
-                return [read(raw, schema, key, LIMITS.get(schema)) for raw in raws]
+                return [read(raw, schema, key, limits) for raw in raws]
             except InvalidScenarioError:
                 for i, raw in enumerate(raws):
-                    read(raw, schema, f"{key}[{i}]", LIMITS.get(schema))
+                    read(raw, schema, f"{key}[{i}]", limits)
                 raise
 
         processes = rows("processes", ProcessSpec)
@@ -311,9 +312,9 @@ class Scenario:
         laid, horizon = len(migrations), last_time
         traffic = rows("traffic", TrafficSpec, [])
         for i, t in enumerate(traffic):
-            for label, pid in (("src", t.src), ("dst", t.dst)):
-                if pid not in ids:
-                    raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
+            if t.src not in ids or t.dst not in ids:
+                label, pid = ("src", t.src) if t.src not in ids else ("dst", t.dst)
+                raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
             if t.size > small_cap and t.size > size_caps[t.transport]:
                 raise InvalidScenarioError(f"traffic[{i}].size: {t.size} is over the "
                                            f"{t.transport.value} cap {size_caps[t.transport]}")

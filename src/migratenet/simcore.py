@@ -131,38 +131,42 @@ def expect_keys(raw, names, where: str) -> None:
             raise InvalidScenarioError(f"{where}.{key}: unknown field")
 
 
-_PLANS: dict = {}   # schema -> (field names, one step per field, limits)
+_PLANS: dict = {}   # schema -> (field index, defaults, named tuple?, limits)
 
 
 def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None):
     """Build `schema`, a dataclass or a named tuple, from the JSON object
     `raw` found at `where`.
 
-    The keys must be parameters of `schema`'s constructor; each value is read
-    as its annotated type under :func:`need`'s rules (an int as a float, an
-    enum by value) and must pass its rule in `limits`.  An absent field takes
-    its value from `base` if given, else its default.  Every fault is an
-    `InvalidScenarioError` naming its field.
+    One pass over `raw`'s keys: each must be a parameter of `schema`'s
+    constructor, and its value is read as the annotated type under
+    :func:`need`'s rules (an int as a float, an enum by value) and must pass
+    its rule in `limits`.  An absent field takes its value from `base` if
+    given, else its default.  Every fault is an `InvalidScenarioError`
+    naming its field: the first bad key in `raw`'s own order, else the first
+    missing field in `schema`'s order.  A named tuple is built without its
+    Python-level ``__new__``.
     """
     plan = _PLANS.get(schema)
-    if plan is None or plan[2] is not limits:   # first read, or other limits
+    if plan is None or plan[3] is not limits:   # first read, or other limits
         hints = get_type_hints(schema)
         params = signature(schema).parameters
-        plan = _PLANS[schema] = (frozenset(params), tuple(
-            (name, hints[name], MISSING if p.default is p.empty else p.default,
-             {m.value: m for m in hints[name]} if issubclass(hints[name], Enum) else None,
-             (limits or {}).get(name)) for name, p in params.items()), limits)
-    names, steps, _ = plan
-    if type(raw) is not dict or not names.issuperset(raw):
-        expect_keys(raw, names, where)
-    values = []
-    for name, kind, default, members, limit in steps:
-        value = raw.get(name, MISSING)
-        if value is MISSING:
-            value = default if base is None else getattr(base, name)
-            if value is MISSING:
-                raise InvalidScenarioError(f"{where}.{name}: missing")
-        elif members is not None:   # an enum, named by its value
+        index = {name: (i, hints[name],
+                        {m.value: m for m in hints[name]} if issubclass(hints[name], Enum)
+                        else None, (limits or {}).get(name))
+                 for i, name in enumerate(params)}   # name -> (position, type, members, limit)
+        defaults = [MISSING if p.default is p.empty else p.default for p in params.values()]
+        plan = _PLANS[schema] = (index, defaults, issubclass(schema, tuple), limits)
+    index, defaults, named_tuple, _ = plan
+    if type(raw) is not dict:
+        expect_keys(raw, index, where)  # raises unless `raw` is an object
+    values = defaults.copy() if base is None else [getattr(base, name) for name in index]
+    for name, value in raw.items():
+        step = index.get(name)
+        if step is None:
+            raise InvalidScenarioError(f"{where}.{name}: unknown field")
+        pos, kind, members, limit = step
+        if members is not None:     # an enum, named by its value
             value = members.get(value) if type(value) is str else None
             if value is None:
                 need(raw, name, str, where)     # raises unless the value is a string
@@ -172,7 +176,11 @@ def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None
                 value = need(raw, name, kind, where)    # an int as a float, or a fault
             if limit is not None and not limit[0] <= value <= limit[1]:
                 check(value, limit, f"{where}.{name}")   # raises
-        values.append(value)
+        values[pos] = value
+    if MISSING in values:
+        raise InvalidScenarioError(f"{where}.{list(index)[values.index(MISSING)]}: missing")
+    if named_tuple:
+        return tuple.__new__(schema, values)
     try:
         return schema(*values)
     except ValueError as exc:
@@ -215,6 +223,8 @@ class EventQueue:
 
     def run_until(self, t_end: float) -> int:
         """Execute all events with time <= t_end; the clock ends at t_end."""
+        if math.isnan(t_end):   # no row is after NaN, so every row would run
+            raise TimeTravelError(f"run_until {t_end}: not a time")
         count = self._dispatch(t_end)
         self.now = max(self.now, t_end)
         return count

@@ -2,11 +2,15 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import random
 import re
 import tempfile
 from dataclasses import asdict, replace
+from enum import Enum
+from inspect import signature
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,9 @@ from hypothesis import strategies as st
 from conftest import TEST_MODEL
 from migratenet import bench, gossip
 from migratenet.errors import InvalidScenarioError, MessageTooLargeError
-from migratenet.simcore import Metrics, TransportKind, load_model
-from migratenet.transport import Router
+from migratenet.simcore import (NON_NEGATIVE, POSITIVE, LatencyModel, Metrics, TransportKind,
+                                load_model, read)
+from migratenet.transport import Router, TransportConfig
 
 VALID_SCENARIO = {
     "version": 1,
@@ -70,6 +75,8 @@ def test_scenario_rows_are_immutable_and_hold_their_declared_types():
 
 @pytest.mark.parametrize("mutate,needle", [
     (lambda d: d.update(version=2), "version"),
+    (lambda d: d.update(version=True), "scenario.version: expected int, got bool"),
+    (lambda d: d.update(version=1.0), "scenario.version: expected int, got float"),
     (lambda d: d.pop("name"), "scenario.name"),
     (lambda d: d["topology"].update(kind="torus"), "topology.kind"),
     (lambda d: d["processes"].append({"id": "p0", "home": 0}), "processes[2].id"),
@@ -203,6 +210,85 @@ def test_scenario_load_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InvalidScenarioError):
         bench.Scenario.load(path)
+
+
+# -- the row reader ------------------------------------------------------------------
+
+# the value rules of the model's fields, which its __post_init__ checks
+MODEL_LIMITS = {"alpha_net": NON_NEGATIVE, "beta_net": POSITIVE, "alpha_sm": NON_NEGATIVE,
+                "beta_sm": POSITIVE, "direct_overhead": NON_NEGATIVE,
+                "home_leg_factor": NON_NEGATIVE}
+
+
+def valid_value(kind, limit):
+    """A strategy of (JSON value, the value the reader must return) pairs for
+    a field of type `kind` under the rule `limit`: an enum by its value, and
+    a float also as an int."""
+    if issubclass(kind, Enum):
+        return st.sampled_from(list(kind)).map(lambda m: (m.value, m))
+    if kind is str:
+        return st.text(max_size=6).map(lambda v: (v, v))
+    lo, hi = (limit[0], None if limit[1] == math.inf else limit[1]) if limit else (None, None)
+    ints = st.integers(None if lo is None else math.ceil(lo), hi)
+    if kind is int:
+        return ints.map(lambda v: (v, v))
+    return st.one_of(st.floats(lo, hi, allow_nan=False, allow_infinity=False).map(
+        lambda v: (v, v)), ints.map(lambda v: (v, float(v))))
+
+
+@st.composite
+def valid_rows(draw, schema, limits, base):
+    """A valid JSON row for `schema`, its keys shuffled and some of its
+    optional fields absent, and the row built by `schema`'s constructor."""
+    raw, given = {}, {}
+    for name, p in signature(schema).parameters.items():
+        if (p.default is not p.empty or base is not None) and draw(st.booleans()):
+            continue
+        raw[name], given[name] = draw(valid_value(get_type_hints(schema)[name],
+                                                  limits.get(name)))
+    raw = {key: raw[key] for key in draw(st.permutations(list(raw)))}
+    return raw, schema(**{**({} if base is None else asdict(base)), **given})
+
+
+@pytest.mark.parametrize("schema,limits,base", [
+    (bench.ProcessSpec, bench.LIMITS[bench.ProcessSpec], None),
+    (bench.MigrationSpec, {}, None),
+    (bench.TrafficSpec, bench.LIMITS[bench.TrafficSpec], None),
+    (gossip.GossipConfig, bench.LIMITS[gossip.GossipConfig], None),
+    (TransportConfig, bench.LIMITS[TransportConfig], None),
+    (LatencyModel, MODEL_LIMITS, TEST_MODEL),
+])
+@given(data=st.data())
+def test_a_valid_row_reads_as_its_class_builds_it(schema, limits, base, data):
+    raw, expected = data.draw(valid_rows(schema, limits, base))
+    row = read(raw, schema, "row", bench.LIMITS.get(schema), base)
+    assert type(row) is schema and row == expected
+    names = list(signature(schema).parameters)
+    assert [type(getattr(row, n)) for n in names] == [type(getattr(expected, n)) for n in names]
+    if issubclass(schema, tuple):
+        assert row._asdict() == expected._asdict()
+        assert row._replace(**{names[0]: getattr(expected, names[0])}) == expected
+
+
+@pytest.mark.parametrize("raw,needle", [
+    # two bad keys: the first in the row's own order is named
+    ({"time": "x", "src": "a", "dst": "b", "transport": "relay", "size": -1},
+     "traffic[0].time: expected float, got str"),
+    ({"size": -1, "src": "a", "dst": "b", "transport": "relay", "time": "x"},
+     "traffic[0].size: must be non-negative"),
+    ({"bytes": 1, "time": 1.0, "src": "a", "dst": "b", "transport": "relay", "size": -1},
+     "traffic[0].bytes: unknown field"),
+    ({"time": 1.0, "src": "a", "dst": "b", "transport": "relay", "size": -1, "bytes": 1},
+     "traffic[0].size: must be non-negative"),
+    # a bad key is named before a missing field, and a missing field in the
+    # schema's order once every key is good
+    ({"time": 1.0, "src": "a", "transport": "relay", "size": -1},
+     "traffic[0].size: must be non-negative"),
+    ({"size": 1, "transport": "relay", "time": 1.0}, "traffic[0].src: missing"),
+])
+def test_a_row_names_its_first_bad_key_then_its_first_missing_field(raw, needle):
+    with pytest.raises(InvalidScenarioError, match=re.escape(needle)):
+        read(raw, bench.TrafficSpec, "traffic[0]", bench.LIMITS[bench.TrafficSpec])
 
 
 # -- run_scenario -----------------------------------------------------------------

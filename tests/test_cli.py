@@ -150,6 +150,8 @@ def _set(path, value):
     # timelines past bench.MAX_TIMELINE_ROWS, which `run` would lay whole
     (_set(["traffic", 0, "count"], 10 ** 12), "traffic[0].count: "),
     (_set(["gossip"], {"rounds_per_second": 1e9}), "gossip.rounds_per_second: "),
+    (_set(["version"], True), "scenario.version: expected int, got bool"),
+    (_set(["version"], 1.0), "scenario.version: expected int, got float"),
 ])
 def test_run_bad_field_exits_2_with_its_path(tmp_path, capsys, mutate, needle):
     data = json.loads(json.dumps(SCENARIO))

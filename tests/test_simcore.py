@@ -153,6 +153,17 @@ def test_run_until_stops_at_boundary():
     assert q.run_until(3.0) == 1
 
 
+def test_run_until_nan_is_rejected_before_any_event_runs():
+    # no row is after NaN, so without the check every row would run
+    q = EventQueue()
+    seen = []
+    q.lay((t, seen.append, t) for t in (1.0, 5.0, 9.0))
+    with pytest.raises(TimeTravelError):
+        q.run_until(float("nan"))
+    assert seen == [] and q.now == 0.0 and len(q) == 3
+    assert q.run_until(5.0) == 2 and seen == [1.0, 5.0]
+
+
 def test_events_can_schedule_events():
     q = EventQueue()
     seen = []
