@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from . import bench
+from . import bench, templates
 from .errors import E_IO, E_NO_SOLUTION, InvalidScenarioError, SimulatorError
 from .simcore import AT_LEAST_ONE, DEFAULTS_VERSION, NODE_COUNT, LatencyModel, check, load_model
 from .transport import DEFAULT_RELAY_MAX
@@ -33,8 +33,8 @@ TARGET_SLOWDOWN = 0.17        # mean direct / local-relay - 1
 TARGET_IMPROVEMENT = 0.52     # mean 1 - direct / migrated-relay
 TOLERANCE = 0.01
 # mean of 1 / (one network hop) over the default sweep's sizes
-MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET) for s in bench.DEFAULT_SWEEP_SIZES)
-                / len(bench.DEFAULT_SWEEP_SIZES))
+MEAN_INV_HOP = (sum(1.0 / (CAL_ALPHA_NET + s / CAL_BETA_NET)
+                    for s in templates.DEFAULT_SWEEP_SIZES) / len(templates.DEFAULT_SWEEP_SIZES))
 
 # the rule of `ring --spokes` (see simcore.check): a ring has a node per
 # spoke and its center
@@ -65,14 +65,14 @@ def calibrate() -> dict:
         direct_overhead=TARGET_SLOWDOWN / MEAN_INV_HOP,
         home_leg_factor=max(0.0, factor),
     )
-    report = bench.latency_sweep(bench.DEFAULT_SWEEP_SIZES, model)
+    report = templates.latency_sweep(templates.DEFAULT_SWEEP_SIZES, model)
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
     return {
         "version": DEFAULTS_VERSION,
         "model": asdict(model),
         "calibration": {
-            "sweep_sizes": list(bench.DEFAULT_SWEEP_SIZES),
+            "sweep_sizes": list(templates.DEFAULT_SWEEP_SIZES),
             "target_slowdown": TARGET_SLOWDOWN,
             "target_improvement": TARGET_IMPROVEMENT,
             "tolerance": TOLERANCE,
@@ -205,20 +205,22 @@ def main(argv: Optional[list[str]] = None) -> int:
                 if args.sizes:
                     sizes = [_size(s, "--sizes") for s in args.sizes.split(",")]
                 model = load_model(args.config) if args.config else None
-                job = partial(bench.latency_sweep, sizes, model, seed, trace_enabled=args.trace)
+                job = partial(templates.latency_sweep, sizes, model, seed,
+                              trace_enabled=args.trace)
             elif args.command == "limit":
-                job = partial(bench.limit_test, seed, trace_enabled=args.trace)
+                job = partial(templates.limit_test, seed, trace_enabled=args.trace)
             elif args.command == "ring":
-                job = partial(bench.ring_load, check(args.spokes, SPOKES, "--spokes"),
+                job = partial(templates.ring_load, check(args.spokes, SPOKES, "--spokes"),
                               _size(args.size, "--size"), seed, trace_enabled=args.trace)
             elif args.command == "imbalance":
-                job = partial(bench.imbalance_test, seed, preset=args.preset,
+                job = partial(templates.imbalance_test, seed, preset=args.preset,
                               trace_enabled=args.trace)
             else:   # gossip-stats
                 config = bench.GossipConfig(drop_probability=check(
                     args.drop, bench.LIMITS[bench.GossipConfig]["drop_probability"], "--drop"))
-                job = partial(bench.gossip_stats, check(args.nodes, NODE_COUNT, "--nodes"), seed,
-                              config, check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
+                job = partial(templates.gossip_stats, check(args.nodes, NODE_COUNT, "--nodes"),
+                              seed, config,
+                              check(args.max_rounds, AT_LEAST_ONE, "--max-rounds"))
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _emit(job(), args.out)
     except (SimulatorError, ValueError) as exc:

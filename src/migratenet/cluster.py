@@ -9,7 +9,6 @@ locations and are allowed to lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import BadNodeError, NoSuchProcessError
@@ -30,22 +29,24 @@ class GPid(NamedTuple):
         return f"{self.home}:{self.seq}"
 
 
-@dataclass
 class ProcessRecord:
-    current: NodeId
-    job: str
-    work: float = 1.0
+    """Where a process runs, its job and its work.  Slotted: a send reads
+    `current` for each end."""
+    __slots__ = ("current", "job", "work")
+
+    def __init__(self, current: NodeId, job: str, work: float = 1.0):
+        self.current = current
+        self.job = job
+        self.work = work
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
+class MigrationEvent(NamedTuple):
     pid: GPid
     src: NodeId
     dst: NodeId
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(NamedTuple):
     """Cluster size, built by `mesh`, which holds `nodes` to `NODE_COUNT`.
 
     Any node exchanges frames with any other, each at the cost of one hop,

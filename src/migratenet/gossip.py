@@ -19,10 +19,9 @@ Demers et al. 1987), and every fact keeps spreading until every node holds it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Collection, Iterable, Optional
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Optional
 
 from .errors import NoConvergenceError
 
@@ -51,15 +50,13 @@ class GossipDigest:
         return len(self.location_items) + len(self.load_items)
 
 
-@dataclass(frozen=True)
-class GossipConfig:
+class GossipConfig(NamedTuple):
     bound: int = DEFAULT_BOUND          # max entries per digest
     drop_probability: float = 0.0       # chance an entire exchange is lost
     rounds_per_second: float = 10.0     # used when rounds are driven by sim time
 
 
-@dataclass(frozen=True)
-class RoundReport:
+class RoundReport(NamedTuple):
     index: int
     exchanges: int
     dropped: int

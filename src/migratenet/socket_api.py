@@ -14,12 +14,11 @@ is routed faster than an earlier one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
 from .cluster import ClusterState, GPid
-from .errors import (AddressInUseError, BadStateError, ConnRefusedError,
+from .errors import (AddressInUseError, BadSizeError, BadStateError, ConnRefusedError,
                      NoSuchProcessError, WouldBlockError)
 from .simcore import EventQueue, TransportKind
 from .transport import Router
@@ -41,25 +40,36 @@ CLOSED, BOUND, LISTENING, CONNECTING, ESTABLISHED = (
     SocketState.ESTABLISHED)
 
 
-@dataclass(slots=True)
 class Chunk:
-    size: int
-    ready_at: float
+    """`size` bytes of a stream, readable from sim time `ready_at`; `recv`
+    shrinks the head chunk when it reads it in part."""
+    __slots__ = ("size", "ready_at")
+
+    def __init__(self, size: int, ready_at: float):
+        self.size = size
+        self.ready_at = ready_at
 
 
-@dataclass
 class SocketHandle:
-    id: int
-    owner: GPid
-    transport: TransportKind
-    state: SocketState = CLOSED
-    local_port: Optional[int] = None
-    peer: Optional[tuple[GPid, int]] = None
-    peer_handle: Optional[int] = None
-    recv_queue: list[Chunk] = field(default_factory=list)
-    pending: deque[int] = field(default_factory=deque)   # handle ids awaiting accept, FIFO
-    peer_closed: bool = False
-    last_error: Optional[str] = None
+    """One end of a connection, or a listener; a listener's `pending` holds
+    the ids of handles awaiting accept, FIFO."""
+
+    def __init__(self, id: int, owner: GPid, transport: TransportKind,
+                 state: SocketState = CLOSED, local_port: Optional[int] = None,
+                 peer: Optional[tuple[GPid, int]] = None, peer_handle: Optional[int] = None,
+                 recv_queue: Optional[list[Chunk]] = None, pending: Optional[deque[int]] = None,
+                 peer_closed: bool = False, last_error: Optional[str] = None):
+        self.id = id
+        self.owner = owner
+        self.transport = transport
+        self.state = state
+        self.local_port = local_port
+        self.peer = peer
+        self.peer_handle = peer_handle
+        self.recv_queue = [] if recv_queue is None else recv_queue
+        self.pending = deque() if pending is None else pending
+        self.peer_closed = peer_closed
+        self.last_error = last_error
 
 
 class SocketStack:
@@ -192,9 +202,12 @@ class SocketStack:
     def recv(self, h: SocketHandle, max_bytes: int) -> Optional[int]:
         """Dequeue up to `max_bytes` of arrived data; 0 when nothing is ready
         yet, None once the peer has closed and nothing is left in flight or
-        queued (the rule `select` applies)."""
+        queued (the rule `select` applies).  A negative `max_bytes` is
+        E_BAD_SIZE, as a negative send size is."""
         if h.state is not ESTABLISHED:
             raise BadStateError(f"recv in state {h.state.value}")
+        if max_bytes < 0:   # else it would read as "nothing ready" with data queued
+            raise BadSizeError(f"negative size {max_bytes}")
         queue, now = h.recv_queue, self.queue.now
         got = emptied = 0
         for chunk in queue:

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from conftest import build_sim, place_pair
-from migratenet import bench, cli
+from migratenet import bench, cli, templates
 from migratenet.cluster import ClusterState, Topology
 from migratenet.errors import MessageTooLargeError
 from migratenet.gossip import (GossipConfig, converge, gossip_round,
@@ -75,7 +75,7 @@ def criterion_1():
 # -- criterion 2: calibrated ratio targets ---------------------------------------
 
 def criterion_2():
-    report = bench.latency_sweep(model=load_model())
+    report = templates.latency_sweep(model=load_model())
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
     ok = abs(slowdown - 0.17) <= 0.01 and abs(improvement - 0.52) <= 0.01
@@ -105,7 +105,7 @@ def criterion_3():
 # -- criterion 4: limit test ----------------------------------------------------------
 
 def criterion_4():
-    report = bench.limit_test()
+    report = templates.limit_test()
     relay_max = int(report.extra["relay_max"])
     direct_max = int(report.extra["direct_max"])
     sim = build_sim(model=load_model())
@@ -122,7 +122,7 @@ def criterion_4():
 # -- criterion 5: home-node bypass ------------------------------------------------------
 
 def criterion_5():
-    report = bench.ring_load(spokes=8, size=4096)
+    report = templates.ring_load(spokes=8, size=4096)
     pairs = 8 * 7
     relay_bytes = int(report.extra["relay_center_bytes"])
     cold_bytes = int(report.extra["direct_cold_center_bytes"])
@@ -205,7 +205,7 @@ def criterion_7():
 # -- criterion 8: balancer ----------------------------------------------------------------
 
 def criterion_8():
-    report = bench.imbalance_test()
+    report = templates.imbalance_test()
     before = float(report.extra["makespan_before"])
     after = float(report.extra["makespan_after"])
     optimum = float(report.extra["makespan_optimum"])

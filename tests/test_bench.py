@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_MODEL
-from migratenet import bench, gossip
+from migratenet import bench, gossip, templates
 from migratenet.errors import InvalidScenarioError, MessageTooLargeError
 from migratenet.simcore import (NON_NEGATIVE, POSITIVE, LatencyModel, Metrics, TransportKind,
                                 load_model, read)
@@ -380,20 +380,20 @@ def test_a_run_leaves_no_reference_cycles(seed):
 # -- latency sweep ------------------------------------------------------------------
 
 def test_sweep_assertions_pass_under_test_model():
-    report = bench.latency_sweep([1024, 4096, 65536], TEST_MODEL)
+    report = templates.latency_sweep([1024, 4096, 65536], TEST_MODEL)
     assert report.passed, [a for a in report.assertions if not a.passed]
 
 
 def test_sweep_rows_cover_all_series():
     sizes = [1024, 4096]
-    report = bench.latency_sweep(sizes, TEST_MODEL)
+    report = templates.latency_sweep(sizes, TEST_MODEL)
     series = {s for _, _, s in report.latency_rows}
     assert series == {"local-relay", "local-direct", "migrated-relay", "migrated-direct"}
     assert len(report.latency_rows) == len(series) * len(sizes)
 
 
 def test_sweep_direct_curve_identical_across_placements():
-    report = bench.latency_sweep([1024, 2048], TEST_MODEL)
+    report = templates.latency_sweep([1024, 2048], TEST_MODEL)
     local = [(s, l) for s, l, series in report.latency_rows if series == "local-direct"]
     migrated = [(s, l) for s, l, series in report.latency_rows
                 if series == "migrated-direct"]
@@ -402,19 +402,19 @@ def test_sweep_direct_curve_identical_across_placements():
 
 def test_sweep_reports_measured_crossover():
     # TEST_MODEL overhead 0.5 vs 2 hops of (1 + s/100): direct wins from s=0
-    report = bench.latency_sweep([16, 64, 256], TEST_MODEL)
+    report = templates.latency_sweep([16, 64, 256], TEST_MODEL)
     assert report.extra["crossover_size"] == "16"
 
 
 def test_sweep_rejects_empty_sizes():
     with pytest.raises(InvalidScenarioError):
-        bench.latency_sweep([], TEST_MODEL)
+        templates.latency_sweep([], TEST_MODEL)
 
 
 # -- ring load -----------------------------------------------------------------------
 
 def test_ring_load_center_accounting():
-    report = bench.ring_load(spokes=5, size=1000)
+    report = templates.ring_load(spokes=5, size=1000)
     assert report.passed, [a for a in report.assertions if not a.passed]
     pairs = 5 * 4
     assert report.extra["relay_center_bytes"] == str(pairs * 1000)
@@ -425,7 +425,7 @@ def test_ring_load_center_accounting():
 # -- imbalance ------------------------------------------------------------------------
 
 def test_imbalance_report():
-    report = bench.imbalance_test()
+    report = templates.imbalance_test()
     assert report.passed
     assert float(report.extra["makespan_after"]) < float(report.extra["makespan_before"])
     assert float(report.extra["makespan_after"]) <= \
@@ -433,7 +433,7 @@ def test_imbalance_report():
 
 
 def test_imbalance_balanced_preset_makes_no_moves():
-    report = bench.imbalance_test(preset="balanced")
+    report = templates.imbalance_test(preset="balanced")
     assert report.passed
     assert report.extra["migrations"] == "none"
 
@@ -441,14 +441,14 @@ def test_imbalance_balanced_preset_makes_no_moves():
 # -- gossip stats ----------------------------------------------------------------------
 
 def test_gossip_stats_one_node_is_full_at_round_zero():
-    report = bench.gossip_stats(nodes=1, seed=4)
+    report = templates.gossip_stats(nodes=1, seed=4)
     assert report.passed
     assert report.extra["rounds_to_full"] == "0"
     assert report.gossip_rows == [(0, 1, 0, 0)]
 
 
 def test_gossip_stats_rows_and_convergence():
-    report = bench.gossip_stats(nodes=16, seed=4)
+    report = templates.gossip_stats(nodes=16, seed=4)
     assert report.passed
     counts = [informed for _, informed, _, _ in report.gossip_rows]
     assert counts == sorted(counts)
@@ -460,7 +460,7 @@ def test_gossip_stats_rows_and_convergence():
 # -- report files ------------------------------------------------------------------------
 
 def test_report_file_schemas(tmp_path):
-    report = bench.latency_sweep([1024], TEST_MODEL)
+    report = templates.latency_sweep([1024], TEST_MODEL)
     files = {p.name: p for p in report.write(tmp_path)}
     header = files["latency_sweep_latency.csv"].read_text().splitlines()[0]
     assert header == "size,latency,series"
@@ -471,7 +471,7 @@ def test_report_file_schemas(tmp_path):
 
 
 def test_trace_file_written_when_enabled(tmp_path):
-    report = bench.ring_load(spokes=3, size=100, trace_enabled=True)
+    report = templates.ring_load(spokes=3, size=100, trace_enabled=True)
     files = {p.name: p for p in report.write(tmp_path)}
     lines = files["ring_load_trace.csv"].read_text().splitlines()
     assert lines[0] == "time,kind,src,dst,from_node,to_node,size"

@@ -6,7 +6,7 @@ from dataclasses import asdict, fields, replace
 
 import pytest
 
-from migratenet import bench, cli
+from migratenet import bench, cli, templates
 from migratenet.errors import InvalidScenarioError
 from migratenet.simcore import LatencyModel, load_model
 
@@ -443,7 +443,7 @@ def test_calibrate_hits_slowdown_target_exactly():
     assert calibration["achieved_improvement"] == pytest.approx(cli.TARGET_IMPROVEMENT, abs=1e-9)
     # with every hop at full cost the two means are locked together
     homogeneous = LatencyModel(**dict(payload["model"], home_leg_factor=1.0))
-    report = bench.latency_sweep(model=homogeneous)
+    report = templates.latency_sweep(model=homogeneous)
     slowdown = float(report.extra["mean_slowdown_vs_local_relay"])
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
     assert slowdown == pytest.approx(calibration["achieved_slowdown"], abs=1e-12)

@@ -1,12 +1,17 @@
 """Every module of the package uses each name it imports, and every public
-function or class it defines has a caller outside the tests.
+function or class it defines has a caller outside the tests; and what a
+fresh import of the package loads.
 
-Parsed with `ast`, so nothing is imported or run.  Re-exports in
-``__init__.py`` are exempt, and a name used only inside a string annotation
-counts as used.
+The first two are parsed with `ast`, so nothing is imported or run.
+Re-exports in ``__init__.py`` are exempt, and a name used only inside a
+string annotation counts as used.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +95,38 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_attribute_reads_count_as_loads():
     tree = ast.parse("import m\nm.f()\nx = m.C\nm.g = 1\n")
     assert {"m", "f", "C"} <= loaded_names(tree) and "g" not in loaded_names(tree)
+
+
+# Run in a fresh interpreter: the modules `import migratenet, migratenet.bench`
+# loads (as every `migratenet run` and every benchmark set-up does), and the
+# classes defined in them that are dataclasses
+FRESH_IMPORT = """
+import dataclasses, json, sys
+import migratenet, migratenet.bench
+modules = {name: module for name, module in sys.modules.items()
+           if name.partition(".")[0] == "migratenet"}
+print(json.dumps({
+    "file": migratenet.__file__,
+    "modules": sorted(modules),
+    "dataclasses": sorted(name for module in modules.values()
+                          for name, value in vars(module).items()
+                          if isinstance(value, type) and value.__module__ == module.__name__
+                          and dataclasses.is_dataclass(value)),
+}))
+"""
+
+
+def test_a_fresh_import_loads_no_templates_and_only_the_needed_dataclasses():
+    src = str(Path(migratenet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    loaded = json.loads(done.stdout)
+    assert Path(loaded["file"]).resolve() == Path(migratenet.__file__).resolve()
+    assert "migratenet.bench" in loaded["modules"]
+    assert not {"migratenet.templates", "migratenet.cli"} & set(loaded["modules"])
+    # the records whose dataclass behaviour is used: `replace`, `asdict`,
+    # `fields`, keyword construction, `==` and `LatencyModel`'s checks
+    assert loaded["dataclasses"] == ["LatencyModel", "Metrics", "Report", "Scenario",
+                                     "TransportConfig"]

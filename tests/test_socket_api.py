@@ -210,6 +210,17 @@ def test_recv_respects_max_and_splits_chunks():
     assert server.recv_queue == []
 
 
+def test_recv_rejects_negative_max_and_keeps_the_queue():
+    sim, stack, client, server = established_pair()
+    stack.send(client, 100)
+    sim.queue.run_until(sim.queue.now + 60)
+    assert stack.select([server]) == [server]
+    with pytest.raises(BadSizeError):
+        stack.recv(server, -1)
+    assert [chunk.size for chunk in server.recv_queue] == [100]
+    assert stack.recv(server, 100) == 100
+
+
 def test_send_on_non_established_socket():
     _, stack, a, _ = stack_with_pair()
     with pytest.raises(BadStateError):
