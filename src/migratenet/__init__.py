@@ -8,8 +8,7 @@ from .errors import (AddressInUseError, BadNodeError, BadSizeError, BadStateErro
                      ConnRefusedError, InvalidScenarioError,
                      MessageTooLargeError, NoConvergenceError, NoSuchProcessError,
                      SimulatorError, TimeTravelError, WouldBlockError)
-from .gossip import (Bulletin, GossipConfig, GossipDigest, RoundReport, gossip_round,
-                     make_digest, merge)
+from .gossip import Bulletin, GossipConfig, RoundReport, gossip_round, make_digest, merge
 from .simcore import EventQueue, LatencyModel, Metrics, TransportKind, load_model
 from .socket_api import SocketHandle, SocketStack, SocketState
 from .transport import DeliveryReport, FrameKind, Router, TransportConfig

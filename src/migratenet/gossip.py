@@ -1,19 +1,21 @@
 """Bounded rumor-mongering dissemination of process locations and node loads.
 
-Each node keeps a :class:`Bulletin` of facts, each stamped once, at its
+Each node keeps a :class:`Bulletin`, one table of facts keyed by process
+(its location) or by node (its load), each stamped once, at its
 publication, with a serial from `ClusterState.stamp`; a larger serial is a
 later publication, and no bulletin keeps a clock.  Once per round every node
 pairs up with one uniformly random peer and the two exchange facts
 (push-pull), each side keeping the copy with the larger serial, so a
 republished fact displaces every stale copy as it spreads.  Two bulletins
 within the digest bound would ship whole, so `_swap` gives both the union in
-place, in one walk per table.  Otherwise each side ships a digest, a raw
-snapshot of stored entries: the copied dicts of a bulletin within the bound,
-or, cut at a serial threshold found by sorting the plain serial integers,
-the latest `bound` entries of a larger one, in bulletin order.  A cut digest
-carries only the latest facts, so a node whose bulletin outgrows the bound
-re-publishes its own facts every `REPUBLISH_PERIOD` rounds (anti-entropy,
-Demers et al. 1987), and every fact keeps spreading until every node holds it.
+place, in one walk.  Otherwise each side ships a digest, a raw snapshot of
+stored ``(key, (value, serial))`` items: those of the copied table of a
+bulletin within the bound, or, cut at a serial threshold found by sorting
+the plain serial integers, the latest `bound` facts of a larger one, in
+bulletin order.  A cut digest carries only the latest facts, so a node whose
+bulletin outgrows the bound re-publishes its own facts every
+`REPUBLISH_PERIOD` rounds (anti-entropy, Demers et al. 1987), and every fact
+keeps spreading until every node holds it.
 """
 
 from __future__ import annotations
@@ -35,21 +37,6 @@ REPUBLISH_PERIOD = 8   # rounds between re-publications (see gossip_round)
 _value, _serial = itemgetter(0), itemgetter(1)   # the two fields of a stored entry
 
 
-class GossipDigest:
-    """Snapshot of bulletin entries as stored: ``(pid, (node, serial))`` and
-    ``(node, (load, serial))`` pairs, as the items view of a copied
-    dict (a whole bulletin) or a list (a cut one).  A plain slotted class: a
-    frozen dataclass pays one ``object.__setattr__`` per field."""
-    __slots__ = ("location_items", "load_items")
-
-    def __init__(self, location_items: Collection, load_items: Collection):
-        self.location_items = location_items
-        self.load_items = load_items
-
-    def __len__(self) -> int:
-        return len(self.location_items) + len(self.load_items)
-
-
 class GossipConfig(NamedTuple):
     bound: int = DEFAULT_BOUND          # max entries per digest
     drop_probability: float = 0.0       # chance an entire exchange is lost
@@ -65,108 +52,101 @@ class RoundReport(NamedTuple):
 
 
 class Bulletin:
-    """One node's local database of location and load facts, each stored as
-    ``(value, serial)`` under the serial of its publication."""
+    """One node's local database of facts in one table, each stored as
+    ``(value, serial)`` under the serial of its publication: a process's
+    location under its `GPid`, ``pid -> (node, serial)``, and a node's load
+    under the node, ``node -> (load, serial)``.  A `GPid` is a tuple and a
+    node an int, so the two kinds of key never collide."""
 
     def __init__(self, owner: "NodeId"):
         self.owner = owner
-        # pid -> (node, serial); node -> (load, serial)
-        self._locations: dict["GPid", tuple["NodeId", int]] = {}
-        self._loads: dict["NodeId", tuple[float, int]] = {}
+        self._facts: dict[GPid | NodeId, tuple[NodeId | float, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._locations) + len(self._loads)
+        return len(self._facts)
 
     def publish_location(self, pid: "GPid", node: "NodeId", serial: int) -> None:
         """Record pid's location with a fresh serial, replacing any copy."""
-        self._locations[pid] = (node, serial)
+        self._facts[pid] = (node, serial)
 
     def publish_load(self, load: float, serial: int) -> None:
         """Record the owner's own load with a fresh serial."""
-        self._loads[self.owner] = (load, serial)
+        self._facts[self.owner] = (load, serial)
 
     def lookup_location(self, pid: "GPid") -> Optional[tuple["NodeId", int]]:
         """The stored (node, serial) for pid, possibly stale, or None."""
-        return self._locations.get(pid)
+        return self._facts.get(pid)
 
     def load_view(self) -> dict["NodeId", float]:
         """Snapshot of all known node loads as node -> load."""
-        return {n: entry[0] for n, entry in self._loads.items()}
+        return {key: entry[0] for key, entry in self._facts.items() if type(key) is int}
 
 
-def make_digest(bulletin: Bulletin, bound: int) -> GossipDigest:
-    """Select the `bound` latest entries across both maps.
+def make_digest(bulletin: Bulletin, bound: int) -> Collection:
+    """Select the `bound` latest facts as raw ``(key, (value, serial))`` items.
 
-    A bulletin with at most `bound` entries is shipped whole, in its own
-    order.  A larger one is cut at a serial threshold: `cut` is the serial
-    of the `bound`-th latest entry and every entry from `cut` on ships.
-    Serials are unique, so exactly `bound` entries ship, each kind in
-    bulletin order.
+    A bulletin with at most `bound` facts is shipped whole, as the items of
+    a copy of its table.  A larger one is cut at a serial threshold: `cut` is
+    the serial of the `bound`-th latest fact and every fact from `cut` on
+    ships.  Serials are unique, so exactly `bound` facts ship, in bulletin
+    order.
     """
     if bound < 1:
         raise ValueError("digest bound must be >= 1")
-    locations, loads = bulletin._locations, bulletin._loads
-    if len(locations) + len(loads) <= bound:
+    facts = bulletin._facts
+    if len(facts) <= bound:
         # dict.copy() is several times cheaper than building a pair per entry
-        return GossipDigest(locations.copy().items(), loads.copy().items())
-    serials = [*map(_serial, locations.values()), *map(_serial, loads.values())]
+        return facts.copy().items()
+    serials = [*map(_serial, facts.values())]
     serials.sort()
     cut = serials[-bound]
-    return GossipDigest([item for item in locations.items() if item[1][1] >= cut],
-                        [item for item in loads.items() if item[1][1] >= cut])
-
-
-def _fold(table: dict, items: Iterable, owner: Optional["NodeId"]) -> int:
-    """Merge raw `items` into `table`, skipping the key `owner`: the larger
-    serial wins, and an equal one keeps the resident copy."""
-    accepted = 0
-    for key, entry in items:
-        resident = table.get(key)
-        if resident is entry or key == owner:
-            continue
-        if resident is None or entry[1] > resident[1]:
-            table[key] = entry
-            accepted += 1
-    return accepted
+    return [item for item in facts.items() if item[1][1] >= cut]
 
 
 def _swap(left: Bulletin, right: Bulletin) -> int:
-    """Push-pull two whole bulletins in place, one walk per table; returns
-    the entries moved.  Contents, dict order and count are those of two
-    `merge`s of whole digests taken before either merge."""
-    moved = 0
-    for a, b, a_owner, b_owner in ((left._locations, right._locations, None, None),
-                                   (left._loads, right._loads, left.owner, right.owner)):
-        size_b, missing, get = len(b), 0, b.get
-        for key, entry in a.items():
-            other = get(key)
-            if other is entry:
-                continue
-            if other is None or entry[1] > other[1]:
-                missing += other is None
-                if key != b_owner:
-                    b[key] = entry
-                    moved += 1
-            elif other[1] > entry[1] and key != a_owner:
-                a[key] = other   # a key `a` holds: no resize under the walk
+    """Push-pull two whole bulletins in place in one walk; returns the
+    entries moved.  Contents, dict order and count are those of two `merge`s
+    of whole digests taken before either merge.  Only a load is ever keyed
+    by an owner, so the owner checks spare every location."""
+    a, b, a_owner, b_owner = left._facts, right._facts, left.owner, right.owner
+    size_b, missing, get, moved = len(b), 0, b.get, 0
+    for key, entry in a.items():
+        other = get(key)
+        if other is entry:
+            continue
+        if other is None or entry[1] > other[1]:
+            missing += other is None
+            if key != b_owner:
+                b[key] = entry
                 moved += 1
-        if size_b > len(a) - missing:   # `b` held keys that `a` lacks
-            for key, entry in b.items():
-                if key not in a and key != a_owner:
-                    a[key] = entry
-                    moved += 1
+        elif other[1] > entry[1] and key != a_owner:
+            a[key] = other   # a key `a` holds: no resize under the walk
+            moved += 1
+    if size_b > len(a) - missing:   # `b` held keys that `a` lacks
+        for key, entry in b.items():
+            if key not in a and key != a_owner:
+                a[key] = entry
+                moved += 1
     return moved
 
 
-def merge(bulletin: Bulletin, digest: GossipDigest) -> int:
+def merge(bulletin: Bulletin, digest: Iterable) -> int:
     """Fold a digest into a bulletin; returns the number of entries accepted.
 
-    An incoming entry wins only if fresher than the resident copy (see
-    `_fold`; plain copies of the same fact never displace each other).
-    Facts the owner publishes about itself are never overwritten by hearsay.
+    An incoming entry wins only if its serial is larger than the resident
+    copy's; an equal one keeps the resident copy, so plain copies of the same
+    fact never displace each other.  The owner's own load is never
+    overwritten by hearsay.
     """
-    return (_fold(bulletin._locations, digest.location_items, None)
-            + _fold(bulletin._loads, digest.load_items, bulletin.owner))
+    facts, owner, accepted = bulletin._facts, bulletin.owner, 0
+    for key, entry in digest:
+        resident = facts.get(key)
+        if resident is entry or key == owner:
+            continue
+        if resident is None or entry[1] > resident[1]:
+            facts[key] = entry
+            accepted += 1
+    return accepted
 
 
 def gossip_round(state: "ClusterState", rng: random.Random,
@@ -226,14 +206,13 @@ def informed_count(state: "ClusterState", pid: "GPid") -> int:
 def is_converged(state: "ClusterState") -> bool:
     """True when every bulletin knows the true location of every process and
     the true load of every node; entries beyond the truth are ignored."""
-    pids, nodes = list(state.procs), range(state.node_count)
-    truth_loc = [rec.current for rec in state.procs.values()]
-    truth_load = [state.node_load(n) for n in nodes]
+    keys = [*state.procs, *range(state.node_count)]   # pids, then nodes
+    truth = [*(rec.current for rec in state.procs.values()),
+             *map(state.node_load, range(state.node_count))]
     absent = repeat((None, None))   # the stored form of a missing entry
     for b in state.bulletins:
         # each bulletin's values in truth order, fetched with no call per fact
-        if ([*map(_value, map(b._locations.get, pids, absent))] != truth_loc
-                or [*map(_value, map(b._loads.get, nodes, absent))] != truth_load):
+        if [*map(_value, map(b._facts.get, keys, absent))] != truth:
             return False
     return True
 

@@ -54,22 +54,18 @@ class SocketHandle:
     """One end of a connection, or a listener; a listener's `pending` holds
     the ids of handles awaiting accept, FIFO."""
 
-    def __init__(self, id: int, owner: GPid, transport: TransportKind,
-                 state: SocketState = CLOSED, local_port: Optional[int] = None,
-                 peer: Optional[tuple[GPid, int]] = None, peer_handle: Optional[int] = None,
-                 recv_queue: Optional[list[Chunk]] = None, pending: Optional[deque[int]] = None,
-                 peer_closed: bool = False, last_error: Optional[str] = None):
+    def __init__(self, id: int, owner: GPid, transport: TransportKind):
         self.id = id
         self.owner = owner
         self.transport = transport
-        self.state = state
-        self.local_port = local_port
-        self.peer = peer
-        self.peer_handle = peer_handle
-        self.recv_queue = [] if recv_queue is None else recv_queue
-        self.pending = deque() if pending is None else pending
-        self.peer_closed = peer_closed
-        self.last_error = last_error
+        self.state = CLOSED
+        self.local_port: Optional[int] = None
+        self.peer: Optional[tuple[GPid, int]] = None
+        self.peer_handle: Optional[int] = None
+        self.recv_queue: list[Chunk] = []
+        self.pending: deque[int] = deque()
+        self.peer_closed = False
+        self.last_error: Optional[str] = None
 
 
 class SocketStack:
@@ -81,7 +77,9 @@ class SocketStack:
         self.queue = queue
         self.handles: dict[int, SocketHandle] = {}
         self._next_id = 0
-        self._bound: dict[GPid, dict[int, int]] = {}       # owner -> port -> handle id
+        # owner -> port -> id of the handle bound there, or ~id of the one
+        # that reserved it as its ephemeral port
+        self._bound: dict[GPid, dict[int, int]] = {}
         self._ephemeral: dict[GPid, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
@@ -114,8 +112,9 @@ class SocketStack:
         stream.  Closing a listener discards (and closes) pending children."""
         if h.state is CLOSED:
             return
-        if h.local_port is not None:
-            self._bound.get(h.owner, {}).pop(h.local_port, None)
+        ports = self._bound.get(h.owner, {})
+        if ports.get(h.local_port) in (h.id, ~h.id):   # an accepted end holds no port
+            del ports[h.local_port]
         for child_id in h.pending:
             child = self.handles[child_id]
             h_pending_peer = child.peer_handle
@@ -138,7 +137,7 @@ class SocketStack:
         if dst not in self.cluster.procs:
             raise NoSuchProcessError(f"process {dst}")
         if h.local_port is None:
-            h.local_port = self._alloc_ephemeral(h.owner)
+            h.local_port = self._alloc_ephemeral(h)
         h.state = CONNECTING
         h.peer = (dst, port)
         report = self.router.send(h.transport, h.owner, dst,
@@ -160,18 +159,17 @@ class SocketStack:
         child.local_port = port
         child.peer = (h.owner, h.local_port)
         child.peer_handle = h.id
+        h.peer_handle = child.id   # so closing h before the reply ends child's stream
         listener.pending.append(child.id)
         report = self.router.send(h.transport, dst, h.owner,
                                   self.router.config.control_size)
         self.queue.schedule(self.queue.now + report.latency,
-                            lambda: self._synack_arrives(h.id, child.id))
+                            lambda: self._synack_arrives(h.id))
 
-    def _synack_arrives(self, handle_id: int, child_id: int) -> None:
+    def _synack_arrives(self, handle_id: int) -> None:
         h = self.handles[handle_id]
-        if h.state is not CONNECTING:
-            return
-        h.state = ESTABLISHED
-        h.peer_handle = child_id
+        if h.state is CONNECTING:
+            h.state = ESTABLISHED
 
     def accept(self, h: SocketHandle) -> SocketHandle:
         if h.state is not LISTENING:
@@ -251,11 +249,11 @@ class SocketStack:
         h = self.handles[handle_id]
         return h if h.state is LISTENING else None
 
-    def _alloc_ephemeral(self, owner: GPid) -> int:
-        ports = self._bound.setdefault(owner, {})
-        port = self._ephemeral.get(owner, EPHEMERAL_BASE)
+    def _alloc_ephemeral(self, h: SocketHandle) -> int:
+        ports = self._bound.setdefault(h.owner, {})
+        port = self._ephemeral.get(h.owner, EPHEMERAL_BASE)
         while port in ports:
             port += 1
-        self._ephemeral[owner] = port + 1
-        ports[port] = -1   # reserve; ephemeral ports are not accept targets
+        self._ephemeral[h.owner] = port + 1
+        ports[port] = ~h.id   # reserve; negative, so never an accept target
         return port

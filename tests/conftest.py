@@ -49,4 +49,4 @@ def force_convergence(state) -> None:
         for pid, rec in state.procs.items():
             b.publish_location(pid, rec.current, state.stamp())
         for n in range(state.node_count):
-            b._loads[n] = (truth_load[n], state.stamp())
+            b._facts[n] = (truth_load[n], state.stamp())

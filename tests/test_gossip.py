@@ -21,12 +21,9 @@ def ranked(source) -> list[tuple]:
     """The raw entries of a bulletin or a digest as ``(serial, kind, key,
     value)``: kind 0 is a location keyed ``(home, seq)``, kind 1 a load, so a
     sort ranks by serial, the later publication last."""
-    if isinstance(source, Bulletin):
-        locations, loads = source._locations.items(), source._loads.items()
-    else:
-        locations, loads = source.location_items, source.load_items
-    return ([(serial, 0, (pid.home, pid.seq), node) for pid, (node, serial) in locations] +
-            [(serial, 1, node, load) for node, (load, serial) in loads])
+    items = source._facts.items() if isinstance(source, Bulletin) else source
+    return [(serial, 0, (key.home, key.seq), value) if isinstance(key, GPid)
+            else (serial, 1, key, value) for key, (value, serial) in items]
 
 
 def latest(source, bound: int) -> list[tuple]:
@@ -118,7 +115,7 @@ def fat_bulletin(n_locations=6, n_loads=4) -> Bulletin:
     for i in range(n_locations):
         b.publish_location(GPid(0, i), i % 3, 2 * i)
     for i in range(n_loads):
-        b._loads[i] = (float(i), 2 * (n_locations - i) + 1)
+        b._facts[i] = (float(i), 2 * (n_locations - i) + 1)
     return b
 
 
@@ -150,12 +147,13 @@ def serial_lists(size: int, top: int):
     return st.lists(st.integers(0, top), unique=True, min_size=size, max_size=size)
 
 
-def stored(locations: dict, loads: dict, serials: list) -> tuple[dict, dict]:
+def stored(locations: dict, loads: dict, serials: list) -> dict:
     """`locations` ``(home, seq) -> node`` and `loads` ``node -> load`` as
-    stored entries, the i-th under ``serials[i]``, locations first."""
+    one table of stored entries, the i-th under ``serials[i]``, locations
+    first."""
     serial = iter(serials)
-    return ({GPid(*key): (node, next(serial)) for key, node in locations.items()},
-            {node: (load, next(serial)) for node, load in loads.items()})
+    return {**{GPid(*key): (node, next(serial)) for key, node in locations.items()},
+            **{node: (load, next(serial)) for node, load in loads.items()}}
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,7 +165,7 @@ def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads
                                                                bound):
     # serials from a narrow range, in any order across the two kinds
     b = Bulletin(owner=0)
-    b._locations, b._loads = stored(locations, loads, serials)
+    b._facts = stored(locations, loads, serials)
     oracle = latest(b, bound)
     digest = make_digest(b, bound)
     assert sorted(ranked(digest)) == oracle
@@ -186,9 +184,9 @@ def test_digest_matches_sort_oracle_at_churn_scale(serials, n_loads, bound, rnd)
     rnd.shuffle(order)
     for i in order:
         if i < n_loads:
-            b._loads[i] = (i / 4, serials[i])
+            b._facts[i] = (i / 4, serials[i])
         else:
-            b._locations[GPid(i % 32, i // 32)] = (i % 32, serials[i])
+            b.publish_location(GPid(i % 32, i // 32), i % 32, serials[i])
     oracle = latest(b, bound)
     digest = make_digest(b, bound)
     assert len(digest) == len(oracle)
@@ -206,11 +204,11 @@ def test_digest_is_a_snapshot_of_its_bulletin(bound):
     before = sorted(ranked(b))
     b.publish_location(GPid(0, 5), 2, 20)     # replaces the latest location
     b.publish_location(GPid(3, 3), 1, 21)     # a new one
-    b._locations.pop(GPid(0, 4), None)
+    b._facts.pop(GPid(0, 4), None)
     b.publish_load(9.0, 22)
     other = Bulletin(owner=1)
     other.publish_location(GPid(0, 3), 0, 23)
-    other._loads[2] = (5.0, 24)
+    other._facts[2] = (5.0, 24)
     assert merge(b, make_digest(other, 64)) == 2
     assert sorted(ranked(b)) != before
     assert sorted(ranked(digest)) == entries and len(digest) == size
@@ -247,10 +245,9 @@ def test_merge_inserts_absent_entry():
 
 def test_self_merge_is_idempotent():
     b = fat_bulletin()
-    before_loc = dict(b._locations)
-    before_load = dict(b._loads)
+    before = dict(b._facts)
     assert merge(b, make_digest(b, 100)) == 0
-    assert b._locations == before_loc and b._loads == before_load
+    assert b._facts == before
 
 
 def test_merge_orders_by_serial_alone():
@@ -263,13 +260,13 @@ def test_merge_orders_by_serial_alone():
              GPid(0, 4): (4, 4, False)}
     sender, receiver = Bulletin(owner=1), Bulletin(owner=0)
     for pid, (serial, resident_serial, _) in cases.items():
-        sender._locations[pid] = (7, serial)
-        receiver._locations[pid] = (3, resident_serial)
-    sender._locations[Q] = (5, 11)        # unknown to the receiver
-    sender._loads[2] = (4.0, 12)
-    receiver._loads[2] = (9.0, 2)
+        sender.publish_location(pid, 7, serial)
+        receiver.publish_location(pid, 3, resident_serial)
+    sender.publish_location(Q, 5, 11)        # unknown to the receiver
+    sender._facts[2] = (4.0, 12)
+    receiver._facts[2] = (9.0, 2)
     shared = GPid(2, 0)   # one tuple held by both sides is never re-accepted
-    sender._locations[shared] = receiver._locations[shared] = (6, 1)
+    sender._facts[shared] = receiver._facts[shared] = (6, 1)
     assert merge(receiver, make_digest(sender, 64)) == 4
     for pid, (serial, resident_serial, wins) in cases.items():
         assert receiver.lookup_location(pid) == (
@@ -306,16 +303,15 @@ def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incomi
     # so many keys tie across the sides; the digest ships the whole sending
     # bulletin, then one cut to half of it
     sender = Bulletin(owner=(owner + 1) % 8)
-    sender._locations, sender._loads = stored(*incoming)
+    sender._facts = stored(*incoming)
     for bound in (64, max(1, len(sender) // 2)):
         b = Bulletin(owner=owner)
-        b._locations, b._loads = stored(*resident)
+        b._facts = stored(*resident)
         digest = make_digest(sender, bound)
-        locations, loads = dict(b._locations), dict(b._loads)
-        changed = (merge_oracle(locations, list(digest.location_items), None)
-                   + merge_oracle(loads, list(digest.load_items), owner))
+        facts = dict(b._facts)
+        changed = merge_oracle(facts, list(digest), owner)
         assert merge(b, digest) == changed
-        assert b._locations == locations and b._loads == loads
+        assert b._facts == facts
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,11 +333,11 @@ def test_whole_swap_matches_two_snapshot_merges(left, right, owners, shared):
     # leave what merging both whole digests, taken before either merge, does
     def pair():
         a, b = Bulletin(owner=owners[0]), Bulletin(owner=owners[1])
-        a._locations, a._loads = stored(*left)
-        b._locations, b._loads = stored(*right)
-        if shared:   # the very tuple on both sides, as in a steady cluster
-            for key in a._locations.keys() & b._locations.keys():
-                b._locations[key] = a._locations[key]
+        a._facts, b._facts = stored(*left), stored(*right)
+        if shared:   # the very location tuple on both sides, as in a steady cluster
+            for key in a._facts.keys() & b._facts.keys():
+                if isinstance(key, GPid):
+                    b._facts[key] = a._facts[key]
         return a, b
 
     a, b = pair()
@@ -350,17 +346,42 @@ def test_whole_swap_matches_two_snapshot_merges(left, right, owners, shared):
     x, y = pair()
     assert gossip._swap(x, y) == accepted
     for swapped, merged in ((x, a), (y, b)):
-        assert list(swapped._locations.items()) == list(merged._locations.items())
-        assert list(swapped._loads.items()) == list(merged._loads.items())
+        assert list(swapped._facts.items()) == list(merged._facts.items())
 
 
 def test_own_load_fact_never_overwritten():
     b = Bulletin(owner=0)
     b.publish_load(7.0, 1)
     other = Bulletin(owner=1)
-    other._loads[0] = (99.0, 10**6)   # later hearsay about node 0
+    other._facts[0] = (99.0, 10**6)   # later hearsay about node 0
     merge(b, make_digest(other, 10))
     assert b.load_view()[0] == 7.0
+
+
+def test_a_location_and_a_load_under_one_number_stay_distinct():
+    # GPid(2, 0)'s location and node 2's load share one table: a GPid is a
+    # tuple, never equal to the int 2, so neither displaces the other, and
+    # the owner check that guards node 2's own load spares the location
+    pid = GPid(2, 0)
+    origin, peer = Bulletin(owner=2), Bulletin(owner=0)
+    origin.publish_load(3.0, 1)
+    origin.publish_location(pid, 5, 2)
+    peer.publish_load(1.0, 0)
+    assert len(origin) == 2
+    assert gossip._swap(origin, peer) == 3
+    for b in (origin, peer):
+        assert len(b) == 3
+        assert b.lookup_location(pid) == (5, 2)
+        assert b.load_view() == {2: 3.0, 0: 1.0}
+    # three facts against bound 2: the cut digest ships the two latest, the
+    # location and node 2's load
+    digest = make_digest(peer, 2)
+    assert sorted(ranked(digest)) == [(1, 1, 2, 3.0), (2, 0, (2, 0), 5)]
+    home = Bulletin(owner=2)
+    home.publish_load(4.0, 7)   # node 2's own load, never replaced by hearsay
+    assert merge(home, digest) == 1
+    assert home.lookup_location(pid) == (5, 2)
+    assert home.load_view() == {2: 4.0}
 
 
 # -- gossip_round ------------------------------------------------------------------
@@ -521,7 +542,7 @@ def test_bulletin_above_the_bound_republishes_its_nodes_facts_on_its_turn():
                            + [set(range(handed_out + 1, handed_out + 5))])
     bulletin = state.bulletins[0]
     stamps = [bulletin.lookup_location(pid)[1] for pid in sorted(pids)]
-    stamps.append(bulletin._loads[0][1])
+    stamps.append(bulletin._facts[0][1])
     assert stamps == sorted(set(stamps))   # in pid order, then the load
     # within the bound nothing is re-published, and the rng is drawn alike
     _, _, within_state, within_serials, _ = run(bound=64)
@@ -545,10 +566,10 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
             state.migrate(pids[rng.randrange(procs)], rng.randrange(nodes))
     h = hashlib.sha256(repr(reports).encode())
     for b in state.bulletins:
-        locations = sorted((pid.home, pid.seq, node, serial)
-                           for pid, (node, serial) in b._locations.items())
-        h.update(repr((b.owner, state.gossip_rounds, locations,
-                       sorted(b._loads.items()))).encode())
+        locations = sorted((key.home, key.seq, node, serial)
+                           for key, (node, serial) in b._facts.items() if isinstance(key, GPid))
+        loads = sorted(item for item in b._facts.items() if not isinstance(item[0], GPid))
+        h.update(repr((b.owner, state.gossip_rounds, locations, loads)).encode())
     return h.hexdigest()
 
 

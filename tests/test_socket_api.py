@@ -329,6 +329,36 @@ def test_double_close_is_idempotent():
     assert client.state is SocketState.CLOSED
 
 
+def test_closing_an_accepted_end_keeps_its_listener_bound():
+    # an accepted end carries its listener's port but does not hold it: closing
+    # the end leaves the port bound, so the listener takes the next connect
+    sim, stack, client, server = established_pair()
+    stack.close(server)
+    second = stack.socket(client.owner)
+    stack.connect(second, server.owner, 5000)
+    sim.queue.run()
+    assert second.state is SocketState.ESTABLISHED and second.last_error is None
+
+
+def test_closing_a_connecting_end_after_its_request_arrived_ends_the_stream():
+    # the client closes after the server end is made but before the reply
+    # reaches it: the server end reads end of stream, as after any close
+    sim, stack, a, b = stack_with_pair()
+    listener = stack.socket(b)
+    stack.bind(listener, 5000)
+    stack.listen(listener)
+    client = stack.socket(a)
+    stack.connect(client, b, 5000)
+    sim.queue.run_until(sim.queue.now + sim.router.model.net_hop(64))
+    server = stack.accept(listener)
+    assert client.state is SocketState.CONNECTING
+    stack.close(client)
+    sim.queue.run()
+    assert client.state is SocketState.CLOSED
+    assert stack.select([server]) == [server]
+    assert stack.recv(server, 1000) is None
+
+
 # -- state machine safety ---------------------------------------------------------------
 
 def test_state_machine_has_no_undefined_transitions():

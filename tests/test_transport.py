@@ -29,12 +29,12 @@ def assert_rejects_negative_size(send_name):
     sim = build_sim()
     a, b = place_pair(sim, 0, 1, 2, 3)
     rows = sim.metrics.rows()
-    entries = [dict(bulletin._locations) for bulletin in sim.cluster.bulletins]
+    entries = [dict(bulletin._facts) for bulletin in sim.cluster.bulletins]
     with pytest.raises(BadSizeError) as err:
         getattr(sim.router, send_name)(a, b, -10 ** 9)
     assert err.value.code == "E_BAD_SIZE" and isinstance(err.value, ValueError)
     assert sim.metrics.rows() == rows
-    assert [dict(bulletin._locations) for bulletin in sim.cluster.bulletins] == entries
+    assert [dict(bulletin._facts) for bulletin in sim.cluster.bulletins] == entries
 
 
 # -- relay ---------------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_direct_miss_when_sender_is_the_home():
     a = sim.cluster.spawn(1, "A")
     sim.cluster.migrate(a, 0)             # a runs on b's home
     sim.cluster.migrate(b, 3)
-    sim.cluster.bulletins[0]._locations.pop(b, None)
+    sim.cluster.bulletins[0]._facts.pop(b, None)
     rep = sim.router.send_direct(a, b, 500)
     assert rep.network_hops == 1          # local home leg is free, forward costs one
     assert rep.latency == HOP(500) + D
@@ -294,7 +294,7 @@ def test_direct_route_table(route):
     sim = build_sim(trace=trace)
     a, b = place_pair(sim, 0, 1, at_a, at_b)
     bulletin = sim.cluster.bulletins[at_a]
-    bulletin._locations.pop(b, None)
+    bulletin._facts.pop(b, None)
     if belief is not None:
         bulletin.publish_location(b, belief, sim.cluster.stamp())
     m = sim.metrics
@@ -414,7 +414,7 @@ def test_auto_never_beaten_by_either_transport_when_converged():
 def set_belief(sim, at_a, b, belief) -> None:
     """Make a's node, `at_a`, hold `belief` as its entry for b (None: no entry)."""
     bulletin = sim.cluster.bulletins[at_a]
-    bulletin._locations.pop(b, None)
+    bulletin._facts.pop(b, None)
     if belief is not None:
         bulletin.publish_location(b, belief, sim.cluster.stamp())
 
@@ -470,7 +470,7 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
         sim = build_sim(nodes=5, trace=trace)
         a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
         bulletin = sim.cluster.bulletins[at_a]
-        bulletin._locations.pop(b, None)
+        bulletin._facts.pop(b, None)
         if belief is not None:
             bulletin.publish_location(b, belief, sim.cluster.stamp())
         if at_a == at_b:
@@ -510,7 +510,7 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
             sim = build_sim(nodes=5, model=model, trace=trace)
             a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
             bulletin = sim.cluster.bulletins[at_a]
-            bulletin._locations.pop(b, None)
+            bulletin._facts.pop(b, None)
             if belief is not None:
                 bulletin.publish_location(b, belief, sim.cluster.stamp())
             if rebuild:
@@ -518,7 +518,7 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
                 router._estimates = lambda *args: tuple(
                     (price, None) for price, _ in Router._estimates(router, *args))
             report = sim.router.send_auto(a, b, 1000)
-            runs.append((report, trace, sim.metrics.rows(), dict(bulletin._locations)))
+            runs.append((report, trace, sim.metrics.rows(), dict(bulletin._facts)))
         assert runs[0] == runs[1]
         picks.add(runs[0][0].transport)
     assert picks == {TransportKind.RELAY, TransportKind.DIRECT}
