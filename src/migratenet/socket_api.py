@@ -24,6 +24,7 @@ from .simcore import EventQueue, TransportKind
 from .transport import Router
 
 EPHEMERAL_BASE = 49152
+MAX_PORT = 65535
 
 
 class SocketState(Enum):
@@ -112,9 +113,7 @@ class SocketStack:
         stream.  Closing a listener discards (and closes) pending children."""
         if h.state is CLOSED:
             return
-        ports = self._bound.get(h.owner, {})
-        if ports.get(h.local_port) in (h.id, ~h.id):   # an accepted end holds no port
-            del ports[h.local_port]
+        self._release(h)
         for child_id in h.pending:
             child = self.handles[child_id]
             h_pending_peer = child.peer_handle
@@ -136,8 +135,7 @@ class SocketStack:
             raise BadStateError(f"connect in state {h.state.value}")
         if dst not in self.cluster.procs:
             raise NoSuchProcessError(f"process {dst}")
-        if h.local_port is None:
-            h.local_port = self._alloc_ephemeral(h)
+        h.local_port = self._alloc_ephemeral(h)   # a closed handle holds no port
         h.state = CONNECTING
         h.peer = (dst, port)
         report = self.router.send(h.transport, h.owner, dst,
@@ -151,6 +149,7 @@ class SocketStack:
             return
         listener = self._find_listener(dst, port)
         if listener is None:
+            self._release(h)
             h.state = CLOSED
             h.last_error = ConnRefusedError.code
             return
@@ -249,11 +248,22 @@ class SocketStack:
         h = self.handles[handle_id]
         return h if h.state is LISTENING else None
 
+    def _release(self, h: SocketHandle) -> None:
+        """Unbind the port `h` holds, bound or reserved; an accepted end,
+        which carries its listener's port, holds none."""
+        ports = self._bound.get(h.owner, {})
+        if ports.get(h.local_port) in (h.id, ~h.id):
+            del ports[h.local_port]
+
     def _alloc_ephemeral(self, h: SocketHandle) -> int:
+        """Reserve the owner's next free port from `EPHEMERAL_BASE` up;
+        E_ADDR_IN_USE once the count passes `MAX_PORT`."""
         ports = self._bound.setdefault(h.owner, {})
         port = self._ephemeral.get(h.owner, EPHEMERAL_BASE)
         while port in ports:
             port += 1
+        if port > MAX_PORT:
+            raise AddressInUseError(f"no ephemeral port left for {h.owner}")
         self._ephemeral[h.owner] = port + 1
         ports[port] = ~h.id   # reserve; negative, so never an accept target
         return port

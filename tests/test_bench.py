@@ -291,6 +291,103 @@ def test_a_row_names_its_first_bad_key_then_its_first_missing_field(raw, needle)
         read(raw, bench.TrafficSpec, "traffic[0]", bench.LIMITS[bench.TrafficSpec])
 
 
+# -- traffic rows in canonical form --------------------------------------------------
+
+def perturb(row: dict, how: str, draw):
+    """`row` changed by the perturbation `how`, which may take it out of
+    canonical form (or, by chance, keep it there)."""
+    row = dict(row)
+    if how == "shuffle":
+        return {key: row[key] for key in draw(st.permutations(list(row)))}
+    if how == "drop":
+        del row[draw(st.sampled_from(list(row)))]
+    elif how == "optional":
+        row.update(draw(st.fixed_dictionaries({}, optional={
+            "count": st.integers(0, 3), "interval": st.sampled_from([0.0, 0, 0.5])})))
+    elif how == "int time":
+        row["time"] = draw(st.integers(-1, 3))
+    elif how == "bool size":
+        row["size"] = draw(st.booleans())
+    elif how == "float size":
+        row["size"] = 512.0
+    elif how == "negative":
+        row[draw(st.sampled_from(["time", "size"]))] = -1
+    elif how == "negative time":
+        row["time"] = -draw(st.floats(0, 1e6))
+    elif how == "non-finite":
+        row["time"] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif how == "transport":
+        row["transport"] = draw(st.sampled_from(["warp", "RELAY", "", 1, None, ["relay"]]))
+    elif how == "ids":
+        row[draw(st.sampled_from(["src", "dst"]))] = draw(st.sampled_from([0, None, ["p0"]]))
+    elif how == "not a dict":
+        return draw(st.sampled_from([None, 1, "row", list(row.values()), list(row.items())]))
+    return row
+
+
+PERTURBATIONS = ["shuffle", "drop", "optional", "int time", "bool size", "float size",
+                 "negative", "negative time", "non-finite", "transport", "ids", "not a dict"]
+
+
+@st.composite
+def traffic_rows(draw):
+    """A traffic row in canonical form, or one that one or two perturbations
+    take out of it."""
+    row = {"time": draw(st.floats(0, 1e9, allow_nan=False, allow_infinity=False)),
+           "src": draw(st.sampled_from(["p0", "p1", ""])),
+           "dst": draw(st.sampled_from(["p0", "p1"])),
+           "transport": draw(st.sampled_from([kind.value for kind in TransportKind])),
+           "size": draw(st.integers(0, 2 ** 40))}
+    for how in draw(st.lists(st.sampled_from(PERTURBATIONS), max_size=2)):
+        if type(row) is dict:
+            row = perturb(row, how, draw)
+    return row
+
+
+def traffic_outcome(read_rows):
+    """The rows `read_rows()` returns, with each field's type, or the text of
+    the `InvalidScenarioError` it raises."""
+    try:
+        rows = read_rows()
+    except InvalidScenarioError as exc:
+        return str(exc)
+    return [(row, [type(value) for value in row]) for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=traffic_rows())
+def test_a_traffic_row_reads_as_the_generic_reader_reads_it(raw):
+    limits = bench.LIMITS[bench.TrafficSpec]
+    assert traffic_outcome(lambda: bench.read_traffic([raw], "traffic[0]")) == \
+        traffic_outcome(lambda: [read(raw, bench.TrafficSpec, "traffic[0]", limits)])
+
+
+def test_a_canonical_traffic_row_is_built_without_the_generic_reader(monkeypatch):
+    row = {"time": 1.5, "src": "p0", "dst": "p1", "transport": "auto", "size": 7}
+    expected = read(row, bench.TrafficSpec, "traffic", bench.LIMITS[bench.TrafficSpec])
+    monkeypatch.setattr(bench, "read", None)   # a call would raise TypeError
+    assert bench.read_traffic([row], "traffic") == [expected]
+
+
+def test_a_scenario_of_non_canonical_traffic_reads_as_its_canonical_twin():
+    # the twin's rows have their keys reversed, the optional fields given at
+    # their defaults, and every other time as an int: none is canonical
+    canonical = json.loads(json.dumps(VALID_SCENARIO))
+    canonical["traffic"] = [
+        {"time": float(i % 5), "src": f"p{i % 2}", "dst": f"p{1 - i % 2}",
+         "transport": ("relay", "direct", "auto")[i % 3], "size": 64 * i}
+        for i in range(30)]
+    twin = json.loads(json.dumps(canonical))
+    twin["traffic"] = [
+        dict(reversed([*row.items(), ("count", 1), ("interval", 0.0)]),
+             time=int(row["time"]) if i % 2 else row["time"])
+        for i, row in enumerate(twin["traffic"])]
+    read_canonical, read_twin = (bench.Scenario.from_dict(d) for d in (canonical, twin))
+    assert read_twin == read_canonical
+    assert [list(map(type, t)) for t in read_twin.traffic] == \
+        [list(map(type, t)) for t in read_canonical.traffic]
+
+
 # -- run_scenario -----------------------------------------------------------------
 
 def test_empty_traffic_gives_empty_latency_table():

@@ -359,6 +359,56 @@ def test_closing_a_connecting_end_after_its_request_arrived_ends_the_stream():
     assert stack.recv(server, 1000) is None
 
 
+def test_a_refused_connect_releases_its_ephemeral_port():
+    # the refusal closes the handle, so it holds no port from then on, and a
+    # later close (which returns at once on a closed handle) has none to free
+    sim, stack, a, b = stack_with_pair()
+    client = stack.socket(a)
+    stack.connect(client, b, 4242)
+    port = client.local_port
+    assert stack._bound[a] == {port: ~client.id}
+    sim.queue.run()
+    assert client.last_error == "E_CONN_REFUSED"
+    assert stack._bound[a] == {}
+    stack.close(client)
+    assert stack._bound[a] == {}
+    stack.bind(stack.socket(a), port)   # free for any handle of the owner
+
+
+def test_a_closed_handle_connects_from_a_port_it_holds():
+    # bound, closed (which frees its port) and then connected: the handle
+    # must not keep the port it gave up, which another handle now holds
+    sim, stack, a, b = stack_with_pair()
+    listener = stack.socket(b)
+    stack.bind(listener, 5000)
+    stack.listen(listener)
+    g = stack.socket(a)
+    stack.bind(g, 6000)
+    stack.close(g)
+    other = stack.socket(a)
+    stack.bind(other, 6000)
+    stack.connect(g, b, 5000)
+    sim.queue.run()
+    server = stack.accept(listener)
+    assert g.state is SocketState.ESTABLISHED and g.local_port != 6000
+    assert stack._bound[a] == {6000: other.id, g.local_port: ~g.id}
+    assert server.peer == (a, g.local_port)
+
+
+def test_ephemeral_ports_end_at_65535():
+    # set near the top rather than reached by thousands of connects
+    _, stack, a, b = stack_with_pair()
+    stack._ephemeral[a] = 65535
+    first = stack.socket(a)
+    stack.connect(first, b, 4242)
+    assert first.local_port == 65535
+    second = stack.socket(a)
+    with pytest.raises(AddressInUseError, match="E_ADDR_IN_USE"):
+        stack.connect(second, b, 4242)
+    assert second.state is SocketState.CLOSED and second.local_port is None
+    assert stack._bound[a] == {65535: ~first.id}
+
+
 # -- state machine safety ---------------------------------------------------------------
 
 def test_state_machine_has_no_undefined_transitions():
