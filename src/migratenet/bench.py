@@ -13,7 +13,7 @@ blocks ``processes``, ``migrations`` and ``traffic`` (lists of
 ``gossip`` (:class:`GossipConfig`), ``model`` (overrides of the base
 :class:`LatencyModel`) and ``caps`` (:class:`TransportConfig`).  A block's
 keys, types and defaults are the fields of its class (a named tuple for the
-list rows and ``gossip``, a dataclass for the others), and `LIMITS` holds
+list rows and ``gossip``, a plain class for the others), and `LIMITS` holds
 their value rules; migration times must not decrease, and the timeline a
 run lays (the migrations, the sends and a gossip round per period up to the
 last of them) holds at most `MAX_TIMELINE_ROWS` rows.
@@ -25,7 +25,6 @@ import gc
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -36,8 +35,8 @@ from .cluster import ClusterState, GPid, Topology
 from .errors import InvalidScenarioError
 from .gossip import GossipConfig
 from .simcore import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, EventQueue,
-                      LatencyModel, Metrics, TransportKind, expect_keys, load_model, need,
-                      read)
+                      LatencyModel, Metrics, Record, TransportKind, expect_keys, load_model,
+                      need, read)
 from .transport import Router, TransportConfig
 
 SCENARIO_VERSION = 1
@@ -101,17 +100,30 @@ class _Fields(dict):
         return self[text]
 
 
-@dataclass
-class Report:
+class Report(Record):
+    """A run's outputs; a list, dict or `Metrics` left out of the
+    constructor starts empty."""
     name: str
     seed: int
-    latency_rows: list[tuple[int, float, str]] = field(default_factory=list)
-    metrics: Metrics = field(default_factory=Metrics)
-    convergence_rounds: Optional[int] = None
-    assertions: list[Assertion] = field(default_factory=list)
-    extra: dict[str, str] = field(default_factory=dict)
-    gossip_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
-    trace: Optional[list] = None
+    latency_rows: list[tuple[int, float, str]]
+    metrics: Metrics
+    convergence_rounds: Optional[int]
+    assertions: list[Assertion]
+    extra: dict[str, str]
+    gossip_rows: list[tuple[int, int, int, int]]
+    trace: Optional[list]
+
+    def __init__(self, name, seed, latency_rows=None, metrics=None, convergence_rounds=None,
+                 assertions=None, extra=None, gossip_rows=None, trace=None):
+        self.name = name
+        self.seed = seed
+        self.latency_rows = [] if latency_rows is None else latency_rows
+        self.metrics = Metrics() if metrics is None else metrics
+        self.convergence_rounds = convergence_rounds
+        self.assertions = [] if assertions is None else assertions
+        self.extra = {} if extra is None else extra
+        self.gossip_rows = [] if gossip_rows is None else gossip_rows
+        self.trace = trace
 
     @property
     def passed(self) -> bool:
@@ -204,7 +216,7 @@ LIMITS = {
                   "interval": NON_NEGATIVE},
     GossipConfig: {"bound": AT_LEAST_ONE, "drop_probability": UNIT_INTERVAL,
                    "rounds_per_second": POSITIVE},
-    TransportConfig: {f.name: NON_NEGATIVE for f in fields(TransportConfig)},
+    TransportConfig: dict.fromkeys(TransportConfig.__annotations__, NON_NEGATIVE),
 }
 
 
@@ -240,18 +252,34 @@ def read_traffic(raws: list, where: str) -> list[TrafficSpec]:
     return specs
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
+    """A declarative experiment; `migrations` and `traffic` left out of the
+    constructor start empty.  `pre_converge` and `seed` keep their defaults
+    on the class, where `from_dict` reads them."""
     name: str
     topology: Topology
     processes: list[ProcessSpec]
-    migrations: list[MigrationSpec] = field(default_factory=list)
-    traffic: list[TrafficSpec] = field(default_factory=list)
-    gossip_config: GossipConfig = GossipConfig()
+    migrations: list[MigrationSpec]
+    traffic: list[TrafficSpec]
+    gossip_config: GossipConfig
     pre_converge: bool = True
     seed: int = 0
-    model: Optional[LatencyModel] = None
-    caps: TransportConfig = TransportConfig()
+    model: Optional[LatencyModel]
+    caps: TransportConfig
+
+    def __init__(self, name, topology, processes, migrations=None, traffic=None,
+                 gossip_config=GossipConfig(), pre_converge=pre_converge, seed=seed, model=None,
+                 caps=TransportConfig()):
+        self.name = name
+        self.topology = topology
+        self.processes = processes
+        self.migrations = [] if migrations is None else migrations
+        self.traffic = [] if traffic is None else traffic
+        self.gossip_config = gossip_config
+        self.pre_converge = pre_converge
+        self.seed = seed
+        self.model = model
+        self.caps = caps
 
     @classmethod
     def load(cls, path, base: Optional[LatencyModel] = None) -> "Scenario":

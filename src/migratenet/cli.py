@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -70,7 +69,7 @@ def calibrate() -> dict:
     improvement = float(report.extra["mean_improvement_vs_migrated_relay"])
     return {
         "version": DEFAULTS_VERSION,
-        "model": asdict(model),
+        "model": vars(model),
         "calibration": {
             "sweep_sizes": list(templates.DEFAULT_SWEEP_SIZES),
             "target_slowdown": TARGET_SLOWDOWN,

@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from bisect import insort
-from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
 from inspect import signature
@@ -32,8 +31,23 @@ class TransportKind(Enum):
     AUTO = "auto"
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class Record:
+    """Base of the plain record classes: ``repr`` and ``==`` as a dataclass
+    gives them, over the instance's attributes in the order `__init__` sets
+    them.  An instance equals only one of its own class, so it is not
+    hashable."""
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class LatencyModel(Record):
     """Per-hop link cost model.
 
     Network hops cost ``alpha_net + size / beta_net`` each; a shared-memory
@@ -49,9 +63,16 @@ class LatencyModel:
     alpha_sm: float
     beta_sm: float
     direct_overhead: float
-    home_leg_factor: float = 1.0
+    home_leg_factor: float
 
-    def __post_init__(self):
+    def __init__(self, alpha_net, beta_net, alpha_sm, beta_sm, direct_overhead,
+                 home_leg_factor=1.0):
+        self.alpha_net = alpha_net
+        self.beta_net = beta_net
+        self.alpha_sm = alpha_sm
+        self.beta_sm = beta_sm
+        self.direct_overhead = direct_overhead
+        self.home_leg_factor = home_leg_factor
         for name in ("alpha_net", "alpha_sm", "direct_overhead", "home_leg_factor"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -81,6 +102,9 @@ def load_model(path: Optional[str] = None) -> LatencyModel:
         raise InvalidScenarioError(
             f"config.version: expected {DEFAULTS_VERSION}, got {version!r}")
     return read(need(data, "model", dict, "config"), LatencyModel, "config.model")
+
+
+MISSING = object()   # no default: a required key or field
 
 
 def need(mapping, key: str, kind: type, where: str, default=MISSING):
@@ -135,11 +159,11 @@ _PLANS: dict = {}   # schema -> (field index, defaults, named tuple?, limits)
 
 
 def read(raw, schema: type, where: str, limits: Optional[dict] = None, base=None):
-    """Build `schema`, a dataclass or a named tuple, from the JSON object
-    `raw` found at `where`.
+    """Build `schema`, a named tuple or a class whose fields are annotated
+    in its body, from the JSON object `raw` found at `where`.
 
     One pass over `raw`'s keys: each must be a parameter of `schema`'s
-    constructor, and its value is read as the annotated type under
+    constructor, and its value is read as the field's annotated type under
     :func:`need`'s rules (an int as a float, an enum by value) and must pass
     its rule in `limits`.  An absent field takes its value from `base` if
     given, else its default.  Every fault is an `InvalidScenarioError`
@@ -258,13 +282,7 @@ def _call(action: Callable[[], None]) -> None:
     action()
 
 
-def _counters(*keys: str):
-    """A dataclass field holding one zero counter per key, in key order."""
-    return field(default_factory=lambda: dict.fromkeys(keys, 0))
-
-
-@dataclass
-class Metrics:
+class Metrics(Record):
     """Byte and frame counters per node and per link, and fixed-size counters
     of what each layer did.
 
@@ -286,22 +304,43 @@ class Metrics:
       (rounds, exchanges, dropped exchanges, frames, entries moved);
     * `events`: the events a scenario's queue executed.
 
-    Conservation invariant: the sum of `delivered_bytes` equals the payload
-    bytes of every delivered message (`payload_delivered`).
+    A counter dict left out of the constructor starts empty, or zero for
+    each of its keys.  Conservation invariant: the sum of `delivered_bytes`
+    equals the payload bytes of every delivered message
+    (`payload_delivered`).
     """
-    relayed_bytes: dict[int, int] = field(default_factory=dict)
-    delivered_bytes: dict[int, int] = field(default_factory=dict)
-    frames_handled: dict[int, int] = field(default_factory=dict)
-    link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    payload_delivered: int = 0
-    sends: dict[str, int] = _counters("relay", "direct")
-    direct_outcomes: dict[str, int] = _counters("local", "hit", "miss", "stale")
-    control_frames: dict[str, int] = _counters("NACK_UNKNOWN", "LOC_REPLY")
-    auto_picks: dict[str, int] = _counters("relay", "direct")
-    auto_error: float = 0.0
-    gossip_totals: dict[str, int] = _counters("rounds", "exchanges", "dropped", "frames",
-                                              "entries_moved")
-    events: int = 0
+    relayed_bytes: dict[int, int]
+    delivered_bytes: dict[int, int]
+    frames_handled: dict[int, int]
+    link_bytes: dict[tuple[int, int], int]
+    payload_delivered: int
+    sends: dict[str, int]
+    direct_outcomes: dict[str, int]
+    control_frames: dict[str, int]
+    auto_picks: dict[str, int]
+    auto_error: float
+    gossip_totals: dict[str, int]
+    events: int
+
+    def __init__(self, relayed_bytes=None, delivered_bytes=None, frames_handled=None,
+                 link_bytes=None, payload_delivered=0, sends=None, direct_outcomes=None,
+                 control_frames=None, auto_picks=None, auto_error=0.0, gossip_totals=None,
+                 events=0):
+        self.relayed_bytes = {} if relayed_bytes is None else relayed_bytes
+        self.delivered_bytes = {} if delivered_bytes is None else delivered_bytes
+        self.frames_handled = {} if frames_handled is None else frames_handled
+        self.link_bytes = {} if link_bytes is None else link_bytes
+        self.payload_delivered = payload_delivered
+        self.sends = {"relay": 0, "direct": 0} if sends is None else sends
+        self.direct_outcomes = ({"local": 0, "hit": 0, "miss": 0, "stale": 0}
+                                if direct_outcomes is None else direct_outcomes)
+        self.control_frames = ({"NACK_UNKNOWN": 0, "LOC_REPLY": 0}
+                               if control_frames is None else control_frames)
+        self.auto_picks = {"relay": 0, "direct": 0} if auto_picks is None else auto_picks
+        self.auto_error = auto_error
+        self.gossip_totals = ({"rounds": 0, "exchanges": 0, "dropped": 0, "frames": 0,
+                               "entries_moved": 0} if gossip_totals is None else gossip_totals)
+        self.events = events
 
     def add_round(self, report) -> None:
         """Add one gossip round's `RoundReport` to `gossip_totals`."""
@@ -315,8 +354,8 @@ class Metrics:
     def snapshot(self) -> "Metrics":
         """A copy whose counters can be edited without touching these
         (``perfbench/selftest.py`` spoils such copies)."""
-        return replace(self, **{f.name: value.copy() for f in fields(self)
-                                if isinstance(value := getattr(self, f.name), dict)})
+        return Metrics(**{name: value.copy() if isinstance(value, dict) else value
+                          for name, value in vars(self).items()})
 
     def rows(self) -> list[tuple[str, str, str]]:
         """Flatten to (metric, key, value) rows in a fixed order for CSV."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional
 
 from .cluster import ClusterState, GPid
@@ -256,14 +257,14 @@ class SocketStack:
             del ports[h.local_port]
 
     def _alloc_ephemeral(self, h: SocketHandle) -> int:
-        """Reserve the owner's next free port from `EPHEMERAL_BASE` up;
-        E_ADDR_IN_USE once the count passes `MAX_PORT`."""
+        """Reserve the owner's first free port from its counter up to
+        `MAX_PORT`, then from `EPHEMERAL_BASE` up; E_ADDR_IN_USE only when
+        the owner holds every ephemeral port."""
         ports = self._bound.setdefault(h.owner, {})
-        port = self._ephemeral.get(h.owner, EPHEMERAL_BASE)
-        while port in ports:
-            port += 1
-        if port > MAX_PORT:
-            raise AddressInUseError(f"no ephemeral port left for {h.owner}")
-        self._ephemeral[h.owner] = port + 1
-        ports[port] = ~h.id   # reserve; negative, so never an accept target
-        return port
+        start = self._ephemeral.get(h.owner, EPHEMERAL_BASE)
+        for port in chain(range(start, MAX_PORT + 1), range(EPHEMERAL_BASE, start)):
+            if port not in ports:
+                self._ephemeral[h.owner] = port + 1
+                ports[port] = ~h.id   # reserve; negative, so never an accept target
+                return port
+        raise AddressInUseError(f"no ephemeral port left for {h.owner}")

@@ -32,13 +32,12 @@ when the entry named the receiver's node it carries the route it priced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .cluster import ClusterState, GPid, NodeId
 from .errors import BadSizeError, MessageTooLargeError, SimulatorError
-from .simcore import EventQueue, LatencyModel, Metrics, TransportKind
+from .simcore import EventQueue, LatencyModel, Metrics, Record, TransportKind
 
 DEFAULT_RELAY_MAX = 2 ** 30
 DEFAULT_DIRECT_MAX = 2 ** 31
@@ -64,11 +63,16 @@ Resolved = tuple[NodeId, bool, str, NodeId]
 Estimate = tuple[float, Optional[Route]]
 
 
-@dataclass(frozen=True)
-class TransportConfig:
-    relay_max: int = DEFAULT_RELAY_MAX
-    direct_max: int = DEFAULT_DIRECT_MAX       # 2x the relay cap by default
-    control_size: int = DEFAULT_CONTROL_SIZE   # fixed size of control frames
+class TransportConfig(Record):
+    relay_max: int
+    direct_max: int       # 2x the relay cap by default
+    control_size: int     # fixed size of control frames
+
+    def __init__(self, relay_max=DEFAULT_RELAY_MAX, direct_max=DEFAULT_DIRECT_MAX,
+                 control_size=DEFAULT_CONTROL_SIZE):
+        self.relay_max = relay_max
+        self.direct_max = direct_max
+        self.control_size = control_size
 
 
 def _size_error(size: int, too_large: str) -> SimulatorError:

@@ -16,6 +16,11 @@ TEST_MODEL = LatencyModel(alpha_net=1.0, beta_net=100.0,
                           direct_overhead=0.5)
 
 
+def replaced(record, **changes):
+    """A copy of a `LatencyModel` or `TransportConfig` with `changes` made."""
+    return type(record)(**dict(vars(record), **changes))
+
+
 def build_sim(nodes: int = 6, seed: int = 0, model: LatencyModel = TEST_MODEL,
               caps: TransportConfig = TransportConfig(),
               gossip_config: GossipConfig = GossipConfig(),

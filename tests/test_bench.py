@@ -7,7 +7,6 @@ import os
 import random
 import re
 import tempfile
-from dataclasses import asdict, replace
 from enum import Enum
 from inspect import signature
 from typing import get_type_hints
@@ -16,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEST_MODEL
+from conftest import TEST_MODEL, replaced
 from migratenet import bench, gossip, templates
+from migratenet.cluster import Topology
 from migratenet.errors import InvalidScenarioError, MessageTooLargeError
 from migratenet.simcore import (NON_NEGATIVE, POSITIVE, LatencyModel, Metrics, TransportKind,
                                 load_model, read)
@@ -247,7 +247,7 @@ def valid_rows(draw, schema, limits, base):
         raw[name], given[name] = draw(valid_value(get_type_hints(schema)[name],
                                                   limits.get(name)))
     raw = {key: raw[key] for key in draw(st.permutations(list(raw)))}
-    return raw, schema(**{**({} if base is None else asdict(base)), **given})
+    return raw, schema(**{**({} if base is None else vars(base)), **given})
 
 
 @pytest.mark.parametrize("schema,limits,base", [
@@ -447,7 +447,7 @@ def test_run_scenario_enables_the_collector_again_when_a_send_raises():
     # the relay send at t = 2.0 is over the cap, after the three direct sends;
     # the cap is set after parsing, which rejects a size over its cap
     scenario = bench.Scenario.from_dict(VALID_SCENARIO)
-    scenario.caps = replace(scenario.caps, relay_max=256)
+    scenario.caps = replaced(scenario.caps, relay_max=256)
     assert gc.isenabled()
     with pytest.raises(MessageTooLargeError):
         bench.run_scenario(scenario)
@@ -625,6 +625,48 @@ def test_report_tables_are_written_in_bounded_chunks(tmp_path, monkeypatch):
     report.write(tmp_path)
     got = (tmp_path / "chunks_latency.csv").read_bytes()
     assert got == csv_writer_text([["size", "latency", "series"], *rows])
+
+
+# -- the record classes --------------------------------------------------------------
+
+def test_records_left_without_a_list_or_dict_get_their_own():
+    one, two = bench.Report("a", 0), bench.Report("a", 0)
+    for name in ("latency_rows", "assertions", "extra", "gossip_rows", "metrics"):
+        assert getattr(one, name) is not getattr(two, name), name
+    one.extra["k"] = "v"
+    one.check("c", True)
+    assert two.extra == {} and two.assertions == []
+
+    first, second = Metrics(), Metrics()
+    counters = [name for name, value in vars(first).items() if isinstance(value, dict)]
+    assert len(counters) == 9
+    for name in counters:
+        assert getattr(first, name) is not getattr(second, name), name
+    first.sends["relay"] += 1
+    assert second.sends == {"relay": 0, "direct": 0}
+
+    topology, processes = Topology.mesh(2), []
+    left = bench.Scenario("s", topology, processes)
+    right = bench.Scenario("s", topology, processes)
+    assert left.migrations == [] and left.traffic == []
+    assert left.migrations is not right.migrations and left.traffic is not right.traffic
+
+
+def test_records_compare_by_value():
+    topology, processes = Topology.mesh(2), []
+    cases = [   # equal twins, one field changed
+        (replaced(TEST_MODEL), TEST_MODEL, replaced(TEST_MODEL, beta_sm=2000.0)),
+        (TransportConfig(), TransportConfig(), TransportConfig(relay_max=1)),
+        (Metrics(), Metrics(), Metrics(events=1)),
+        (bench.Scenario("s", topology, processes), bench.Scenario("s", topology, processes),
+         bench.Scenario("s", topology, processes, seed=1)),
+    ]
+    for record, twin, changed in cases:
+        assert record is not twin and record == twin and not record != twin
+        assert record != changed and not record == changed
+        values = tuple(vars(record).values())
+        assert record != values and values != record
+        assert record.__eq__(values) is NotImplemented
 
 
 # -- counters ------------------------------------------------------------------------
@@ -870,7 +912,7 @@ def test_from_dict_raises_only_invalid_scenario(data):
         pass
 
 
-FULL_CONFIG = {"version": 1, "model": dict(asdict(TEST_MODEL), home_leg_factor=0.5)}
+FULL_CONFIG = {"version": 1, "model": dict(vars(TEST_MODEL), home_leg_factor=0.5)}
 
 
 @st.composite

@@ -2,7 +2,6 @@ import csv
 import json
 import os
 import re
-from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -333,7 +332,7 @@ def test_trace_flag_writes_trace_csv(tmp_path, capsys):
 def test_config_flag_selects_model(tmp_path, capsys):
     config = tmp_path / "custom.json"
     config.write_text(json.dumps(
-        {"version": 1, "model": asdict(replace(load_model(), direct_overhead=0.5))}))
+        {"version": 1, "model": dict(vars(load_model()), direct_overhead=0.5)}))
     out = tmp_path / "out"
     assert cli.main(["sweep", "--sizes", "1024", "--config", str(config),
                      "--out", str(out)]) == 0
@@ -399,7 +398,7 @@ def test_bad_template_flag_exits_2_with_its_name(tmp_path, capsys, argv, needle)
 def test_run_config_is_the_base_of_the_scenario_model(tmp_path, capsys):
     config = tmp_path / "custom.json"
     config.write_text(json.dumps({"version": 1,
-                                  "model": asdict(replace(load_model(), alpha_net=5.0))}))
+                                  "model": dict(vars(load_model()), alpha_net=5.0)}))
     latencies = {}
     for label, block, flags in (("packaged", None, []),
                                 ("config", None, ["--config", str(config)]),
@@ -461,7 +460,7 @@ def test_shipped_defaults_match_regenerated_calibration():
     def keys(node):
         return set(node).union(*map(keys, node.values())) if isinstance(node, dict) else set()
 
-    assert not {f.name for f in fields(LatencyModel)} & keys(shipped["calibration"])
+    assert not set(LatencyModel.__annotations__) & keys(shipped["calibration"])
 
 
 def test_shipped_defaults_loadable_and_consistent():

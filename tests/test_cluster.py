@@ -1,12 +1,11 @@
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEST_MODEL
+from conftest import TEST_MODEL, replaced
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import BadNodeError, InvalidScenarioError, NoSuchProcessError
 from migratenet.simcore import EventQueue, Metrics, TransportKind
@@ -190,7 +189,7 @@ def test_collapse_path_oracle(raw):
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))
 def test_relay_legs_walk_the_collapsed_path_and_tag_home_legs(waypoints):
     sender, src_home, dst_home, receiver = waypoints
-    router = Router(cluster(4), replace(TEST_MODEL, home_leg_factor=0.25), Metrics(),
+    router = Router(cluster(4), replaced(TEST_MODEL, home_leg_factor=0.25), Metrics(),
                     EventQueue(), TransportConfig(), None)
     links = router._relay_route(sender, src_home, dst_home, receiver, 0)
     relayed = router._carry(TransportKind.RELAY, links, GPid(src_home, 0), GPid(dst_home, 0),

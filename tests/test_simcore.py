@@ -1,10 +1,8 @@
-from dataclasses import asdict, replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import TEST_MODEL, build_sim, place_pair
+from conftest import TEST_MODEL, build_sim, place_pair, replaced
 from migratenet.errors import TimeTravelError
 from migratenet.simcore import (EventQueue, LatencyModel, Metrics, TransportKind, load_model,
                                 read)
@@ -73,16 +71,16 @@ def test_model_validation():
 
 
 def test_model_without_home_leg_factor_reads_as_homogeneous():
-    old = {k: v for k, v in asdict(TEST_MODEL).items() if k != "home_leg_factor"}
+    old = {k: v for k, v in vars(TEST_MODEL).items() if k != "home_leg_factor"}
     assert read(old, LatencyModel, "model") == TEST_MODEL
     assert TEST_MODEL.home_leg_factor == 1.0
-    assert read(asdict(TEST_MODEL), LatencyModel, "model") == TEST_MODEL
+    assert read(vars(TEST_MODEL), LatencyModel, "model") == TEST_MODEL
 
 
 def test_relay_latency_charges_home_legs_at_the_factor():
     s = 200
     hop = TEST_MODEL.alpha_net + s / TEST_MODEL.beta_net
-    model = replace(TEST_MODEL, home_leg_factor=0.25)
+    model = replaced(TEST_MODEL, home_leg_factor=0.25)
     router = build_sim(model=model).router
 
     def price(sender, src_home, dst_home, receiver):

@@ -396,17 +396,36 @@ def test_a_closed_handle_connects_from_a_port_it_holds():
 
 
 def test_ephemeral_ports_end_at_65535():
-    # set near the top rather than reached by thousands of connects
+    # set near the top rather than reached by thousands of connects: after
+    # 65535 the ports wrap to 49152, skipping those still held
     _, stack, a, b = stack_with_pair()
     stack._ephemeral[a] = 65535
     first = stack.socket(a)
     stack.connect(first, b, 4242)
     assert first.local_port == 65535
+    bound = stack.socket(a)
+    stack.bind(bound, 49152)
     second = stack.socket(a)
+    stack.connect(second, b, 4242)
+    assert second.local_port == 49153
+    assert stack._bound[a] == {65535: ~first.id, 49152: bound.id, 49153: ~second.id}
+
+
+def test_a_connect_fails_only_when_every_ephemeral_port_is_held():
+    # every port from 49152 to 65535 reserved by a stand-in handle, without
+    # opening the 16,384 sockets that would hold them
+    _, stack, a, b = stack_with_pair()
+    stack._bound[a] = {port: ~1000 for port in range(49152, 65536)}
+    stack._ephemeral[a] = 50000
+    held = dict(stack._bound[a])
+    client = stack.socket(a)
     with pytest.raises(AddressInUseError, match="E_ADDR_IN_USE"):
-        stack.connect(second, b, 4242)
-    assert second.state is SocketState.CLOSED and second.local_port is None
-    assert stack._bound[a] == {65535: ~first.id}
+        stack.connect(client, b, 4242)
+    assert client.state is SocketState.CLOSED and client.local_port is None
+    assert stack._bound[a] == held
+    del stack._bound[a][49999]   # the one free port is below the counter
+    stack.connect(client, b, 4242)
+    assert client.local_port == 49999
 
 
 # -- state machine safety ---------------------------------------------------------------

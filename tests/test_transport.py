@@ -1,9 +1,8 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from conftest import TEST_MODEL, build_sim, force_convergence, place_pair
+from conftest import TEST_MODEL, build_sim, force_convergence, place_pair, replaced
 from migratenet.errors import BadSizeError, MessageTooLargeError, NoSuchProcessError
 from migratenet.cluster import ClusterState, GPid
 from migratenet.gossip import Bulletin, GossipConfig, gossip_round, make_digest, merge
@@ -64,7 +63,7 @@ def test_relay_shared_memory_when_all_waypoints_coincide():
 
 
 def test_relay_home_legs_cost_the_factor_and_the_inter_home_leg_a_full_hop():
-    model = replace(TEST_MODEL, home_leg_factor=0.5)
+    model = replaced(TEST_MODEL, home_leg_factor=0.5)
     for at_a, at_b, hops in ((2, 3, 2.0), (2, None, 1.5), (None, 3, 1.5), (None, None, 1.0)):
         sim = build_sim(model=model)
         a, b = place_pair(sim, 0, 1, at_a, at_b)
@@ -427,7 +426,7 @@ def test_auto_relay_estimate_equals_charged_relay_latency():
     # estimate assumes.  A relay route's price depends on its receiver only
     # through whether the receiver is b's home, so the charge equals the
     # estimate exactly when the priced receiver is b's home just when b is.
-    model = replace(TEST_MODEL, home_leg_factor=0.1)
+    model = replaced(TEST_MODEL, home_leg_factor=0.1)
     charged_as_estimated = 0
     for at_a, at_b, belief, size in product(range(5), range(5), (None, *range(5)), (0, 1000)):
         sim = build_sim(nodes=5, model=model)
@@ -501,7 +500,7 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
     # trace, count and teach exactly as a twin whose picked route is built
     # again from the resolved send.  Dear home legs (2.0) make direct win on
     # a miss with b at home, where the direct route priced is not the one taken.
-    model = replace(TEST_MODEL, home_leg_factor=home_leg_factor)
+    model = replaced(TEST_MODEL, home_leg_factor=home_leg_factor)
     picks = set()
     for at_a, at_b, belief in product(range(5), range(5), (None, *range(5))):
         runs = []
@@ -531,7 +530,7 @@ def test_a_node_relays_when_it_passes_on_the_payload_it_was_brought(home_leg_fac
     # nodes that send on a DATA frame the payload the previous DATA frame
     # brought them: the sender sending again after a bounce, or a home
     # sending its own fallback, relays nothing
-    model = replace(TEST_MODEL, home_leg_factor=home_leg_factor)
+    model = replaced(TEST_MODEL, home_leg_factor=home_leg_factor)
     for at_a, at_b, belief, kind in product(range(5), range(5), (None, *range(5)),
                                             TransportKind):
         trace = []
@@ -572,7 +571,7 @@ def test_auto_direct_send_resolves_once(monkeypatch):
 
 
 def test_auto_picks_relay_when_cheap_home_legs_beat_direct_overhead():
-    sim = build_sim(model=replace(TEST_MODEL, home_leg_factor=0.1))
+    sim = build_sim(model=replaced(TEST_MODEL, home_leg_factor=0.1))
     a, b = place_pair(sim, 0, 1, 2)
     sim.converge()
     # relay 1.1 hops against direct 1 hop + overhead 0.5 hops at size 0
