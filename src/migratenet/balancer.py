@@ -27,9 +27,7 @@ def balance_step(state: ClusterState) -> list[MigrationEvent]:
     for node in range(state.node_count):
         if not state.resident[node]:
             continue
-        view = state.bulletins[node].load_view()
-        if not view:
-            continue
+        view = state.bulletins[node].load_view()   # holds at least node's own load
         target, believed = min(view.items(), key=lambda kv: (kv[1], kv[0]))
         if target == node or target in received:
             continue
@@ -37,10 +35,8 @@ def balance_step(state: ClusterState) -> list[MigrationEvent]:
                         key=lambda pid: (state.procs[pid].work, pid.home, pid.seq))
         work = state.procs[candidate].work
         if state.node_load(node) - (believed + work) > 0.0:
-            event = state.migrate(candidate, target)
-            if event is not None:
-                moves.append(event)
-                received.add(target)
+            moves.append(state.migrate(candidate, target))   # target != node: never None
+            received.add(target)
     return moves
 
 
@@ -53,35 +49,21 @@ def job_makespan(state: ClusterState, job: str) -> float:
 
 
 def optimal_joint_makespan(state: ClusterState) -> float:
-    """Brute-force minimum over all placements of max-over-jobs makespan.
+    """Exact minimum over all placements of the max-over-jobs makespan.
 
     Each job's makespan is the max over its members, so the max over jobs is
-    the max over all processes.  Enumerates set partitions of the processes
-    into at most `state.node_count` groups (nodes are interchangeable under
-    the homogeneous congestion model).  Intended for small instances only.
+    the max over all processes, and a node costs its largest work x its
+    resident count.  Nodes are interchangeable, so some optimal placement
+    gives the node of the largest work the next-largest works: swapping a
+    larger work in from another node leaves that node's cost unchanged and
+    can only lower the other's.  Repeating on the rest, nodes hold runs of
+    consecutive works sorted in descending order.  `best[j]` is the least
+    cost of the `j` largest works on the nodes allowed so far; each pass
+    allows one more node.  O(nodes x processes^2).
     """
-    works = [rec.work for rec in state.procs.values()]
-    if not works:
-        return 0.0
-
-    best = float("inf")
-
-    def evaluate(assignment: list[int]) -> float:
-        occupancy: dict[int, int] = {}
-        for group in assignment:
-            occupancy[group] = occupancy.get(group, 0) + 1
-        return max(work * occupancy[group] for work, group in zip(works, assignment))
-
-    assignment = [0] * len(works)
-
-    def recurse(i: int, groups_used: int) -> None:
-        nonlocal best
-        if i == len(works):
-            best = min(best, evaluate(assignment))
-            return
-        for group in range(min(groups_used + 1, state.node_count)):
-            assignment[i] = group
-            recurse(i + 1, max(groups_used, group + 1))
-
-    recurse(0, 0)
-    return best
+    works = sorted((rec.work for rec in state.procs.values()), reverse=True)
+    best = [0.0] + [float("inf")] * len(works)
+    for _ in range(min(state.node_count, len(works))):
+        best = [0.0] + [min(best[j], *(max(best[i], works[i] * (j - i)) for i in range(j)))
+                        for j in range(1, len(works) + 1)]
+    return best[-1]

@@ -286,7 +286,7 @@ class Scenario(Record):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:   # not UTF-8, or not JSON
+            except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
                 raise InvalidScenarioError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(data, base)
 

@@ -95,7 +95,7 @@ def load_model(path: Optional[str] = None) -> LatencyModel:
               else Path(path))
     try:
         data = json.loads(source.read_text(encoding="utf-8"))
-    except ValueError as exc:   # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
         raise InvalidScenarioError(f"config {path}: not valid JSON ({exc})") from exc
     version = need(data, "version", int, "config", None)
     if version != DEFAULTS_VERSION:

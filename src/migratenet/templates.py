@@ -236,6 +236,7 @@ def imbalance_test(seed: int = 0, preset: str = "imbalanced",
     else:
         report.check("makespan strictly decreases", after < before,
                      f"{before} -> {after}")
+        # the label names the optimum's former search; the pinned summaries hold it
         report.check("final makespan within 2x of brute-force optimum",
                      after <= 2 * optimum, f"{after} vs 2*{optimum}")
     report.metrics = sim.metrics

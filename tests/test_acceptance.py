@@ -210,7 +210,7 @@ def criterion_8():
     after = float(report.extra["makespan_after"])
     optimum = float(report.extra["makespan_optimum"])
     ok = report.passed and after < before and after <= 2 * optimum
-    return ok, f"makespan {before} -> {after}, enumerated optimum {optimum}"
+    return ok, f"makespan {before} -> {after}, optimum {optimum}"
 
 
 # -- criterion 9: socket transparency -------------------------------------------------------

@@ -76,7 +76,7 @@ def oracle_joint_makespan(members, node_count):
     """Minimum over every assignment of (job, work) members to nodes of the
     max over jobs of each job's makespan, the max over its own members: the
     definition that `optimal_joint_makespan`'s max over all processes and its
-    enumeration of set partitions must agree with."""
+    dynamic program over the sorted works must agree with."""
     jobs = [[i for i, (name, _) in enumerate(members) if name == job]
             for job in sorted({name for name, _ in members})]
     works = [work for _, work in members]
@@ -98,6 +98,43 @@ def test_joint_makespan_matches_per_job_oracle_on_small_instances():
         for job, work in members:
             state.spawn(rng.randrange(nodes), job, work)
         assert optimal_joint_makespan(state) == oracle_joint_makespan(members, nodes), seed
+
+
+def greedy_runs(works, threshold):
+    """The sorted `works` cut into runs by greedy packing under `threshold`,
+    which is at least the largest work: the largest remaining work w takes
+    the next works while w x count stays within it.  Each run is a node's
+    residents, and costs its first work x its length."""
+    runs, i = [], 0
+    while i < len(works):
+        count = 1
+        while i + count < len(works) and works[i] * (count + 1) <= threshold:
+            count += 1
+        runs.append(works[i:i + count])
+        i += count
+    return runs
+
+
+def test_joint_makespan_matches_greedy_packing_oracle_on_large_instances():
+    # far past any enumeration: 40-45 processes into 16-20 nodes.  The optimum
+    # is some work x count, the least that holds the largest work and for
+    # which greedy packing fits the nodes
+    for seed in range(8):
+        rng = random.Random(seed)
+        nodes = rng.randint(16, 20)
+        values = [0.0, 0.5, 1.0, 2.0, 3.5] if seed % 2 else [rng.uniform(0, 4) for _ in range(45)]
+        works = sorted((rng.choice(values) for _ in range(rng.randint(40, 45))), reverse=True)
+        state = ClusterState(Topology.mesh(nodes))
+        for work in works:
+            state.spawn(rng.randrange(nodes), "J%d" % rng.randrange(3), work)
+        oracle = min(work * k for work in works for k in range(1, len(works) + 1)
+                     if work * k >= works[0] and len(greedy_runs(works, work * k)) <= nodes)
+        assert optimal_joint_makespan(state) == oracle, seed
+        placed = ClusterState(Topology.mesh(nodes))
+        for node, run in enumerate(greedy_runs(works, oracle)):
+            for work in run:
+                placed.spawn(node, "J%d" % rng.randrange(3), work)
+        assert max(job_makespan(placed, job) for job in ("J0", "J1", "J2")) == oracle, seed
 
 
 # -- balance_step -----------------------------------------------------------------

@@ -53,6 +53,25 @@ def test_run_non_utf8_file_exits_2(tmp_path, capsys):
     assert "E_INVALID_SCENARIO" in err and "Traceback" not in err
 
 
+def test_run_too_deeply_nested_json_exits_2(tmp_path, capsys):
+    # deeper than the parser's recursion limit: json raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert cli.main(["run", str(deep), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and "not valid JSON" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_too_deeply_nested_config_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert cli.main(["sweep", "--sizes", "1024", "--config", str(deep),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "E_INVALID_SCENARIO" in err and f"config {deep}: not valid JSON" in err
+
+
 def test_run_schema_violation_exits_2(tmp_path, capsys):
     data = json.loads(json.dumps(SCENARIO))
     data["traffic"][0]["src"] = "ghost"

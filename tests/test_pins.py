@@ -1,16 +1,21 @@
-"""Outputs pinned byte for byte: each template output in `pins.json`, which
-CI's template step reads too, and the defaults file `calibrate` writes."""
+"""Outputs pinned byte for byte: each template output and each seed-1
+workload digest in `pins.json`, which CI's template and workload steps read
+too, and the defaults file `calibrate` writes."""
 
 import hashlib
+import importlib
 import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import migratenet
+import migratenet.bench
 from migratenet import cli
 
 PINS = json.loads((Path(__file__).parent / "pins.json").read_text(encoding="utf-8"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("pin", PINS["templates"], ids=lambda pin: " ".join(pin["argv"]))
@@ -25,3 +30,26 @@ def test_calibrate_writes_the_packaged_defaults_byte_for_byte(tmp_path, capsys):
     assert cli.main(["calibrate", "--out", str(tmp_path)]) == 0
     shipped = resources.files("migratenet").joinpath("defaults.json").read_bytes()
     assert (tmp_path / "latency_defaults.json").read_bytes() == shipped
+
+
+@pytest.mark.parametrize("pin", [pin for pin in PINS["workloads"] if pin["seed"] == 1],
+                         ids=lambda pin: f"{pin['workload']} seed {pin['seed']}")
+def test_workload_digest_matches_its_pin(pin, tmp_path, monkeypatch):
+    """The `report_sha256` that `perfbench/run.py --seed S` prints: each input
+    generated from the seed is set up, run and checked once, in the already
+    imported package, and the digest hashes the inputs' digests joined."""
+    name = f"{pin['workload']} seed {pin['seed']}"
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run, workloads = importlib.import_module("run"), importlib.import_module("workloads")
+    digests = []
+    for index in range(run.INPUTS):
+        outdir = tmp_path / f"input{index}"
+        outdir.mkdir()
+        workload = workloads.make(pin["workload"], pin["seed"] * run.INPUTS + index, outdir)
+        state = workload.setup(migratenet)
+        outputs, _ = workload.run(migratenet, state)
+        checked = workload.check(migratenet, state, outputs)
+        assert not checked.failures, f"pin {name}: {checked.failures}"
+        digests.append(checked.sha256)
+    got = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert got == pin["report_sha256"], f"pin {name}: report_sha256 is {got}"
