@@ -27,7 +27,7 @@ def balance_step(state: ClusterState) -> list[MigrationEvent]:
     for node in range(state.node_count):
         if not state.resident[node]:
             continue
-        view = state.bulletins[node].load_view()   # holds at least node's own load
+        view = state.bulletins[node].load_view(state.node_count)   # has node's own load
         target, believed = min(view.items(), key=lambda kv: (kv[1], kv[0]))
         if target == node or target in received:
             continue

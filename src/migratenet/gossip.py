@@ -8,11 +8,15 @@ pairs up with one uniformly random peer and the two exchange facts
 (push-pull), each side keeping the copy with the larger serial, so a
 republished fact displaces every stale copy as it spreads.  Two bulletins
 within the digest bound would ship whole, so `_swap` gives both the union in
-place, in one walk.  Otherwise each side ships a digest, a raw snapshot of
-stored ``(key, (value, serial))`` items: those of the copied table of a
-bulletin within the bound, or, cut at a serial threshold found by sorting
-the plain serial integers, the latest `bound` facts of a larger one, in
-bulletin order.  A cut digest carries only the latest facts, so a node whose
+place, in one walk.  Any other pair reconciles summary-first, after
+Scuttlebutt (van Renesse, Dumitriu, Gough and Thomas, LADIS 2008): each side
+reads the peer's per-key serials and ships a digest, a raw snapshot of
+stored ``(key, (value, serial))`` items in bulletin order, of the facts the
+peer lacks or holds older: all of them when at most `bound`, else the latest
+`bound`, cut at a serial threshold found by sorting their plain serial
+integers.  MOSIX ships the `bound` newest facts whatever the peer holds
+(Amar, Barak, Drezner and Okun, 2009); the bound is kept, the choice of
+facts is not.  A cut digest leaves older facts behind, so a node whose
 bulletin outgrows the bound re-publishes its own facts every
 `REPUBLISH_PERIOD` rounds (anti-entropy, Demers et al. 1987), and every fact
 keeps spreading until every node holds it.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import random
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .errors import NoConvergenceError
 
@@ -34,7 +38,8 @@ if TYPE_CHECKING:
 DEFAULT_BOUND = 64
 REPUBLISH_PERIOD = 8   # rounds between re-publications (see gossip_round)
 
-_value, _serial = itemgetter(0), itemgetter(1)   # the two fields of a stored entry
+_value = itemgetter(0)   # the value field of a stored (value, serial) entry
+_ABSENT = (None, -1)   # a fact a peer lacks, as stored: every serial, never negative, beats it
 
 
 class GossipConfig(NamedTuple):
@@ -77,30 +82,36 @@ class Bulletin:
         """The stored (node, serial) for pid, possibly stale, or None."""
         return self._facts.get(pid)
 
-    def load_view(self) -> dict["NodeId", float]:
-        """Snapshot of all known node loads as node -> load."""
-        return {key: entry[0] for key, entry in self._facts.items() if type(key) is int}
+    def load_view(self, node_count: int) -> dict["NodeId", float]:
+        """Snapshot of the known loads of nodes ``0 .. node_count - 1`` as
+        node -> load, each read by its key."""
+        facts = self._facts
+        return {node: entry[0] for node in range(node_count)
+                if (entry := facts.get(node)) is not None}
 
 
-def make_digest(bulletin: Bulletin, bound: int) -> Collection:
-    """Select the `bound` latest facts as raw ``(key, (value, serial))`` items.
+def make_digest(bulletin: Bulletin, bound: int, peer: Optional[Bulletin] = None) -> list:
+    """Select up to `bound` facts that `peer` lacks, as raw ``(key, (value,
+    serial))`` items in bulletin order.
 
-    A bulletin with at most `bound` facts is shipped whole, as the items of
-    a copy of its table.  A larger one is cut at a serial threshold: `cut` is
-    the serial of the `bound`-th latest fact and every fact from `cut` on
-    ships.  Serials are unique, so exactly `bound` facts ship, in bulletin
-    order.
+    The candidates are the facts the peer lacks or holds under a smaller
+    serial, except the peer's own load, which `merge` never accepts; with no
+    peer, a peer that holds nothing, every fact is one.  At most `bound`
+    candidates all ship.  More are cut at a serial threshold: `cut` is the
+    serial of the `bound`-th latest candidate and every candidate from `cut`
+    on ships.  Serials are unique in a bulletin, so exactly `bound` ship.
     """
     if bound < 1:
         raise ValueError("digest bound must be >= 1")
-    facts = bulletin._facts
-    if len(facts) <= bound:
-        # dict.copy() is several times cheaper than building a pair per entry
-        return facts.copy().items()
-    serials = [*map(_serial, facts.values())]
+    held, owner = (peer._facts.get, peer.owner) if peer is not None else ({}.get, None)
+    wanted = [(key, entry) for key, entry in bulletin._facts.items()
+              if entry[1] > held(key, _ABSENT)[1] and key != owner]
+    if len(wanted) <= bound:
+        return wanted
+    serials = [item[1][1] for item in wanted]
     serials.sort()
     cut = serials[-bound]
-    return [item for item in facts.items() if item[1][1] >= cut]
+    return [item for item in wanted if item[1][1] >= cut]
 
 
 def _swap(left: Bulletin, right: Bulletin) -> int:
@@ -161,9 +172,10 @@ def gossip_round(state: "ClusterState", rng: random.Random,
     itself and the pair exchanges facts both ways; later exchanges within the
     round see the effect of earlier ones.  A pair whose bulletins both hold
     at most `bound` entries is swapped whole in place (`_swap`); any other
-    pair builds both digests before merging either.  Both ways move the same
-    entries.  A whole exchange is lost with probability `drop_probability`
-    (its two frames still count as emitted).
+    pair builds both digests, each against the other side as its peer,
+    before merging either.  Both ways move the same entries.  A whole
+    exchange is lost with probability `drop_probability` (its two frames
+    still count as emitted).
     """
     n = state.node_count
     state.gossip_rounds += 1
@@ -190,9 +202,10 @@ def gossip_round(state: "ClusterState", rng: random.Random,
             moved += _swap(left, right)
             continue
         # make_digest and merge are looked up as globals on each call, so a
-        # wrapper set on the module sees every one
-        digest_left = make_digest(left, bound)
-        digest_right = make_digest(right, bound)
+        # wrapper set on the module sees every one; the peer goes by keyword,
+        # as such a wrapper may hand its hooks the positional arguments only
+        digest_left = make_digest(left, bound, peer=right)
+        digest_right = make_digest(right, bound, peer=left)
         moved += merge(right, digest_left)
         moved += merge(left, digest_right)
     return RoundReport(state.gossip_rounds, n - dropped, dropped, 2 * n, moved)
@@ -209,7 +222,7 @@ def is_converged(state: "ClusterState") -> bool:
     keys = [*state.procs, *range(state.node_count)]   # pids, then nodes
     truth = [*(rec.current for rec in state.procs.values()),
              *map(state.node_load, range(state.node_count))]
-    absent = repeat((None, None))   # the stored form of a missing entry
+    absent = repeat(_ABSENT)
     for b in state.bulletins:
         # each bulletin's values in truth order, fetched with no call per fact
         if [*map(_value, map(b._facts.get, keys, absent))] != truth:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from migratenet.bench import Simulation
 from migratenet.cluster import Topology
 from migratenet.gossip import GossipConfig
 from migratenet.simcore import LatencyModel
 from migratenet.transport import TransportConfig
+
+# every pinned output, by kind: template outputs, workload digests and gossip
+# goldens (tests/test_pins.py, tests/test_gossip.py; CI reads the first two)
+PINS = json.loads((Path(__file__).parent / "pins.json").read_text(encoding="utf-8"))
 
 # hand-computable numbers: one hop = 1 + size/100, shared memory = 0.1 + size/1000
 TEST_MODEL = LatencyModel(alpha_net=1.0, beta_net=100.0,

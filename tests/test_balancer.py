@@ -174,7 +174,7 @@ def test_never_moves_to_a_node_believed_more_loaded_than_self():
         for _ in range(rng.randrange(4)):   # possibly stale views
             from migratenet.gossip import gossip_round
             gossip_round(sim.cluster, sim.rng)
-        views = [b.load_view() for b in sim.cluster.bulletins]
+        views = [b.load_view(sim.cluster.node_count) for b in sim.cluster.bulletins]
         moves = balance_step(sim.cluster)
         for m in moves:
             view = views[m.src]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_sim
+from conftest import PINS, build_sim
 from migratenet import gossip, templates
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import NoConvergenceError, SimulatorError
@@ -274,7 +274,7 @@ def test_merge_orders_by_serial_alone():
             (7, serial) if wins else (3, resident_serial))
     assert receiver.lookup_location(Q) == (5, 11)
     assert receiver.lookup_location(shared) == (6, 1)
-    assert receiver.load_view()[2] == 4.0
+    assert receiver.load_view(3)[2] == 4.0
 
 
 def merge_oracle(table: dict, entries: list, owner) -> int:
@@ -313,6 +313,56 @@ def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incomi
         changed = merge_oracle(facts, list(digest), owner)
         assert merge(b, digest) == changed
         assert b._facts == facts
+
+
+def pair_of(sent, held, owner) -> tuple[Bulletin, Bulletin]:
+    """A sender holding `sent` and a peer, owned by node `owner`, holding
+    `held`, each as `stored` builds them."""
+    sender, peer = Bulletin(owner=(owner + 1) % 8), Bulletin(owner=owner)
+    sender._facts, peer._facts = stored(*sent), stored(*held)
+    return sender, peer
+
+
+@settings(max_examples=300, deadline=None)
+@given(sent=BULLETINS, held=BULLETINS, owner=st.integers(0, 7), bound=st.integers(1, 40))
+# a copy under the peer's serial and a later copy of the peer's own load: the
+# peer lacks nothing that it would take
+@example(sent=({(0, 0): 3}, {0: 9.0}, [5, 7]), held=({(0, 0): 4}, {0: 1.0}, [5, 2]),
+         owner=0, bound=1)
+def test_peer_aware_digest_matches_its_sort_oracle(sent, held, owner, bound):
+    # both sides draw serials from one small range, so many keys tie across
+    # them; the candidates number 0-28, on either side of the bound
+    sender, peer = pair_of(sent, held, owner)
+    facts = peer._facts
+    lacked = [(key, entry) for key, entry in sender._facts.items()
+              if key != owner and (key not in facts or entry[1] > facts[key][1])]
+    digest = make_digest(sender, bound, peer=peer)
+    assert sorted(ranked(digest)) == latest(lacked, bound)
+    shipped = dict(digest)
+    assert [key for key, _ in digest] == [key for key in sender._facts if key in shipped]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sent=BULLETINS, held=BULLETINS, owner=st.integers(0, 7), bound=st.integers(1, 40))
+def test_a_peer_aware_digest_gets_accepted_all_that_the_newest_window_does(sent, held,
+                                                                          owner, bound):
+    # the newest window (no peer) ships the `bound` latest facts, and the peer
+    # takes those it lacks; they are among the latest facts it lacks, so the
+    # peer-aware digest ships them too, and the peer takes all it ships
+    def taken(peer_aware: bool) -> tuple[dict, int]:
+        sender, peer = pair_of(sent, held, owner)
+        before = dict(peer._facts)
+        digest = make_digest(sender, bound, peer=peer if peer_aware else None)
+        accepted = merge(peer, digest)
+        changed = {key: entry for key, entry in peer._facts.items()
+                   if before.get(key) is not entry}
+        assert accepted == len(changed)
+        return changed, len(digest)
+
+    window, _ = taken(False)
+    aware, shipped = taken(True)
+    assert window.items() <= aware.items()
+    assert len(aware) == shipped
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,7 +406,7 @@ def test_own_load_fact_never_overwritten():
     other = Bulletin(owner=1)
     other._facts[0] = (99.0, 10**6)   # later hearsay about node 0
     merge(b, make_digest(other, 10))
-    assert b.load_view()[0] == 7.0
+    assert b.load_view(2)[0] == 7.0
 
 
 def test_a_location_and_a_load_under_one_number_stay_distinct():
@@ -373,7 +423,7 @@ def test_a_location_and_a_load_under_one_number_stay_distinct():
     for b in (origin, peer):
         assert len(b) == 3
         assert b.lookup_location(pid) == (5, 2)
-        assert b.load_view() == {2: 3.0, 0: 1.0}
+        assert b.load_view(3) == {2: 3.0, 0: 1.0}
     # three facts against bound 2: the cut digest ships the two latest, the
     # location and node 2's load
     digest = make_digest(peer, 2)
@@ -382,7 +432,7 @@ def test_a_location_and_a_load_under_one_number_stay_distinct():
     home.publish_load(4.0, 7)   # node 2's own load, never replaced by hearsay
     assert merge(home, digest) == 1
     assert home.lookup_location(pid) == (5, 2)
-    assert home.load_view() == {2: 4.0}
+    assert home.load_view(3) == {2: 4.0}
 
 
 # -- gossip_round ------------------------------------------------------------------
@@ -462,13 +512,13 @@ def test_converge_raises_coded_error_when_rounds_run_out():
 
 
 def test_converge_raises_after_exactly_max_rounds():
-    # 68 facts on 8 nodes: five rounds are not enough
+    # 68 facts on 8 nodes take three rounds at this seed: two are not enough
     state = ClusterState(Topology.mesh(8))
     for i in range(60):
         state.spawn(i % 8)
-    with pytest.raises(NoConvergenceError, match="within 5 rounds"):
-        converge(state, random.Random(0), max_rounds=5)
-    assert state.gossip_rounds == 5
+    with pytest.raises(NoConvergenceError, match="within 2 rounds"):
+        converge(state, random.Random(0), max_rounds=2)
+    assert state.gossip_rounds == 2
 
 
 def test_converge_checks_the_last_round():
@@ -513,13 +563,31 @@ def test_converges_with_four_times_more_facts_than_the_digest_bound(seed):
     assert is_converged(state)
 
 
-def test_64_nodes_with_256_processes_converge_in_25_rounds():
-    # 320 facts against the default bound of 64: almost every digest is cut,
-    # so this pins how fast re-publishing and cut digests spread them
-    state = ClusterState(Topology.mesh(64))
-    for i in range(256):
-        state.spawn(i % 64)
-    assert converge(state, random.Random(1), GossipConfig()) == 25
+def over_full_cluster(nodes: int, procs: int) -> ClusterState:
+    """`procs` processes spawned round-robin over `nodes` nodes, each
+    bulletin holding only its own facts."""
+    state = ClusterState(Topology.mesh(nodes))
+    for i in range(procs):
+        state.spawn(i % nodes)
+    return state
+
+
+def test_64_nodes_with_256_processes_converge_in_7_rounds():
+    # 320 facts against the default bound of 64: almost every pair is
+    # over-full, so this pins how fast re-publishing and digests of the facts
+    # each peer lacks spread them
+    assert converge(over_full_cluster(64, 256), random.Random(1), GossipConfig()) == 7
+
+
+@pytest.mark.parametrize("pin,seed", [(pin, seed) for pin in PINS["gossip"]["converge"]
+                                      for seed in pin["rounds"]],
+                         ids=lambda value: (f"{value['nodes']}-{value['procs']}"
+                                            if isinstance(value, dict) else f"seed {value}"))
+def test_over_full_clusters_converge_in_their_pinned_rounds(pin, seed):
+    name = f"{pin['nodes']}-{pin['procs']} seed {seed}"
+    rounds = converge(over_full_cluster(pin["nodes"], pin["procs"]), random.Random(int(seed)),
+                      GossipConfig())
+    assert rounds == pin["rounds"][seed], f"pin converge {name}: {rounds} rounds"
 
 
 def test_bulletin_above_the_bound_republishes_its_nodes_facts_on_its_turn():
@@ -574,41 +642,35 @@ def seeded_bulletin_fingerprint(nodes: int, procs: int, rounds: int = 30,
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("nodes,procs,golden", [
-    # 56 facts: every digest is the whole bulletin
-    (16, 40, "74dce23daf1b8f7e20ae9f76e625ff9af613c5c27fda8574955756a827455b3c"),
-    # 128 facts: most digests are cut to the 64 latest, and each node
-    # re-publishes its own facts every REPUBLISH_PERIOD rounds
-    (32, 96, "2980e64c68a41eb66c1f375f17ff4204ef8b517b00c166fcb223f1a1147d8dab"),
-], ids=["16-40", "32-96"])
-def test_seeded_rounds_match_golden_bulletins(nodes, procs, golden):
-    assert seeded_bulletin_fingerprint(nodes, procs) == golden
+@pytest.mark.parametrize("pin", PINS["gossip"]["bulletins"], ids=lambda pin: pin["name"])
+def test_seeded_rounds_match_golden_bulletins(pin):
+    got = seeded_bulletin_fingerprint(pin["nodes"], pin["procs"])
+    assert got == pin["sha256"], f"pin gossip bulletins {pin['name']}: sha256 is {got}"
 
 
 def test_seeded_rounds_match_golden_digests(monkeypatch):
     # SHA-256 over the sorted (kind, key, value, serial) contents of every
-    # cut digest the seeded 32/96 rounds build, in the order they are built:
-    # this pins each cut digest, not only the bulletins it leaves behind.
-    # Of the 960 exchanges, 65 swap two whole bulletins and build no digest;
-    # each of the others builds both its digests, 12 of them whole
+    # digest the seeded rounds build, in the order they are built: this pins
+    # each digest, not only the bulletins it leaves behind.  A digest is cut
+    # when the facts its peer lacks are more than the bound; all of them are
+    # what a digest with room for the whole bulletin ships
+    pin = PINS["gossip"]["digests"]
     digests = hashlib.sha256()
     built = cut = 0
 
-    def recording_make_digest(bulletin, bound):
+    def recording_make_digest(bulletin, bound, peer=None):
         nonlocal built, cut
-        digest = make_digest(bulletin, bound)
+        digest = make_digest(bulletin, bound, peer=peer)
         built += 1
-        if len(bulletin) > bound:
-            cut += 1
-            digests.update(repr(sorted((kind, key, value, serial)
-                                       for serial, kind, key, value in ranked(digest))).encode())
+        cut += len(make_digest(bulletin, len(bulletin) + 1, peer=peer)) > bound
+        digests.update(repr(sorted((kind, key, value, serial)
+                                   for serial, kind, key, value in ranked(digest))).encode())
         return digest
 
     monkeypatch.setattr(gossip, "make_digest", recording_make_digest)
-    seeded_bulletin_fingerprint(32, 96)
-    assert (built, cut) == (1790, 1778)
-    assert digests.hexdigest() == (
-        "96759b4b14083e1b2df05eb2f74da9844b342ab95ff8ac4b899ab03a6783349b")
+    seeded_bulletin_fingerprint(pin["nodes"], pin["procs"])
+    got = {"built": built, "cut": cut, "sha256": digests.hexdigest()}
+    assert got == {key: pin[key] for key in got}, f"pin gossip digests: got {got}"
 
 
 def test_gossiped_copy_keeps_its_publication_serial():
@@ -640,7 +702,7 @@ def test_load_view_matches_ground_truth_after_convergence():
     converge(sim.cluster, sim.rng)
     truth = {n: sim.cluster.node_load(n) for n in range(6)}
     for b in sim.cluster.bulletins:
-        assert b.load_view() == truth
+        assert b.load_view(6) == truth
 
 
 def test_load_view_mid_convergence_values_come_from_history():
@@ -655,7 +717,7 @@ def test_load_view_mid_convergence_values_come_from_history():
     for step in range(10):
         gossip_round(state, rng)
         for b in state.bulletins:
-            for n, value in b.load_view().items():
+            for n, value in b.load_view(6).items():
                 assert value in history[n]
         moved = state.migrate(pids[step % 3], rng.randrange(6))
         if moved:

@@ -1,10 +1,10 @@
 """Outputs pinned byte for byte: each template output and each seed-1
 workload digest in `pins.json`, which CI's template and workload steps read
-too, and the defaults file `calibrate` writes."""
+too, and the defaults file `calibrate` writes.  The gossip goldens of
+`pins.json` are checked in `test_gossip.py`."""
 
 import hashlib
 import importlib
-import json
 from importlib import resources
 from pathlib import Path
 
@@ -12,9 +12,9 @@ import pytest
 
 import migratenet
 import migratenet.bench
+from conftest import PINS
 from migratenet import cli
 
-PINS = json.loads((Path(__file__).parent / "pins.json").read_text(encoding="utf-8"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
