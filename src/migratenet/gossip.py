@@ -6,7 +6,7 @@ publication, with a serial from `ClusterState.stamp`; a larger serial is a
 later publication, and no bulletin keeps a clock.  Once per round every node
 pairs up with one uniformly random peer and the two exchange facts
 (push-pull), each side keeping the copy with the larger serial, so a
-republished fact displaces every stale copy as it spreads.  Two bulletins
+newer publication displaces every stale copy as it spreads.  Two bulletins
 within the digest bound would ship whole, so `_swap` gives both the union in
 place, in one walk.  Any other pair reconciles summary-first, after
 Scuttlebutt (van Renesse, Dumitriu, Gough and Thomas, LADIS 2008): each side
@@ -16,10 +16,12 @@ peer lacks or holds older: all of them when at most `bound`, else the latest
 `bound`, cut at a serial threshold found by sorting their plain serial
 integers.  MOSIX ships the `bound` newest facts whatever the peer holds
 (Amar, Barak, Drezner and Okun, 2009); the bound is kept, the choice of
-facts is not.  A cut digest leaves older facts behind, so a node whose
-bulletin outgrows the bound re-publishes its own facts every
-`REPUBLISH_PERIOD` rounds (anti-entropy, Demers et al. 1987), and every fact
-keeps spreading until every node holds it.
+facts is not.  No fact is ever re-published to keep it spreading: a fact
+the peer lacks, or holds under a smaller serial, is a candidate in every
+exchange with that peer until it ships, so while fewer than `bound` new
+facts arrive per exchange nothing is left behind.  A static cluster always
+converges, because each exchange between differing bulletins moves at
+least one strictly newer fact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ if TYPE_CHECKING:
 
 
 DEFAULT_BOUND = 64
-REPUBLISH_PERIOD = 8   # rounds between re-publications (see gossip_round)
 
 _value = itemgetter(0)   # the value field of a stored (value, serial) entry
 _ABSENT = (None, -1)   # a fact a peer lacks, as stored: every serial, never negative, beats it
@@ -164,30 +165,23 @@ def gossip_round(state: "ClusterState", rng: random.Random,
                  config: GossipConfig = GossipConfig()) -> RoundReport:
     """Run one synchronous gossip round over the whole cluster.
 
-    The cluster's round counter advances first.  Then each node whose
-    bulletin holds more than `bound` entries re-publishes, in the rounds
-    where ``(round + node) % REPUBLISH_PERIOD == 0``, its residents'
-    locations in pid order and then its own load, under fresh serials.  Then
-    each node, in index order, picks one uniformly random peer other than
-    itself and the pair exchanges facts both ways; later exchanges within the
-    round see the effect of earlier ones.  A pair whose bulletins both hold
-    at most `bound` entries is swapped whole in place (`_swap`); any other
-    pair builds both digests, each against the other side as its peer,
-    before merging either.  Both ways move the same entries.  A whole
-    exchange is lost with probability `drop_probability` (its two frames
-    still count as emitted).
+    The cluster's round counter advances first.  Then each node, in index
+    order, picks one uniformly random peer other than itself and the pair
+    exchanges facts both ways; later exchanges within the round see the
+    effect of earlier ones.  A pair whose bulletins both hold at most
+    `bound` entries is swapped whole in place (`_swap`); any other pair
+    builds both digests, each against the other side as its peer, before
+    merging either.  Both ways move the same entries.  A whole exchange is
+    lost with probability `drop_probability` (its two frames still count as
+    emitted).  No fact is re-published: one the peer lacks, or holds under a
+    smaller serial, stays a candidate in every exchange with that peer until
+    it ships, so every fact keeps spreading until every node holds it.
     """
     n = state.node_count
     state.gossip_rounds += 1
     if n < 2:
         return RoundReport(state.gossip_rounds, 0, 0, 0, 0)
     bulletins, bound, drop = state.bulletins, config.bound, config.drop_probability
-    for node in range(-state.gossip_rounds % REPUBLISH_PERIOD, n, REPUBLISH_PERIOD):
-        bulletin = bulletins[node]
-        if len(bulletin) > bound:
-            for pid in sorted(state.resident[node]):
-                bulletin.publish_location(pid, node, state.stamp())
-            bulletin.publish_load(state.node_load(node), state.stamp())
     randrange = rng.randrange
     dropped = moved = 0
     for i in range(n):

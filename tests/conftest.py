@@ -12,8 +12,10 @@ from migratenet.gossip import GossipConfig
 from migratenet.simcore import LatencyModel
 from migratenet.transport import TransportConfig
 
-# every pinned output, by kind: template outputs, workload digests and gossip
-# goldens (tests/test_pins.py, tests/test_gossip.py; CI reads the first two)
+# every pinned output, by kind: template outputs, workload digests, seeded
+# report files, socket traffic and gossip goldens (tests/test_pins.py,
+# tests/test_golden_reports.py, tests/test_socket_api.py, tests/test_gossip.py;
+# CI reads the first two)
 PINS = json.loads((Path(__file__).parent / "pins.json").read_text(encoding="utf-8"))
 
 # hand-computable numbers: one hop = 1 + size/100, shared memory = 0.1 + size/1000

@@ -1,7 +1,9 @@
 """Outputs pinned byte for byte: each template output and each seed-1
 workload digest in `pins.json`, which CI's template and workload steps read
-too, and the defaults file `calibrate` writes.  The gossip goldens of
-`pins.json` are checked in `test_gossip.py`."""
+too, and the defaults file `calibrate` writes.  The other pins of
+`pins.json` are checked where their outputs are made: the report files in
+`test_golden_reports.py`, the socket traffic in `test_socket_api.py` and the
+gossip goldens in `test_gossip.py`."""
 
 import hashlib
 import importlib

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import build_sim, place_pair
+from conftest import PINS, build_sim, place_pair
 from migratenet.bench import Simulation
 from migratenet.cluster import GPid, Topology
 from migratenet.errors import (AddressInUseError, BadSizeError, BadStateError,
@@ -544,8 +544,6 @@ def test_application_stream_identical_across_transports():
 
 # -- golden -------------------------------------------------------------------------
 
-SOCKET_GOLDEN = "3a87e08c58bc2245348e73be37a4da5f01ebecd46a992452b0d18102555bfcc7"
-
 
 def test_seeded_socket_traffic_matches_golden():
     # one connection per transport on an 8-node mesh; 300 sends mixed with
@@ -588,4 +586,5 @@ def test_seeded_socket_traffic_matches_golden():
     for h in handles:
         digest.update(f"{h.id}:{stack.recv(h, 10 ** 9)}\n".encode())
     digest.update(repr(sim.metrics.rows()).encode())
-    assert digest.hexdigest() == SOCKET_GOLDEN
+    got = digest.hexdigest()
+    assert got == PINS["socket"]["sha256"], f"pin socket: sha256 is {got}"
