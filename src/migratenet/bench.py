@@ -26,7 +26,7 @@ import json
 import math
 import random
 from itertools import islice
-from operator import itemgetter
+from operator import countOf, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -220,36 +220,78 @@ LIMITS = {
 }
 
 
-def read_traffic(raws: list, where: str) -> list[TrafficSpec]:
-    """`read` of each traffic row in `raws`, at `where`, with one shortcut.
+# the keys of a traffic row in canonical form, in order
+_CANONICAL = tuple(name for name in TrafficSpec._fields if name not in TrafficSpec._field_defaults)
 
-    A row in canonical form is built in one step: its keys are exactly
-    `TrafficSpec`'s required fields in declaration order, its time is a
-    finite float and its size an int (not a bool), each within its `LIMITS`
-    rule, its src and dst are strings, and its transport names a
-    `TransportKind`.  Such a row reads as `read` would read it, so every
-    other row, faulty or not, goes to `read`, which coerces its values and
-    names its first fault."""
+
+class _Loaded(TrafficSpec):
+    """A traffic row `Scenario.load` built while decoding its file; only
+    `load` makes one, and `read_traffic` takes it as it is.  It equals the
+    `TrafficSpec` that `from_dict` builds from the same row."""
+    __slots__ = ()
+
+
+def _traffic_builder(cls: type):
+    """The one test of a traffic row in canonical form: `build`, which turns
+    such a row into its `cls` (`TrafficSpec` or `_Loaded`) and returns any
+    other value as it is, and `built`, which counts the rows it built.
+
+    Its keys are exactly `TrafficSpec`'s required fields in declaration
+    order, its time is a finite float and its size an int (not a bool), each
+    within its `LIMITS` rule, its src and dst are strings, and its transport
+    names a `TransportKind`.  Such a row reads as `read` would read it.
+    Equal ids share one string, so a row keeps none of the decoder's."""
     limits = LIMITS[TrafficSpec]
-    required = tuple(name for name in TrafficSpec._fields
-                     if name not in TrafficSpec._field_defaults)
-    get = itemgetter(*required)
+    get = itemgetter(*_CANONICAL)
     (time_lo, time_hi, _), (size_lo, size_hi, _) = limits["time"], limits["size"]
     count, interval = TrafficSpec._field_defaults.values()
     kinds = {kind.value: kind for kind in TransportKind}
-    new, isfinite, specs = tuple.__new__, math.isfinite, []
-    for raw in raws:
-        if type(raw) is dict and tuple(raw) == required:
+    new, isfinite, name, built = tuple.__new__, math.isfinite, {}.setdefault, 0
+
+    def build(raw):
+        nonlocal built
+        if type(raw) is dict and tuple(raw) == _CANONICAL:
             time, src, dst, transport, size = get(raw)
             if (type(time) is float and isfinite(time) and time_lo <= time <= time_hi
                     and type(src) is str and type(dst) is str and type(transport) is str
                     and transport in kinds
                     and type(size) is int and size_lo <= size <= size_hi):
-                specs.append(new(TrafficSpec, (time, src, dst, kinds[transport], size,
-                                               count, interval)))
-                continue
-        specs.append(read(raw, TrafficSpec, where, limits))
+                built += 1
+                return new(cls, (time, name(src, src), name(dst, dst), kinds[transport], size,
+                                 count, interval))
+        return raw
+    return build, lambda: built
+
+
+def read_traffic(raws: list, where: str) -> list[TrafficSpec]:
+    """`read` of each traffic row in `raws`, at `where`, with two shortcuts:
+    a row in canonical form is built in one step (`_traffic_builder`), and a
+    row `load` built is taken as it is.  Every other row, faulty or not,
+    goes to `read`, which coerces its values and names its first fault."""
+    build, _ = _traffic_builder(TrafficSpec)
+    specs, limits = [], LIMITS[TrafficSpec]
+    for raw in raws:
+        if type(raw) is not _Loaded:
+            spec = build(raw)
+            raw = read(raw, TrafficSpec, where, limits) if spec is raw else spec
+        specs.append(raw)
     return specs
+
+
+def _unbuilt(data, keep):
+    """`data` with each row `load` built outside the list `keep` turned
+    back into the dict it was decoded from, which, being canonical, it
+    holds in full.  Walked without recursion, as deep as the decoder went."""
+    top = [data]
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        for key, value in (node.items() if type(node) is dict else enumerate(node)):
+            if type(value) is _Loaded and node is not keep:
+                node[key] = dict(zip(_CANONICAL, (*value[:3], value.transport.value, value.size)))
+            elif type(value) in (dict, list):
+                stack.append(value)
+    return top[0]
 
 
 class Scenario(Record):
@@ -283,11 +325,21 @@ class Scenario(Record):
 
     @classmethod
     def load(cls, path, base: Optional[LatencyModel] = None) -> "Scenario":
+        """`from_dict` of the JSON file at `path`.  Each traffic row in
+        canonical form is built as soon as the decoder ends it, so the
+        decoded rows never exist together; a row built anywhere but in the
+        `traffic` list is turned back into its dict before `from_dict`, so a
+        file reads, or fails, as its decoded JSON would."""
+        build, built = _traffic_builder(_Loaded)
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_hook=build)
             except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
                 raise InvalidScenarioError(f"{path}: not valid JSON ({exc})") from exc
+        rows = data.get("traffic") if type(data) is dict else None
+        rows = rows if type(rows) is list else []
+        if countOf(map(type, rows), _Loaded) != built():   # a row built elsewhere
+            data = _unbuilt(data, rows)
         return cls.from_dict(data, base)
 
     @classmethod
@@ -332,13 +384,13 @@ class Scenario(Record):
         def rows(key: str, schema: type, *default) -> list:
             raws = need(data, key, list, "scenario", *default)
             limits = LIMITS.get(schema)
+            read_rows = read_traffic if schema is TrafficSpec else \
+                (lambda raws, where: [read(raw, schema, where, limits) for raw in raws])
             try:    # a failed row is read again, to name it by its index
-                if schema is TrafficSpec:
-                    return read_traffic(raws, key)
-                return [read(raw, schema, key, limits) for raw in raws]
+                return read_rows(raws, key)
             except InvalidScenarioError:
                 for i, raw in enumerate(raws):
-                    read(raw, schema, f"{key}[{i}]", limits)
+                    read_rows([raw], f"{key}[{i}]")
                 raise
 
         processes = rows("processes", ProcessSpec)
@@ -373,26 +425,38 @@ class Scenario(Record):
         # to the last row's time
         laid, horizon = len(migrations), last_time
         traffic = rows("traffic", TrafficSpec, [])
-        for i, t in enumerate(traffic):
-            if t.src not in ids or t.dst not in ids:
-                label, pid = ("src", t.src) if t.src not in ids else ("dst", t.dst)
-                raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
-            if t.size > small_cap and t.size > size_caps[t.transport]:
-                raise InvalidScenarioError(f"traffic[{i}].size: {t.size} is over the "
-                                           f"{t.transport.value} cap {size_caps[t.transport]}")
-            try:    # the last send's time, as `run_scenario` lays it
-                last = t.time + (t.count - 1) * t.interval
-            except OverflowError:   # a count beyond float range
-                last = math.inf
-            if not math.isfinite(last):
-                raise InvalidScenarioError(
-                    f"traffic[{i}]: last send at time + (count - 1) * interval is not finite")
-            laid += t.count
-            if laid > MAX_TIMELINE_ROWS:
-                raise InvalidScenarioError(f"traffic[{i}].count: {laid} migrations and sends "
-                                           f"pass {MAX_TIMELINE_ROWS} timeline rows")
-            if last > horizon:
-                horizon = last
+        # the usual rows, checked in C-level passes over the fields (by
+        # position: 0 time, 1 src, 2 dst, 4 size, 5 count): known ids, sizes
+        # within both caps, each sent once (so last at its time) and not too
+        # many; other rows are walked one by one, which names the first fault
+        if (ids.issuperset(map(itemgetter(1), traffic))
+                and ids.issuperset(map(itemgetter(2), traffic))
+                and max(map(itemgetter(4), traffic), default=0) <= small_cap
+                and max(map(itemgetter(5), traffic), default=1) == 1
+                and laid + len(traffic) <= MAX_TIMELINE_ROWS):
+            laid += len(traffic)
+            horizon = max(horizon, max(map(itemgetter(0), traffic), default=horizon))
+        else:
+            for i, t in enumerate(traffic):
+                if t.src not in ids or t.dst not in ids:
+                    label, pid = ("src", t.src) if t.src not in ids else ("dst", t.dst)
+                    raise InvalidScenarioError(f"traffic[{i}].{label}: unknown process {pid!r}")
+                if t.size > small_cap and t.size > size_caps[t.transport]:
+                    raise InvalidScenarioError(f"traffic[{i}].size: {t.size} is over the "
+                                               f"{t.transport.value} cap {size_caps[t.transport]}")
+                try:    # the last send's time, as `run_scenario` lays it
+                    last = t.time + (t.count - 1) * t.interval
+                except OverflowError:   # a count beyond float range
+                    last = math.inf
+                if not math.isfinite(last):
+                    raise InvalidScenarioError(
+                        f"traffic[{i}]: last send at time + (count - 1) * interval is not finite")
+                laid += t.count
+                if laid > MAX_TIMELINE_ROWS:
+                    raise InvalidScenarioError(f"traffic[{i}].count: {laid} migrations and "
+                                               f"sends pass {MAX_TIMELINE_ROWS} timeline rows")
+                if last > horizon:
+                    horizon = last
 
         gossip_config = read(need(data, "gossip", dict, "scenario", {}), GossipConfig,
                              "gossip", LIMITS[GossipConfig])

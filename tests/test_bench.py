@@ -7,6 +7,7 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 from enum import Enum
 from inspect import signature
 from typing import get_type_hints
@@ -386,6 +387,184 @@ def test_a_scenario_of_non_canonical_traffic_reads_as_its_canonical_twin():
     assert read_twin == read_canonical
     assert [list(map(type, t)) for t in read_twin.traffic] == \
         [list(map(type, t)) for t in read_canonical.traffic]
+
+
+# -- Scenario.load, which builds canonical rows while decoding ----------------------
+
+CANONICAL_ROW = {"time": 0.5, "src": "p0", "dst": "p1", "transport": "relay", "size": 64}
+
+
+class Pairs(list):
+    """A JSON object written as these (key, value) pairs, a repeated key
+    included."""
+
+
+def dump(value) -> str:
+    """`value` as JSON text, each `Pairs` written pair by pair."""
+    if isinstance(value, dict):
+        value = Pairs(value.items())
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {dump(v)}" for key, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def file_rows(draw):
+    """A traffic row as a file holds it: canonical, with a -0.0 time, with a
+    repeated key, or `traffic_rows`' canonical or perturbed row."""
+    how = draw(st.sampled_from(["canonical", "-0.0", "repeated key", "perturbed"]))
+    if how == "perturbed":
+        return draw(traffic_rows())
+    row = dict(CANONICAL_ROW, time=draw(st.floats(0, 3)), size=draw(st.integers(0, 10000)),
+               transport=draw(st.sampled_from(["relay", "direct", "auto"])))
+    if how == "-0.0":
+        row["time"] = -0.0
+    elif how == "repeated key":   # the decoder keeps the first place and the last value
+        key = draw(st.sampled_from(list(row)))
+        pair = (key, draw(st.sampled_from([row[key], "x", 1, -1.0])))
+        row = Pairs([pair, *row.items()] if draw(st.booleans()) else [*row.items(), pair])
+    return row
+
+
+# where a canonical-looking row may sit outside the traffic list
+MISPLACED = ["top", "processes", "migrations", "gossip", "caps", "model", "topology",
+             "nested", "first of two traffic lists"]
+
+
+@st.composite
+def scenario_files(draw):
+    """The text of FULL_SCENARIO with generated traffic rows, and perhaps a
+    canonical-looking row placed outside the traffic list."""
+    data = json.loads(json.dumps(FULL_SCENARIO))
+    data["traffic"] = draw(st.lists(file_rows(), max_size=6))
+    places = draw(st.lists(st.sampled_from(MISPLACED), max_size=2))
+    for where in places:
+        if where == "top":
+            return dump(CANONICAL_ROW)
+        if where in ("processes", "migrations"):
+            data[where][0] = CANONICAL_ROW
+        elif where == "nested":   # inside a row that is then not canonical
+            data["traffic"].append(dict(CANONICAL_ROW, **{
+                draw(st.sampled_from(list(CANONICAL_ROW))): CANONICAL_ROW}))
+        elif where != "first of two traffic lists":
+            data[where] = CANONICAL_ROW
+    if "first of two traffic lists" in places:   # the decoder keeps the last
+        data = Pairs([("traffic", [CANONICAL_ROW] * 2), *data.items()])
+    return dump(data)
+
+
+def load_outcome(read_file):
+    """The scenario `read_file()` returns, with the type of each field of its
+    traffic rows, or the text of the `InvalidScenarioError` it raises."""
+    try:
+        scenario = read_file()
+    except InvalidScenarioError as exc:
+        return str(exc)
+    return scenario, [list(map(type, t)) for t in scenario.traffic]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=scenario_files())
+def test_a_file_loads_as_its_decoded_json_reads(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert load_outcome(lambda: bench.Scenario.load(path)) == \
+            load_outcome(lambda: bench.Scenario.from_dict(json.loads(text)))
+
+
+@pytest.mark.parametrize("place,needle", [
+    (lambda d: CANONICAL_ROW, "version: expected 1, got None"),
+    (lambda d: d["processes"].__setitem__(0, CANONICAL_ROW), "processes[0].time: unknown field"),
+    (lambda d: d.__setitem__("gossip", CANONICAL_ROW), "gossip.time: unknown field"),
+    (lambda d: d["traffic"].append(dict(CANONICAL_ROW, size=CANONICAL_ROW)),
+     "traffic[2].size: expected int, got dict"),
+])
+def test_a_canonical_row_outside_the_traffic_list_fails_as_a_dict(tmp_path, place, needle):
+    data = json.loads(json.dumps(VALID_SCENARIO))
+    data = place(data) or data
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InvalidScenarioError, match=re.escape(needle)):
+        bench.Scenario.load(path)
+
+
+def single_sends(rows: int) -> dict:
+    """VALID_SCENARIO with `rows` canonical rows, each sent once, so the
+    traffic is checked in whole-list passes."""
+    data = json.loads(json.dumps(VALID_SCENARIO))
+    data["traffic"] = [dict(CANONICAL_ROW, time=0.5 * i, src=f"p{i % 2}", dst=f"p{1 - i % 2}",
+                            transport="direct") for i in range(rows)]
+    return data
+
+
+@pytest.mark.parametrize("mutate,rows_bound,needle", [
+    (lambda d: d["traffic"][3].update(src="ghost"), 10 ** 6,
+     "traffic[3].src: unknown process 'ghost'"),
+    (lambda d: d["traffic"][3].update(dst="ghost"), 10 ** 6,
+     "traffic[3].dst: unknown process 'ghost'"),
+    (lambda d: d.update(caps={"relay_max": 63}), 10 ** 6,
+     "traffic[2].size: 64 is over the relay cap 63"),
+    (lambda d: d["gossip"].update(rounds_per_second=1e6), 10 ** 6,
+     "7 migrations and sends and a gossip round per period up to time 2.0 pass"),
+    (lambda d: None, 5, "traffic[3].count: 6 migrations and sends pass 5 timeline rows"),
+])
+def test_a_fault_among_single_sends_is_named_by_its_row(monkeypatch, mutate, rows_bound,
+                                                        needle):
+    data = single_sends(5)
+    data["traffic"][2]["transport"] = "relay"
+    mutate(data)
+    monkeypatch.setattr(bench, "MAX_TIMELINE_ROWS", rows_bound)
+    with pytest.raises(InvalidScenarioError, match=re.escape(needle)):
+        bench.Scenario.from_dict(data)
+
+
+def test_single_sends_over_the_smaller_cap_are_checked_row_by_row():
+    data = single_sends(4)
+    data["caps"] = {"relay_max": 63, "direct_max": 64}
+    scenario = bench.Scenario.from_dict(data)
+    assert [t.size for t in scenario.traffic] == [64] * 4
+    data["traffic"][1]["transport"] = "relay"
+    with pytest.raises(InvalidScenarioError, match=re.escape("traffic[1].size: 64 is over")):
+        bench.Scenario.from_dict(data)
+
+
+def test_only_load_passes_rows_it_built():
+    data = json.loads(json.dumps(VALID_SCENARIO))
+    data["traffic"] = [bench.read_traffic([CANONICAL_ROW], "traffic")[0]]
+    with pytest.raises(InvalidScenarioError,
+                       match=re.escape("traffic[0]: expected an object, got TrafficSpec")):
+        bench.Scenario.from_dict(data)
+
+
+def traced_peak(action) -> int:
+    """The most memory `action()` held at once, in bytes (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_less_than_the_decoded_json(tmp_path):
+    # the decoded rows never exist together: relative to the decoder's own
+    # peak, so the bound holds whatever the sizes of objects
+    data = json.loads(json.dumps(VALID_SCENARIO))
+    data["processes"] = [{"id": f"p{i}", "home": i % 4} for i in range(32)]
+    data["traffic"] = [{"time": i / 20000, "src": f"p{i % 32}", "dst": f"p{(i + 1) % 32}",
+                        "transport": ("relay", "direct", "auto")[i % 3], "size": 64 + i}
+                       for i in range(20000)]
+    text = json.dumps(data)
+    del data
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    assert traced_peak(lambda: bench.Scenario.load(path)) < \
+        0.75 * traced_peak(lambda: json.loads(text))
 
 
 # -- run_scenario -----------------------------------------------------------------

@@ -138,9 +138,32 @@ def fresh_import(script: str) -> dict:
 def test_a_fresh_import_loads_no_templates_and_only_the_needed_dataclasses():
     loaded = fresh_import(FRESH_IMPORT)
     assert "migratenet.bench" in loaded["modules"]
-    assert not {"migratenet.templates", "migratenet.cli"} & set(loaded["modules"])
+    assert not {"migratenet.templates", "migratenet.cli", "migratenet.socket_api",
+                "migratenet.balancer"} & set(loaded["modules"])
     # the records are plain classes: an import decorates nothing
     assert loaded["dataclasses"] == []
+
+
+# also in a fresh interpreter: the sockets and the balancer, which the package
+# loads on first use, reached through it as the benchmark and the README do
+FRESH_LAZY_IMPORT = """
+import json, sys
+import migratenet
+from migratenet import balance_step
+stack = migratenet.SocketStack
+print(json.dumps({
+    "file": migratenet.__file__,
+    "found": [balance_step is sys.modules["migratenet.balancer"].balance_step,
+              stack is migratenet.socket_api.SocketStack,
+              migratenet.job_makespan is migratenet.balancer.job_makespan],
+    "unknown": not hasattr(migratenet, "no_such_name"),
+}))
+"""
+
+
+def test_the_sockets_and_the_balancer_load_on_first_use():
+    loaded = fresh_import(FRESH_LAZY_IMPORT)
+    assert loaded["found"] == [True, True, True] and loaded["unknown"]
 
 
 def test_a_fresh_import_with_the_cli_loads_no_dataclasses_module():
