@@ -226,15 +226,15 @@ _CANONICAL = tuple(name for name in TrafficSpec._fields if name not in TrafficSp
 
 class _Loaded(TrafficSpec):
     """A traffic row `Scenario.load` built while decoding its file; only
-    `load` makes one, and `read_traffic` takes it as it is.  It equals the
-    `TrafficSpec` that `from_dict` builds from the same row."""
+    `load` makes one, and `from_dict` takes it as it is.  It equals the
+    `TrafficSpec` that `read` builds from the same row."""
     __slots__ = ()
 
 
-def _traffic_builder(cls: type):
+def _traffic_builder():
     """The one test of a traffic row in canonical form: `build`, which turns
-    such a row into its `cls` (`TrafficSpec` or `_Loaded`) and returns any
-    other value as it is, and `built`, which counts the rows it built.
+    such a row into a `_Loaded` and returns any other value as it is, and
+    `built`, which counts the rows it built.
 
     Its keys are exactly `TrafficSpec`'s required fields in declaration
     order, its time is a finite float and its size an int (not a bool), each
@@ -257,25 +257,10 @@ def _traffic_builder(cls: type):
                     and transport in kinds
                     and type(size) is int and size_lo <= size <= size_hi):
                 built += 1
-                return new(cls, (time, name(src, src), name(dst, dst), kinds[transport], size,
-                                 count, interval))
+                return new(_Loaded, (time, name(src, src), name(dst, dst), kinds[transport],
+                                     size, count, interval))
         return raw
     return build, lambda: built
-
-
-def read_traffic(raws: list, where: str) -> list[TrafficSpec]:
-    """`read` of each traffic row in `raws`, at `where`, with two shortcuts:
-    a row in canonical form is built in one step (`_traffic_builder`), and a
-    row `load` built is taken as it is.  Every other row, faulty or not,
-    goes to `read`, which coerces its values and names its first fault."""
-    build, _ = _traffic_builder(TrafficSpec)
-    specs, limits = [], LIMITS[TrafficSpec]
-    for raw in raws:
-        if type(raw) is not _Loaded:
-            spec = build(raw)
-            raw = read(raw, TrafficSpec, where, limits) if spec is raw else spec
-        specs.append(raw)
-    return specs
 
 
 def _unbuilt(data, keep):
@@ -330,7 +315,7 @@ class Scenario(Record):
         decoded rows never exist together; a row built anywhere but in the
         `traffic` list is turned back into its dict before `from_dict`, so a
         file reads, or fails, as its decoded JSON would."""
-        build, built = _traffic_builder(_Loaded)
+        build, built = _traffic_builder()
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh, object_hook=build)
@@ -384,13 +369,14 @@ class Scenario(Record):
         def rows(key: str, schema: type, *default) -> list:
             raws = need(data, key, list, "scenario", *default)
             limits = LIMITS.get(schema)
-            read_rows = read_traffic if schema is TrafficSpec else \
-                (lambda raws, where: [read(raw, schema, where, limits) for raw in raws])
+            built = _Loaded if schema is TrafficSpec else None   # a row `load` built
             try:    # a failed row is read again, to name it by its index
-                return read_rows(raws, key)
+                return [raw if type(raw) is built else read(raw, schema, key, limits)
+                        for raw in raws]
             except InvalidScenarioError:
                 for i, raw in enumerate(raws):
-                    read_rows([raw], f"{key}[{i}]")
+                    if type(raw) is not built:
+                        read(raw, schema, f"{key}[{i}]", limits)
                 raise
 
         processes = rows("processes", ProcessSpec)

@@ -21,7 +21,9 @@ the peer lacks, or holds under a smaller serial, is a candidate in every
 exchange with that peer until it ships, so while fewer than `bound` new
 facts arrive per exchange nothing is left behind.  A static cluster always
 converges, because each exchange between differing bulletins moves at
-least one strictly newer fact.
+least one strictly newer fact.  A node's own load holds the largest serial
+of its key in any bulletin: only the node publishes it, into its own
+bulletin, under a stamp greater than all before it, so hearsay never wins.
 """
 
 from __future__ import annotations
@@ -96,17 +98,17 @@ def make_digest(bulletin: Bulletin, bound: int, peer: Optional[Bulletin] = None)
     serial))`` items in bulletin order.
 
     The candidates are the facts the peer lacks or holds under a smaller
-    serial, except the peer's own load, which `merge` never accepts; with no
-    peer, a peer that holds nothing, every fact is one.  At most `bound`
-    candidates all ship.  More are cut at a serial threshold: `cut` is the
-    serial of the `bound`-th latest candidate and every candidate from `cut`
-    on ships.  Serials are unique in a bulletin, so exactly `bound` ship.
+    serial; with no peer, a peer that holds nothing, every fact is one.  At
+    most `bound` candidates all ship.  More are cut at a serial threshold:
+    `cut` is the serial of the `bound`-th latest candidate and every
+    candidate from `cut` on ships.  Serials are unique in a bulletin, so
+    exactly `bound` ship.
     """
     if bound < 1:
         raise ValueError("digest bound must be >= 1")
-    held, owner = (peer._facts.get, peer.owner) if peer is not None else ({}.get, None)
+    held = peer._facts.get if peer is not None else {}.get
     wanted = [(key, entry) for key, entry in bulletin._facts.items()
-              if entry[1] > held(key, _ABSENT)[1] and key != owner]
+              if entry[1] > held(key, _ABSENT)[1]]
     if len(wanted) <= bound:
         return wanted
     serials = [item[1][1] for item in wanted]
@@ -118,9 +120,8 @@ def make_digest(bulletin: Bulletin, bound: int, peer: Optional[Bulletin] = None)
 def _swap(left: Bulletin, right: Bulletin) -> int:
     """Push-pull two whole bulletins in place in one walk; returns the
     entries moved.  Contents, dict order and count are those of two `merge`s
-    of whole digests taken before either merge.  Only a load is ever keyed
-    by an owner, so the owner checks spare every location."""
-    a, b, a_owner, b_owner = left._facts, right._facts, left.owner, right.owner
+    of whole digests taken before either merge."""
+    a, b = left._facts, right._facts
     size_b, missing, get, moved = len(b), 0, b.get, 0
     for key, entry in a.items():
         other = get(key)
@@ -128,15 +129,14 @@ def _swap(left: Bulletin, right: Bulletin) -> int:
             continue
         if other is None or entry[1] > other[1]:
             missing += other is None
-            if key != b_owner:
-                b[key] = entry
-                moved += 1
-        elif other[1] > entry[1] and key != a_owner:
+            b[key] = entry
+            moved += 1
+        elif other[1] > entry[1]:
             a[key] = other   # a key `a` holds: no resize under the walk
             moved += 1
     if size_b > len(a) - missing:   # `b` held keys that `a` lacks
         for key, entry in b.items():
-            if key not in a and key != a_owner:
+            if key not in a:
                 a[key] = entry
                 moved += 1
     return moved
@@ -147,13 +147,12 @@ def merge(bulletin: Bulletin, digest: Iterable) -> int:
 
     An incoming entry wins only if its serial is larger than the resident
     copy's; an equal one keeps the resident copy, so plain copies of the same
-    fact never displace each other.  The owner's own load is never
-    overwritten by hearsay.
+    fact never displace each other.
     """
-    facts, owner, accepted = bulletin._facts, bulletin.owner, 0
+    facts, accepted = bulletin._facts, 0
     for key, entry in digest:
         resident = facts.get(key)
-        if resident is entry or key == owner:
+        if resident is entry:
             continue
         if resident is None or entry[1] > resident[1]:
             facts[key] = entry

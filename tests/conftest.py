@@ -8,7 +8,7 @@ from pathlib import Path
 
 from migratenet.bench import Simulation
 from migratenet.cluster import Topology
-from migratenet.gossip import GossipConfig
+from migratenet.gossip import Bulletin, GossipConfig, merge
 from migratenet.simcore import LatencyModel
 from migratenet.transport import TransportConfig
 
@@ -53,13 +53,33 @@ def fresh_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
 
 
+def fill(bulletin: Bulletin, facts: dict) -> Bulletin:
+    """Give `bulletin` each fact of `facts`, ``key -> (value, serial)``, in
+    order, under the serial the test chose, and return it.  It goes in only
+    as the API puts a fact in: a location by `publish_location`, the owner's
+    own load by `publish_load`, and any other node's load, hearsay, by
+    `merge`, which keeps a resident copy under a serial at least as large.
+
+    Tests build bulletins only here, never by writing `Bulletin._facts`
+    (`test_no_test_writes_the_facts_of_a_bulletin` checks it): every fact
+    goes in through a method the package itself writes with."""
+    for key, (value, serial) in facts.items():
+        if isinstance(key, tuple):
+            bulletin.publish_location(key, value, serial)
+        elif key == bulletin.owner:
+            bulletin.publish_load(value, serial)
+        else:
+            merge(bulletin, [(key, (value, serial))])
+    return bulletin
+
+
 def force_convergence(state) -> None:
-    """Write ground truth into every bulletin, each fact under its own fresh
-    serial: a set-up shortcut for tests where gossip itself is not under
+    """Give every bulletin the ground truth through `fill`: each location
+    under its own fresh serial, and each node's load under one fresh serial,
+    the same in every bulletin, so a node's own copy keeps the largest serial
+    of its key.  A set-up shortcut for tests where gossip itself is not under
     study."""
-    truth_load = [state.node_load(n) for n in range(state.node_count)]
+    loads = {n: (state.node_load(n), state.stamp()) for n in range(state.node_count)}
     for b in state.bulletins:
-        for pid, rec in state.procs.items():
-            b.publish_location(pid, rec.current, state.stamp())
-        for n in range(state.node_count):
-            b._facts[n] = (truth_load[n], state.stamp())
+        fill(b, {pid: (rec.current, state.stamp()) for pid, rec in state.procs.items()})
+        fill(b, loads)

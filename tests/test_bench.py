@@ -358,21 +358,29 @@ def traffic_outcome(read_rows):
 @settings(max_examples=400, deadline=None)
 @given(raw=traffic_rows())
 def test_a_traffic_row_reads_as_the_generic_reader_reads_it(raw):
-    limits = bench.LIMITS[bench.TrafficSpec]
-    assert traffic_outcome(lambda: bench.read_traffic([raw], "traffic[0]")) == \
-        traffic_outcome(lambda: [read(raw, bench.TrafficSpec, "traffic[0]", limits)])
+    # the decode hook leaves a row as it is, for `read`, or builds the row
+    # `read` reads from it, field types included
+    build, _ = bench._traffic_builder()
+    built = build(raw)
+    if built is not raw:
+        limits = bench.LIMITS[bench.TrafficSpec]
+        assert traffic_outcome(lambda: [built]) == \
+            traffic_outcome(lambda: [read(raw, bench.TrafficSpec, "traffic[0]", limits)])
 
 
 def test_a_canonical_traffic_row_is_built_without_the_generic_reader(monkeypatch):
     row = {"time": 1.5, "src": "p0", "dst": "p1", "transport": "auto", "size": 7}
     expected = read(row, bench.TrafficSpec, "traffic", bench.LIMITS[bench.TrafficSpec])
     monkeypatch.setattr(bench, "read", None)   # a call would raise TypeError
-    assert bench.read_traffic([row], "traffic") == [expected]
+    build, built = bench._traffic_builder()
+    spec = build(row)
+    assert spec == expected and type(spec) is bench._Loaded and built() == 1
 
 
-def test_a_scenario_of_non_canonical_traffic_reads_as_its_canonical_twin():
+def test_a_scenario_of_non_canonical_traffic_reads_as_its_canonical_twin(tmp_path):
     # the twin's rows have their keys reversed, the optional fields given at
-    # their defaults, and every other time as an int: none is canonical
+    # their defaults, and every other time as an int: none is canonical, so
+    # `load` builds every row of the original and none of the twin
     canonical = json.loads(json.dumps(VALID_SCENARIO))
     canonical["traffic"] = [
         {"time": float(i % 5), "src": f"p{i % 2}", "dst": f"p{1 - i % 2}",
@@ -383,7 +391,12 @@ def test_a_scenario_of_non_canonical_traffic_reads_as_its_canonical_twin():
         dict(reversed([*row.items(), ("count", 1), ("interval", 0.0)]),
              time=int(row["time"]) if i % 2 else row["time"])
         for i, row in enumerate(twin["traffic"])]
-    read_canonical, read_twin = (bench.Scenario.from_dict(d) for d in (canonical, twin))
+    for name, data in (("canonical", canonical), ("twin", twin)):
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    read_canonical, read_twin = (bench.Scenario.load(tmp_path / name)
+                                 for name in ("canonical", "twin"))
+    assert {type(t) for t in read_canonical.traffic} == {bench._Loaded}
+    assert {type(t) for t in read_twin.traffic} == {bench.TrafficSpec}
     assert read_twin == read_canonical
     assert [list(map(type, t)) for t in read_twin.traffic] == \
         [list(map(type, t)) for t in read_canonical.traffic]
@@ -534,7 +547,8 @@ def test_single_sends_over_the_smaller_cap_are_checked_row_by_row():
 
 def test_only_load_passes_rows_it_built():
     data = json.loads(json.dumps(VALID_SCENARIO))
-    data["traffic"] = [bench.read_traffic([CANONICAL_ROW], "traffic")[0]]
+    data["traffic"] = [read(CANONICAL_ROW, bench.TrafficSpec, "traffic",
+                            bench.LIMITS[bench.TrafficSpec])]
     with pytest.raises(InvalidScenarioError,
                        match=re.escape("traffic[0]: expected an object, got TrafficSpec")):
         bench.Scenario.from_dict(data)

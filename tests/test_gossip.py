@@ -3,15 +3,16 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PINS, build_sim
+from conftest import PINS, build_sim, fill
 from migratenet import gossip, templates
 from migratenet.cluster import ClusterState, GPid, Topology
 from migratenet.errors import NoConvergenceError, SimulatorError
 from migratenet.gossip import (Bulletin, GossipConfig, converge, gossip_round,
                                informed_count, is_converged, make_digest, merge)
+from migratenet.simcore import TransportKind
 
 P = GPid(0, 0)
 Q = GPid(1, 0)
@@ -53,23 +54,37 @@ def test_lookup_never_heard_pid():
     assert Bulletin(owner=0).lookup_location(P) is None
 
 
-# spawns, migrations, gossip rounds and direct sends on 6 nodes: every way a
-# fact is published or copied
+def owner_rule_holds(bulletins) -> bool:
+    """Whether each node's own load, in its bulletin among `bulletins`,
+    carries the largest serial of its key in any of them: the owner rule,
+    which every state the API leaves keeps (see `migratenet.gossip`)."""
+    own = {b.owner: entry[1] for b in bulletins
+           if (entry := b._facts.get(b.owner)) is not None}
+    return all(entry[1] <= own[key] for b in bulletins
+               for key, entry in b._facts.items() if key in own)
+
+
+# spawns, migrations, gossip rounds and sends over each transport, with the
+# nodes taken modulo the cluster size: every way a fact is published or copied
 ACTIONS = st.lists(st.tuples(st.sampled_from(("spawn", "migrate", "round", "send")),
-                             st.integers(0, 5), st.integers(0, 5)), max_size=40)
+                             st.integers(0, 63), st.integers(0, 63),
+                             st.sampled_from(TransportKind)), max_size=40)
 
 
-def play(sim, ops) -> None:
+def play(sim, ops, config=GossipConfig(), check=lambda: None) -> None:
+    """Run `ops` on `sim`, calling `check` after each."""
+    nodes = sim.cluster.node_count
     pids = [sim.cluster.spawn(0)]
-    for op, x, y in ops:
+    for op, x, y, kind in ops:
         if op == "spawn":
-            pids.append(sim.cluster.spawn(x))
+            pids.append(sim.cluster.spawn(x % nodes))
         elif op == "migrate":
-            sim.cluster.migrate(pids[x % len(pids)], y)
+            sim.cluster.migrate(pids[x % len(pids)], y % nodes)
         elif op == "round":
-            gossip_round(sim.cluster, sim.rng)
+            gossip_round(sim.cluster, sim.rng, config)
         else:
-            sim.router.send_direct(pids[x % len(pids)], pids[y % len(pids)], 64)
+            sim.router.send(kind, pids[x % len(pids)], pids[y % len(pids)], 64)
+        check()
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,12 +126,9 @@ def test_serials_are_unique_so_a_cut_digest_ships_exactly_the_latest(ops):
 def fat_bulletin(n_locations=6, n_loads=4) -> Bulletin:
     """Location i published under serial 2i, load i under serial
     2(n_locations - i) + 1: the kinds interleave, and no serial repeats."""
-    b = Bulletin(owner=0)
-    for i in range(n_locations):
-        b.publish_location(GPid(0, i), i % 3, 2 * i)
-    for i in range(n_loads):
-        b._facts[i] = (float(i), 2 * (n_locations - i) + 1)
-    return b
+    return fill(Bulletin(owner=0),
+                {**{GPid(0, i): (i % 3, 2 * i) for i in range(n_locations)},
+                 **{i: (float(i), 2 * (n_locations - i) + 1) for i in range(n_loads)}})
 
 
 def test_digest_includes_all_when_small():
@@ -149,7 +161,7 @@ def serial_lists(size: int, top: int):
 
 def stored(locations: dict, loads: dict, serials: list) -> dict:
     """`locations` ``(home, seq) -> node`` and `loads` ``node -> load`` as
-    one table of stored entries, the i-th under ``serials[i]``, locations
+    the facts `fill` takes, the i-th under ``serials[i]``, locations
     first."""
     serial = iter(serials)
     return {**{GPid(*key): (node, next(serial)) for key, node in locations.items()},
@@ -164,8 +176,7 @@ def stored(locations: dict, loads: dict, serials: list) -> dict:
 def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads, serials,
                                                                bound):
     # serials from a narrow range, in any order across the two kinds
-    b = Bulletin(owner=0)
-    b._facts = stored(locations, loads, serials)
+    b = fill(Bulletin(owner=0), stored(locations, loads, serials))
     oracle = latest(b, bound)
     digest = make_digest(b, bound)
     assert sorted(ranked(digest)) == oracle
@@ -179,14 +190,10 @@ def test_digest_matches_sort_oracle_on_either_side_of_the_bound(locations, loads
 def test_digest_matches_sort_oracle_at_churn_scale(serials, n_loads, bound, rnd):
     # 60-200 entries with serials from a wide range, inserted in a shuffled
     # order: most digests are cut
-    b = Bulletin(owner=0)
     order = list(range(len(serials)))
     rnd.shuffle(order)
-    for i in order:
-        if i < n_loads:
-            b._facts[i] = (i / 4, serials[i])
-        else:
-            b.publish_location(GPid(i % 32, i // 32), i % 32, serials[i])
+    b = fill(Bulletin(owner=0), {(i if i < n_loads else GPid(i % 32, i // 32)):
+                                 (i / 4 if i < n_loads else i % 32, serials[i]) for i in order})
     oracle = latest(b, bound)
     digest = make_digest(b, bound)
     assert len(digest) == len(oracle)
@@ -195,8 +202,8 @@ def test_digest_matches_sort_oracle_at_churn_scale(serials, n_loads, bound, rnd)
 
 @pytest.mark.parametrize("bound", (64, 6))   # the whole bulletin, or cut
 def test_digest_is_a_snapshot_of_its_bulletin(bound):
-    # whatever the source bulletin learns or forgets after a digest is taken,
-    # the digest keeps shipping the entries it was taken with
+    # whatever the source bulletin learns after a digest is taken, the digest
+    # keeps shipping the entries it was taken with
     b = fat_bulletin(6, 4)
     digest = make_digest(b, bound)
     entries, size = sorted(ranked(digest)), len(digest)
@@ -204,11 +211,8 @@ def test_digest_is_a_snapshot_of_its_bulletin(bound):
     before = sorted(ranked(b))
     b.publish_location(GPid(0, 5), 2, 20)     # replaces the latest location
     b.publish_location(GPid(3, 3), 1, 21)     # a new one
-    b._facts.pop(GPid(0, 4), None)
     b.publish_load(9.0, 22)
-    other = Bulletin(owner=1)
-    other.publish_location(GPid(0, 3), 0, 23)
-    other._facts[2] = (5.0, 24)
+    other = fill(Bulletin(owner=1), {GPid(0, 3): (0, 23), 2: (5.0, 24)})
     assert merge(b, make_digest(other, 64)) == 2
     assert sorted(ranked(b)) != before
     assert sorted(ranked(digest)) == entries and len(digest) == size
@@ -263,10 +267,11 @@ def test_merge_orders_by_serial_alone():
         sender.publish_location(pid, 7, serial)
         receiver.publish_location(pid, 3, resident_serial)
     sender.publish_location(Q, 5, 11)        # unknown to the receiver
-    sender._facts[2] = (4.0, 12)
-    receiver._facts[2] = (9.0, 2)
-    shared = GPid(2, 0)   # one tuple held by both sides is never re-accepted
-    sender._facts[shared] = receiver._facts[shared] = (6, 1)
+    fill(sender, {2: (4.0, 12)})
+    fill(receiver, {2: (9.0, 2)})
+    shared, entry = GPid(2, 0), (6, 1)   # one tuple held by both sides is never re-accepted
+    merge(sender, [(shared, entry)])
+    merge(receiver, [(shared, entry)])
     assert merge(receiver, make_digest(sender, 64)) == 4
     for pid, (serial, resident_serial, wins) in cases.items():
         assert receiver.lookup_location(pid) == (
@@ -276,14 +281,13 @@ def test_merge_orders_by_serial_alone():
     assert receiver.load_view(3)[2] == 4.0
 
 
-def merge_oracle(table: dict, entries: list, owner) -> int:
-    """Plain merge: for each key the greater serial wins, a tie keeps the
-    resident entry, and the key `owner` is never replaced; returns the number
-    of keys inserted or replaced."""
+def merge_oracle(table: dict, entries: list) -> int:
+    """Plain merge: for each key the greater serial wins, and a tie keeps the
+    resident entry; returns the number of keys inserted or replaced."""
     changed = 0
     for key, entry in entries:
         resident = table.get(key)
-        if key != owner and (resident is None or entry[1] > resident[1]):
+        if resident is None or entry[1] > resident[1]:
             table[key] = entry
             changed += 1
     return changed
@@ -302,31 +306,31 @@ def test_merge_matches_plain_oracle_on_either_side_of_the_bound(resident, incomi
     # each side's serials are distinct, but both come from one small range,
     # so many keys tie across the sides; the digest ships the whole sending
     # bulletin, then one cut to half of it
-    sender = Bulletin(owner=(owner + 1) % 8)
-    sender._facts = stored(*incoming)
-    for bound in (64, max(1, len(sender) // 2)):
-        b = Bulletin(owner=owner)
-        b._facts = stored(*resident)
-        digest = make_digest(sender, bound)
+    for half in (False, True):
+        sender, b = pair_of(incoming, resident, owner)
+        digest = make_digest(sender, max(1, len(sender) // 2) if half else 64)
         facts = dict(b._facts)
-        changed = merge_oracle(facts, list(digest), owner)
+        changed = merge_oracle(facts, list(digest))
         assert merge(b, digest) == changed
         assert b._facts == facts
 
 
 def pair_of(sent, held, owner) -> tuple[Bulletin, Bulletin]:
     """A sender holding `sent` and a peer, owned by node `owner`, holding
-    `held`, each as `stored` builds them."""
-    sender, peer = Bulletin(owner=(owner + 1) % 8), Bulletin(owner=owner)
-    sender._facts, peer._facts = stored(*sent), stored(*held)
+    `held`, each filled as `stored` lays the facts out.  Only a pair whose
+    nodes' own loads hold the largest serials of their keys is drawn: the
+    API leaves no other."""
+    sender = fill(Bulletin(owner=(owner + 1) % 8), stored(*sent))
+    peer = fill(Bulletin(owner=owner), stored(*held))
+    assume(owner_rule_holds([sender, peer]))
     return sender, peer
 
 
 @settings(max_examples=300, deadline=None)
 @given(sent=BULLETINS, held=BULLETINS, owner=st.integers(0, 7), bound=st.integers(1, 40))
-# a copy under the peer's serial and a later copy of the peer's own load: the
-# peer lacks nothing that it would take
-@example(sent=({(0, 0): 3}, {0: 9.0}, [5, 7]), held=({(0, 0): 4}, {0: 1.0}, [5, 2]),
+# a copy under the peer's serial and an older copy of the peer's own load:
+# the peer lacks nothing
+@example(sent=({(0, 0): 3}, {0: 9.0}, [5, 7]), held=({(0, 0): 4}, {0: 1.0}, [5, 8]),
          owner=0, bound=1)
 def test_peer_aware_digest_matches_its_sort_oracle(sent, held, owner, bound):
     # both sides draw serials from one small range, so many keys tie across
@@ -334,7 +338,7 @@ def test_peer_aware_digest_matches_its_sort_oracle(sent, held, owner, bound):
     sender, peer = pair_of(sent, held, owner)
     facts = peer._facts
     lacked = [(key, entry) for key, entry in sender._facts.items()
-              if key != owner and (key not in facts or entry[1] > facts[key][1])]
+              if key not in facts or entry[1] > facts[key][1]]
     digest = make_digest(sender, bound, peer=peer)
     assert sorted(ranked(digest)) == latest(lacked, bound)
     shipped = dict(digest)
@@ -371,8 +375,9 @@ def test_a_peer_aware_digest_gets_accepted_all_that_the_newest_window_does(sent,
 # equal serials with different values: neither side changes
 @example(left=({(0, 0): 3}, {2: 1.0}, [5, 6]), right=({(0, 0): 4}, {2: 2.0}, [5, 6]),
          owners=[0, 1], shared=False)
-# later hearsay about each owner's load: neither owner takes it
-@example(left=({}, {0: 1.0, 1: 9.0}, [1, 10]), right=({}, {1: 2.0, 0: 9.0}, [2, 11]),
+# older hearsay about each owner's load: each owner keeps its own and takes
+# the other's
+@example(left=({}, {0: 1.0, 1: 9.0}, [10, 1]), right=({}, {1: 2.0, 0: 9.0}, [11, 2]),
          owners=[0, 1], shared=False)
 # right lacks its own load, which left holds, and holds a load left lacks: the
 # two load tables are the same size, yet left must take one key
@@ -382,12 +387,14 @@ def test_whole_swap_matches_two_snapshot_merges(left, right, owners, shared):
     # gossip_round swaps two bulletins within the bound in place; that must
     # leave what merging both whole digests, taken before either merge, does
     def pair():
-        a, b = Bulletin(owner=owners[0]), Bulletin(owner=owners[1])
-        a._facts, b._facts = stored(*left), stored(*right)
-        if shared:   # the very location tuple on both sides, as in a steady cluster
-            for key in a._facts.keys() & b._facts.keys():
-                if isinstance(key, GPid):
-                    b._facts[key] = a._facts[key]
+        a = fill(Bulletin(owner=owners[0]), stored(*left))
+        facts = stored(*right)
+        # with `shared`, the very location tuples of `a` on both sides, as in a
+        # steady cluster
+        common = [key for key in facts if shared and isinstance(key, GPid) and key in a._facts]
+        b = fill(Bulletin(owner=owners[1]), {k: facts[k] for k in facts if k not in common})
+        merge(b, [(key, a._facts[key]) for key in common])
+        assume(owner_rule_holds([a, b]))
         return a, b
 
     a, b = pair()
@@ -399,19 +406,24 @@ def test_whole_swap_matches_two_snapshot_merges(left, right, owners, shared):
         assert list(swapped._facts.items()) == list(merged._facts.items())
 
 
-def test_own_load_fact_never_overwritten():
-    b = Bulletin(owner=0)
-    b.publish_load(7.0, 1)
-    other = Bulletin(owner=1)
-    other._facts[0] = (99.0, 10**6)   # later hearsay about node 0
-    merge(b, make_digest(other, 10))
-    assert b.load_view(2)[0] == 7.0
+@settings(max_examples=100, deadline=None)
+@given(nodes=st.integers(2, 64), bound=st.integers(1, 64), seed=st.integers(0, 2**16),
+       ops=ACTIONS)
+def test_own_load_fact_never_overwritten(nodes, bound, seed, ops):
+    # after every spawn, migration, send and gossip round, a node's own load
+    # holds the largest serial of its key in any bulletin, so no hearsay copy
+    # can replace it, and the exchanges need no owner check
+    sim = build_sim(nodes=nodes, seed=seed)
+
+    def check():
+        assert owner_rule_holds(sim.cluster.bulletins)
+
+    play(sim, ops, GossipConfig(bound=bound), check)
 
 
 def test_a_location_and_a_load_under_one_number_stay_distinct():
     # GPid(2, 0)'s location and node 2's load share one table: a GPid is a
-    # tuple, never equal to the int 2, so neither displaces the other, and
-    # the owner check that guards node 2's own load spares the location
+    # tuple, never equal to the int 2, so neither displaces the other
     pid = GPid(2, 0)
     origin, peer = Bulletin(owner=2), Bulletin(owner=0)
     origin.publish_load(3.0, 1)
@@ -428,7 +440,7 @@ def test_a_location_and_a_load_under_one_number_stay_distinct():
     digest = make_digest(peer, 2)
     assert sorted(ranked(digest)) == [(1, 1, 2, 3.0), (2, 0, (2, 0), 5)]
     home = Bulletin(owner=2)
-    home.publish_load(4.0, 7)   # node 2's own load, never replaced by hearsay
+    home.publish_load(4.0, 7)   # node 2's load, republished later than the digest's copy
     assert merge(home, digest) == 1
     assert home.lookup_location(pid) == (5, 2)
     assert home.load_view(3) == {2: 4.0}

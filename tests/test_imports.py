@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports, and every public
-function or class it defines has a caller outside the tests; and what a
-fresh import of the package loads.
+function or class it defines has a caller outside the tests; no test writes
+a bulletin's table of facts; and what a fresh import of the package loads.
 
-The first two are parsed with `ast`, so nothing is imported or run.
+The first three are parsed with `ast`, so nothing is imported or run.
 Re-exports in ``__init__.py`` are exempt, and a name used only inside a
 string annotation counts as used.
 """
@@ -95,6 +95,60 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_attribute_reads_count_as_loads():
     tree = ast.parse("import m\nm.f()\nx = m.C\nm.g = 1\n")
     assert {"m", "f", "C"} <= loaded_names(tree) and "g" not in loaded_names(tree)
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# the dict methods that change a dict in place
+MUTATORS = {"pop", "popitem", "update", "clear", "setdefault"}
+
+
+def facts_writes(tree: ast.Module) -> list[int]:
+    """The lines that write a `._facts` table: an assignment to it or to an
+    item of it, a `del` of either, or a call of a dict method that changes
+    it.  Reads, such as ``dict(b._facts)``, are not writes."""
+    def is_facts(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_facts"
+
+    def written(target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(written, target.elts))
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        return is_facts(target) or isinstance(target, ast.Subscript) and is_facts(target.value)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            hit = any(map(written, node.targets))
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            hit = written(node.target)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in MUTATORS and is_facts(node.func.value)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_test_writes_the_facts_of_a_bulletin():
+    # tests build bulletins through conftest's `fill`, which writes only
+    # through the package's own methods, so whatever those keep beside the
+    # table sees every fact a test gives a bulletin
+    assert TESTS, "tests/ not found"
+    writes = [f"{path.name}:{line}" for path in TESTS
+              for line in facts_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not writes, f"tests that write Bulletin._facts, not through conftest.fill: {writes}"
+
+
+def test_facts_writes_are_found_and_reads_are_not():
+    writes = ("b._facts[1] = x", "b._facts = {}", "a, (c, b._facts) = 1, (2, 3)",
+              "del b._facts[1]", "b._facts.pop(1)", "b._facts.update(x)", "b._facts.clear()",
+              "b._facts[1] += x", "b._facts: dict = {}", "x = b._facts.setdefault(1, 2)")
+    reads = ("d = dict(b._facts)", "get = b._facts.get", "x = b._facts[1]",
+             "x = [k for k in b._facts.items()]", "b._facts.get(1).count(2)")
+    tree = ast.parse("\n".join(writes + reads))
+    assert facts_writes(tree) == list(range(1, len(writes) + 1))
 
 
 # Run in a fresh interpreter: the modules `import migratenet, migratenet.bench`

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from conftest import TEST_MODEL, build_sim, force_convergence, place_pair, replaced
+from conftest import TEST_MODEL, build_sim, fill, force_convergence, place_pair, replaced
 from migratenet.errors import BadSizeError, MessageTooLargeError, NoSuchProcessError
 from migratenet.cluster import ClusterState, GPid
 from migratenet.gossip import Bulletin, GossipConfig, gossip_round, make_digest, merge
@@ -19,6 +19,19 @@ def estimates(router, src, dst, size) -> tuple[float, float]:
     sender = router.cluster.residency(src)
     relay, direct = router._estimates(sender, src, dst, size, router._first_target(sender, dst))
     return relay[0], direct[0]
+
+
+def set_belief(sim, at_a, b, belief) -> Bulletin:
+    """Make a's node, `at_a`, hold `belief` as its entry for b (None: no
+    entry), and return its bulletin.  The bulletin is filled anew with every
+    fact but b's, under their serials, so a node that learned b's location
+    first-hand can be made to lack it."""
+    held = sim.cluster.bulletins[at_a]._facts
+    bulletin = fill(Bulletin(owner=at_a), {key: held[key] for key in held if key != b})
+    if belief is not None:
+        bulletin.publish_location(b, belief, sim.cluster.stamp())
+    sim.cluster.bulletins[at_a] = bulletin
+    return bulletin
 
 
 def assert_rejects_negative_size(send_name):
@@ -155,7 +168,7 @@ def test_direct_miss_when_sender_is_the_home():
     a = sim.cluster.spawn(1, "A")
     sim.cluster.migrate(a, 0)             # a runs on b's home
     sim.cluster.migrate(b, 3)
-    sim.cluster.bulletins[0]._facts.pop(b, None)
+    set_belief(sim, 0, b, None)
     rep = sim.router.send_direct(a, b, 500)
     assert rep.network_hops == 1          # local home leg is free, forward costs one
     assert rep.latency == HOP(500) + D
@@ -292,10 +305,7 @@ def test_direct_route_table(route):
     trace = []
     sim = build_sim(trace=trace)
     a, b = place_pair(sim, 0, 1, at_a, at_b)
-    bulletin = sim.cluster.bulletins[at_a]
-    bulletin._facts.pop(b, None)
-    if belief is not None:
-        bulletin.publish_location(b, belief, sim.cluster.stamp())
+    bulletin = set_belief(sim, at_a, b, belief)
     m = sim.metrics
     counted = ("delivered_bytes", "relayed_bytes", "link_bytes", "frames_handled", "sends",
                "direct_outcomes", "control_frames", "auto_picks")
@@ -410,14 +420,6 @@ def test_auto_never_beaten_by_either_transport_when_converged():
                 assert auto <= min(best)
 
 
-def set_belief(sim, at_a, b, belief) -> None:
-    """Make a's node, `at_a`, hold `belief` as its entry for b (None: no entry)."""
-    bulletin = sim.cluster.bulletins[at_a]
-    bulletin._facts.pop(b, None)
-    if belief is not None:
-        bulletin.publish_location(b, belief, sim.cluster.stamp())
-
-
 def test_auto_relay_estimate_equals_charged_relay_latency():
     # a (home 0) and b (home 1) anywhere on 5 nodes, and every entry a's node
     # may hold for b (None: no entry).  The estimate prices the relay route to
@@ -468,10 +470,7 @@ def test_auto_direct_estimate_equals_charged_direct_latency():
         trace = []
         sim = build_sim(nodes=5, trace=trace)
         a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
-        bulletin = sim.cluster.bulletins[at_a]
-        bulletin._facts.pop(b, None)
-        if belief is not None:
-            bulletin.publish_location(b, belief, sim.cluster.stamp())
+        set_belief(sim, at_a, b, belief)
         if at_a == at_b:
             believed = []
         elif belief is None or belief == at_a:      # via the home, which forwards
@@ -508,10 +507,7 @@ def test_auto_carries_the_same_route_as_one_built_again(home_leg_factor):
             trace = []
             sim = build_sim(nodes=5, model=model, trace=trace)
             a, b = place_pair(sim, 0, 1, at_a if at_a != 0 else None, at_b if at_b != 1 else None)
-            bulletin = sim.cluster.bulletins[at_a]
-            bulletin._facts.pop(b, None)
-            if belief is not None:
-                bulletin.publish_location(b, belief, sim.cluster.stamp())
+            bulletin = set_belief(sim, at_a, b, belief)
             if rebuild:
                 router = sim.router
                 router._estimates = lambda *args: tuple(
